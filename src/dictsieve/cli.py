@@ -233,8 +233,9 @@ def _sha256_path(path: Path) -> str:
     if path.is_dir():
         for member in sorted(path.rglob("*")):
             if member.is_file():
-                digest.update(str(member.relative_to(path)).encode("utf-8"))
-                digest.update(member.read_bytes())
+                data = member.read_bytes()
+                digest.update(f"{member.relative_to(path)}\0{len(data)}\0".encode("utf-8"))
+                digest.update(data)
     else:
         digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -524,6 +525,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
             matrix = filter_cooc(c_ref, c_gen)
             save_cooc(matrix, out_dir / f"cooc_filtered_{label}.tsv")
             filtered[label] = matrix
+        # the raw matrices are saved and never scored; free them before the sweep
+        del raw, c_ref, c_gen
         print(f"[filter-cooc] {len(filtered['tm'].values)} tm pairs, {len(filtered['tfidf'].values)} tfidf pairs")
 
     with _stage("sweep"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,21 +40,21 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 class CoocMatrix:
     """Sparse symmetric matrix of Dice values over the dictionary terms.
 
-    Keys are term pairs ordered lexicographically; the diagonal is defined
-    as 0 and never stored, so a term's context profile excludes itself.
+    ``values`` is the stored form: keys are term pairs ordered
+    lexicographically; the diagonal is defined as 0 and never stored, so a
+    term's context profile excludes itself.  Per-term profiles and their
+    norms are derived from it on first use.
     """
 
     terms: tuple[str, ...]
     values: dict[tuple[str, str], float]
     provenance: str
     _term_pos: dict[str, int] = field(init=False, repr=False)
-    _col_norms: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         self._term_pos = {t: i for i, t in enumerate(self.terms)}
-        self._col_norms = {}
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_pos
@@ -63,31 +64,35 @@ class CoocMatrix:
             return 0.0
         return self.values.get(_pair(a, b), 0.0)
 
+    @cached_property
+    def profiles(self) -> dict[str, dict[str, float]]:
+        """term -> {partner: Dice} for every term, nonzero partners only."""
+        profiles: dict[str, dict[str, float]] = {t: {} for t in self.terms}
+        for (a, b), value in self.values.items():
+            profiles[a][b] = value
+            profiles[b][a] = value
+        return profiles
+
+    @cached_property
+    def norms(self) -> dict[str, float]:
+        """term -> Euclidean norm of its profile."""
+        sums = dict.fromkeys(self.terms, 0.0)
+        for (a, b), value in self.values.items():
+            sums[a] += value * value
+            sums[b] += value * value
+        return {t: math.sqrt(total) for t, total in sums.items()}
+
     def column(self, term: str) -> np.ndarray:
         """Context profile of ``term``: its row/column in dictionary order."""
         if term not in self._term_pos:
             raise ValueError(f"term {term!r} not in matrix")
         col = np.zeros(len(self.terms))
-        for other, value in self.iter_term(term):
+        for other, value in self.profiles[term].items():
             col[self._term_pos[other]] = value
         return col
 
-    def iter_term(self, term: str):
-        for (a, b), value in self.values.items():
-            if a == term:
-                yield b, value
-            elif b == term:
-                yield a, value
-
     def column_norm(self, term: str) -> float:
-        """Euclidean norm of the context profile; all norms cached on first use."""
-        if not self._col_norms:
-            sums: dict[str, float] = {t: 0.0 for t in self.terms}
-            for (a, b), value in self.values.items():
-                sums[a] += value * value
-                sums[b] += value * value
-            self._col_norms = {t: math.sqrt(s) for t, s in sums.items()}
-        return self._col_norms[term]
+        return self.norms[term]
 
 
 def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
@@ -145,6 +150,12 @@ def save_cooc(matrix: CoocMatrix, path) -> None:
 
 
 def load_cooc(path) -> CoocMatrix:
+    """Read a matrix written by ``save_cooc``.
+
+    Every pair line must name two listed terms in lexicographic order, at
+    most once, with a finite value in (0, 1]; a violation is reported as
+    ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as stream:
         header = stream.readline().rstrip("\n")
         if not header.startswith("#dictsieve-cooc"):
@@ -154,10 +165,29 @@ def load_cooc(path) -> CoocMatrix:
         if terms_line[0] != "#terms":
             raise ValueError(f"missing term list in {path}")
         terms = tuple(terms_line[1:])
+        known = set(terms)
+        if len(known) != len(terms):
+            raise ValueError(f"{path}:2: duplicate term in the term list")
         values = {}
-        for line in stream:
+        for lineno, line in enumerate(stream, start=3):
             if not line.strip():
                 continue
-            a, b, value = line.rstrip("\n").split("\t")
-            values[(a, b)] = float(value)
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            a, b, text = fields
+            if a not in known or b not in known:
+                unknown = a if a not in known else b
+                raise ValueError(f"{path}:{lineno}: term {unknown!r} is not in the term list")
+            if not a < b:
+                raise ValueError(f"{path}:{lineno}: pair ({a!r}, {b!r}) is not in lexicographic order")
+            if (a, b) in values:
+                raise ValueError(f"{path}:{lineno}: duplicate pair ({a!r}, {b!r})")
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number in (0, 1]")
+            values[(a, b)] = value
     return CoocMatrix(terms=terms, values=values, provenance=provenance)

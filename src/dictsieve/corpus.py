@@ -86,24 +86,15 @@ class Corpus:
 class TermStats:
     """Frequency statistics over a corpus.
 
-    Exposes corpus-wide term frequency tf(w), per-document tf(w,d), document
-    frequency df(w), and the unique-term set of each document.  Per-sentence
-    frequencies tf(w,s) are cheap to count on demand and are provided as a
-    helper rather than materialized.
+    Exposes corpus-wide term frequency tf(w), per-document tf(w,d), whose
+    keys are the unique-term set U_d of each document, and document
+    frequency df(w).
     """
 
     def __init__(self, tf: Counter, df: Counter, tf_doc: dict[str, Counter]):
         self.tf = tf
         self.df = df
         self.tf_doc = tf_doc
-
-    def unique_terms(self, doc_id: str) -> set[str]:
-        """U_d: the set of distinct terms of a document."""
-        return set(self.tf_doc[doc_id])
-
-    @staticmethod
-    def tf_sentence(sentence: list[str], term: str) -> int:
-        return sentence.count(term)
 
 
 def term_stats(corpus: Corpus) -> TermStats:
@@ -133,10 +124,13 @@ def _parse_jsonl_record(line: str, index: int) -> Document:
     if not isinstance(doc_id, str) or not isinstance(sentences, list):
         raise ValueError(f"malformed JSONL record {index}: 'id' must be a string and 'sentences' a list")
     cleaned: list[list[str]] = []
-    for sentence in sentences:
+    # position of each kept sentence among the kept ones, by its index in the record
+    kept_at: dict[int, int] = {}
+    for position, sentence in enumerate(sentences):
         if not isinstance(sentence, list) or any(not isinstance(t, str) or not t for t in sentence):
             raise ValueError(f"malformed JSONL record {index}: sentences must be lists of non-empty strings")
         if sentence:
+            kept_at[position] = len(cleaned)
             cleaned.append(list(sentence))
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
@@ -144,7 +138,15 @@ def _parse_jsonl_record(line: str, index: int) -> Document:
             not isinstance(p, list) or any(not isinstance(i, int) for i in p) for p in paragraphs
         ):
             raise ValueError(f"malformed JSONL record {index}: 'paragraphs' must be lists of sentence indices")
-        paragraphs = [list(p) for p in paragraphs]
+        for group in paragraphs:
+            for i in group:
+                if not 0 <= i < len(sentences):
+                    raise ValueError(
+                        f"malformed JSONL record {index}: paragraph sentence index {i} is out of range "
+                        f"for {len(sentences)} sentences"
+                    )
+        # empty sentences were dropped above, so renumber onto the kept ones
+        paragraphs = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
     return Document(id=doc_id, sentences=cleaned, paragraphs=paragraphs)
 
 

@@ -77,8 +77,11 @@ def rank_collection(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if config.mode != "unigram" and cooc_filtered is None:
-        raise ValueError(f"co-occurrence matrix required for mode {config.mode!r}")
+    if config.mode != "unigram":
+        if cooc_filtered is None:
+            raise ValueError(f"co-occurrence matrix required for mode {config.mode!r}")
+        if cooc_filtered.terms != dictionary.terms:
+            raise ValueError("co-occurrence matrix terms do not match the dictionary terms")
     if stats is None:
         stats = term_stats(target)
     if norms is None:

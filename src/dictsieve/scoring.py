@@ -86,41 +86,52 @@ def _term_contribution(tf_value: float, log_avgtf: float, boost: float, norm: fl
     return max(0.0, 1.0 + math.log(tf_value)) / (1.0 + log_avgtf) * boost * norm
 
 
-def score_dict(q: Dictionary, d: Document, stats: TermStats, norms: CollectionNorms) -> float:
-    """Unigram dictionary score; terms absent from the document contribute 0."""
+def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf: dict[str, float]) -> float:
+    """Sum the term contributions of the dictionary entries in dictionary
+    order, reading each term's frequency from the mapping ``tf``; terms
+    absent from it contribute 0."""
     if len(q) == 0:
         raise ValueError("dictionary is empty")
     if d.id in norms.empty_doc_ids:
         return 0.0
-    counts = stats.tf_doc[d.id]
     log_avgtf = math.log(norms.avgtf[d.id])
     norm = norms.norm[d.id]
     score = 0.0
     for entry in q.entries:
-        tf_value = counts.get(entry.term, 0)
+        tf_value = tf.get(entry.term, 0)
         if tf_value > 0:
             score += _term_contribution(float(tf_value), log_avgtf, entry.boost, norm)
     return score
 
 
-def _sentence_profile(sentence: list[str], dict_terms: frozenset[str]):
-    """Counts of dictionary terms in a sentence plus the binary-vector norm."""
-    counts = Counter(t for t in sentence if t in dict_terms)
-    return counts, math.sqrt(len(counts))
+def score_dict(q: Dictionary, d: Document, stats: TermStats, norms: CollectionNorms) -> float:
+    """Unigram dictionary score over the document's raw term frequencies."""
+    return _score(q, d, norms, stats.tf_doc[d.id])
 
 
-def _context_similarity(
-    term: str, present: Counter, s_norm: float, cooc_filtered: CoocMatrix
-) -> float:
-    """Cosine between the sentence's binary dictionary-term vector and the
-    term's filtered co-occurrence profile; 0 when either vector is zero."""
-    col_norm = cooc_filtered.column_norm(term)
-    if col_norm == 0.0 or s_norm == 0.0:
-        return 0.0
-    dot = sum(cooc_filtered.get(other, term) for other in present)
-    if dot == 0.0:
-        return 0.0
-    return dot / (s_norm * col_norm)
+def _tfsim_all(d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> dict[str, float]:
+    """tfsim of every dictionary term present in ``d``, in one pass over its
+    sentences.  The context similarity is the cosine between the sentence's
+    binary dictionary-term vector and the term's filtered co-occurrence
+    profile, 0 when either vector is zero."""
+    profiles = cooc_filtered.profiles
+    profile_norms = cooc_filtered.norms
+    with_tf = config.mode != "context-only"
+    alpha = config.alpha
+    sim: dict[str, float] = {}
+    for sentence in d.sentences:
+        present = Counter(filter(profiles.__contains__, sentence))
+        s_norm = math.sqrt(len(present))
+        for term, count in present.items():
+            value = float(count) if with_tf else 0.0
+            if alpha > 0.0:
+                profile = profiles[term]
+                dot = sum(profile.get(other, 0.0) for other in present)
+                col_norm = profile_norms[term]
+                if dot != 0.0 and col_norm != 0.0:
+                    value += alpha * (dot / (s_norm * col_norm))
+            sim[term] = sim.get(term, 0.0) + value
+    return sim
 
 
 def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> float:
@@ -132,17 +143,7 @@ def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConf
     """
     if term not in cooc_filtered:
         raise ValueError(f"term {term!r} not in dictionary")
-    dict_terms = frozenset(cooc_filtered.terms)
-    total = 0.0
-    for sentence in d.sentences:
-        present, s_norm = _sentence_profile(sentence, dict_terms)
-        if term not in present:
-            continue
-        if config.mode != "context-only":
-            total += float(present[term])
-        if config.alpha > 0.0:
-            total += config.alpha * _context_similarity(term, present, s_norm, cooc_filtered)
-    return total
+    return _tfsim_all(d, cooc_filtered, config).get(term, 0.0)
 
 
 def score_context(
@@ -153,26 +154,4 @@ def score_context(
     config: ScoringConfig,
 ) -> float:
     """Context-sensitive score: the unigram formula with tf replaced by tfsim."""
-    if len(q) == 0:
-        raise ValueError("dictionary is empty")
-    if d.id in norms.empty_doc_ids:
-        return 0.0
-    dict_terms = frozenset(cooc_filtered.terms)
-    sim: dict[str, float] = {}
-    for sentence in d.sentences:
-        present, s_norm = _sentence_profile(sentence, dict_terms)
-        for term, count in present.items():
-            value = 0.0
-            if config.mode != "context-only":
-                value += float(count)
-            if config.alpha > 0.0:
-                value += config.alpha * _context_similarity(term, present, s_norm, cooc_filtered)
-            sim[term] = sim.get(term, 0.0) + value
-    log_avgtf = math.log(norms.avgtf[d.id])
-    norm = norms.norm[d.id]
-    score = 0.0
-    for entry in q.entries:
-        tfsim_value = sim.get(entry.term, 0.0)
-        if tfsim_value > 0.0:
-            score += _term_contribution(tfsim_value, log_avgtf, entry.boost, norm)
-    return score
+    return _score(q, d, norms, _tfsim_all(d, cooc_filtered, config))

@@ -245,12 +245,3 @@ def load_model(path) -> TopicModelResult:
         beta=float(fields["beta"]),
         iterations=int(fields["iterations"]),
     )
-
-
-def top_terms_tsv(model: TopicModelResult, n: int) -> str:
-    """TSV dump `topic<TAB>rank<TAB>term<TAB>prob` for analyst review."""
-    lines = []
-    for k in range(1, model.n_topics + 1):
-        for rank, (term, prob) in enumerate(top_terms(model, k, n), start=1):
-            lines.append(f"{k}\t{rank}\t{term}\t{prob!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -250,6 +250,51 @@ class TestSubcommands:
         assert "[rank]" in capsys.readouterr().err
 
 
+    def test_rank_with_a_matrix_for_another_dictionary_is_data_error(
+        self, pipeline_dir, corpora_dir, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "rank",
+                "--target", str(corpora_dir / "target.jsonl"),
+                "--dict", str(pipeline_dir / "dict_tm.tsv"),
+                "--cooc", str(pipeline_dir / "cooc_filtered_tfidf.tsv"),
+                "--mode", "context",
+                "--alpha", "2",
+                "--out", str(tmp_path / "r.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "do not match the dictionary" in capsys.readouterr().err
+
+    def test_filter_rejects_a_reversed_pair_with_its_location(self, tmp_path, capsys):
+        reference = tmp_path / "ref.tsv"
+        generic = tmp_path / "gen.tsv"
+        reference.write_text("#dictsieve-cooc\tprovenance=reference\tn=2\n#terms\ta\tb\na\tb\t0.5\n")
+        generic.write_text("#dictsieve-cooc\tprovenance=generic\tn=2\n#terms\ta\tb\nb\ta\t0.4\n")
+        code = main(
+            [
+                "filter-cooc",
+                "--reference", str(reference),
+                "--generic", str(generic),
+                "--out", str(tmp_path / "f.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"{generic}:3: pair ('b', 'a') is not in lexicographic order" in capsys.readouterr().err
+
+    def test_fit_topics_follows_paragraphs_past_empty_sentences(self, tmp_path, capsys):
+        corpus = tmp_path / "ref.jsonl"
+        record = {"id": "d", "sentences": [[], ["x", "y"], ["z"]], "paragraphs": [[1], [2]]}
+        corpus.write_text(json.dumps(record) + "\n")
+        args = ["fit-topics", "--corpus", str(corpus), "--n-topics", "2", "--iterations", "2"]
+        assert main(args + ["--out", str(tmp_path / "model.tsv")]) == EXIT_OK
+        record["paragraphs"] = [[1], [3]]
+        corpus.write_text(json.dumps(record) + "\n")
+        assert main(args + ["--out", str(tmp_path / "bad.tsv")]) == EXIT_DATA
+        assert "record 0: paragraph sentence index 3 is out of range" in capsys.readouterr().err
+
+
 class TestPipelineArtifacts:
     EXPECTED = (
         "corpus_reference.jsonl",
@@ -293,6 +338,14 @@ class TestPipelineArtifacts:
         assert set(manifest["inputs"]) == {"reference", "generic", "target"}
         for entry in manifest["inputs"].values():
             assert len(entry["sha256"]) == 64
+
+    def test_directory_hash_separates_member_names_from_contents(self, tmp_path):
+        left, right = tmp_path / "left", tmp_path / "right"
+        left.mkdir()
+        right.mkdir()
+        (left / "ab").write_text("c")
+        (right / "a").write_text("bc")
+        assert cli._sha256_path(left) != cli._sha256_path(right)
 
     def test_fuse_recomputes_from_the_sweep_directory(self, pipeline_dir, tmp_path, capsys):
         out_dir = tmp_path / "fused"

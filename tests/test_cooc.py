@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsieve import (
     Corpus,
@@ -17,7 +19,7 @@ from dictsieve import (
     load_cooc,
     save_cooc,
 )
-from dictsieve.cooc import CoocMatrix
+from dictsieve.cooc import PROVENANCES, CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 
 
@@ -153,11 +155,11 @@ class TestMatrixAccess:
         with pytest.raises(ValueError, match="not in matrix"):
             matrix.column("zzz")
 
-    def test_iter_term_skips_zero_partners(self):
+    def test_profiles_skip_zero_partners(self):
         corpus = one_doc_corpus([["a", "b"], ["c"]])
         matrix = build_cooc(corpus, make_dictionary("a", "b", "c"))
-        assert dict(matrix.iter_term("a")) == {"b": 1.0}
-        assert dict(matrix.iter_term("c")) == {}
+        assert matrix.profiles == {"a": {"b": 1.0}, "b": {"a": 1.0}, "c": {}}
+        assert matrix.norms == {"a": 1.0, "b": 1.0, "c": 0.0}
 
 
 class TestFilter:
@@ -251,3 +253,61 @@ class TestPersistence:
         path.write_text("x\ty\t0.5\n")
         with pytest.raises(ValueError, match="not a co-occurrence matrix file"):
             load_cooc(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("b\ta\t0.4", "not in lexicographic order"),
+            ("a\tz\t0.4", "term 'z' is not in the term list"),
+            ("a\tb\t0.4\na\tb\t0.4", "duplicate pair"),
+            ("a\tb", "expected 3 tab-separated fields, got 2"),
+            ("a\tb\t0.4\t1", "expected 3 tab-separated fields, got 4"),
+            ("a\tb\tnan", "not a finite number in \\(0, 1\\]"),
+            ("a\tb\tinf", "not a finite number"),
+            ("a\tb\t0.0", "not a finite number"),
+            ("a\tb\t1.5", "not a finite number"),
+            ("a\tb\thigh", "not a finite number"),
+        ],
+    )
+    def test_rejects_bad_pair_lines_with_their_location(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "#dictsieve-cooc\tprovenance=generic\tn=3\n#terms\ta\tb\tc\nb\tc\t0.5\n" + line + "\n"
+        )
+        lineno = 3 + len(line.split("\n"))
+        with pytest.raises(ValueError, match=f"{path.name}:{lineno}: .*{message}"):
+            load_cooc(path)
+
+    def test_rejects_duplicate_terms(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#dictsieve-cooc\tprovenance=generic\tn=2\n#terms\ta\ta\n")
+        with pytest.raises(ValueError, match=":2: duplicate term"):
+            load_cooc(path)
+
+    @settings(deadline=None)
+    @given(
+        terms=st.lists(
+            st.text(
+                st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        ),
+        data=st.data(),
+    )
+    def test_save_load_round_trip_property(self, tmp_path_factory, terms, data):
+        terms = tuple(terms)
+        pairs = [tuple(sorted(pair)) for pair in combinations(terms, 2)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+        values = {pair: data.draw(unit) for pair in chosen}
+        provenance = data.draw(st.sampled_from(PROVENANCES))
+        matrix = CoocMatrix(terms=terms, values=values, provenance=provenance)
+        path = tmp_path_factory.mktemp("cooc") / "cooc.tsv"
+        save_cooc(matrix, path)
+        loaded = load_cooc(path)
+        assert (loaded.terms, loaded.provenance) == (terms, provenance)
+        assert loaded.values == values

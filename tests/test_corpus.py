@@ -118,6 +118,32 @@ class TestIngest:
         corpus = ingest_corpus(io.StringIO(record))
         assert corpus.documents[0].paragraphs == [[0, 1], [2]]
 
+    def test_paragraphs_follow_sentences_past_dropped_empty_ones(self):
+        record = json.dumps(
+            {"id": "d1", "sentences": [[], ["x", "y"], ["z"]], "paragraphs": [[1], [2]]}
+        )
+        doc = ingest_corpus(io.StringIO(record)).documents[0]
+        assert doc.sentences == [["x", "y"], ["z"]]
+        assert doc.paragraphs == [[0], [1]]
+
+    def test_paragraphs_group_the_sentences_they_named(self):
+        record = json.dumps(
+            {"id": "d1", "sentences": [[], ["x", "y"], ["z"], ["w"]], "paragraphs": [[1], [2, 0]]}
+        )
+        doc = ingest_corpus(io.StringIO(record)).documents[0]
+        assert [[doc.sentences[i] for i in group] for group in doc.paragraphs] == [
+            [["x", "y"]],
+            [["z"]],
+        ]
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_paragraph_index_reports_the_record(self, bad):
+        payload = json.dumps({"id": "ok", "sentences": [["a"]]}) + "\n" + json.dumps(
+            {"id": "d1", "sentences": [["a"], [], ["b"]], "paragraphs": [[0], [bad]]}
+        )
+        with pytest.raises(ValueError, match=f"record 1: paragraph sentence index {bad} is out of range"):
+            ingest_corpus(io.StringIO(payload))
+
     def test_zero_documents_is_an_error(self):
         with pytest.raises(ValueError, match="zero documents"):
             ingest_corpus(io.StringIO(""))
@@ -199,14 +225,6 @@ class TestTermStats:
         assert stats.tf == {"a": 3, "b": 1, "c": 1}
         assert stats.df == {"a": 2, "b": 1, "c": 1}
         assert stats.tf_doc["d1"] == {"a": 2, "b": 1}
-        assert stats.unique_terms("d1") == {"a", "b"}
-        assert stats.unique_terms("d2") == {"a", "c"}
-
-    def test_tf_sentence_counts_within_one_sentence(self):
-        from dictsieve import TermStats
-
-        assert TermStats.tf_sentence(["a", "a", "b"], "a") == 2
-        assert TermStats.tf_sentence(["a", "a", "b"], "z") == 0
 
     def test_totals_agree_with_token_counts(self):
         rng = random.Random(7)

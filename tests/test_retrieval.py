@@ -13,6 +13,7 @@ from dictsieve import (
     rank_collection,
     save_ranked_list,
 )
+from dictsieve.cooc import CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.retrieval import RankedEntry, RankedList, format_alpha, make_system_id
 from dictsieve.scoring import ScoringConfig
@@ -127,6 +128,16 @@ class TestRankCollection:
         q = make_dictionary("w0")
         with pytest.raises(ValueError, match="co-occurrence matrix required"):
             rank_collection(target, q, None, ScoringConfig(alpha=2.0, mode="context"), k=5)
+
+    def test_matrix_for_another_dictionary_is_rejected(self):
+        target = random_corpus(5, seed=1)
+        q = make_dictionary("w0", "w1")
+        other = CoocMatrix(terms=("w0", "w2"), values={("w0", "w2"): 0.5}, provenance="filtered")
+        for mode in ("context", "context-only"):
+            with pytest.raises(ValueError, match="do not match the dictionary"):
+                rank_collection(target, q, other, ScoringConfig(alpha=2.0, mode=mode), k=5)
+        ranked = rank_collection(target, q, other, ScoringConfig(), k=5)
+        assert ranked.m > 0
 
     def test_k_must_be_positive(self):
         target = random_corpus(5, seed=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -331,3 +332,101 @@ class TestScoreContext:
         assert scores["padded"] == pytest.approx(
             scores["base"] * ratios["padded"] / ratios["base"], rel=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the pair-dict cosine loop that scored documents before
+# per-term profiles existed.  Scores must equal it bit for bit.
+
+
+def _oracle_pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _oracle_tfsim(doc, terms, values, config):
+    sums = {t: 0.0 for t in terms}
+    for (a, b), value in values.items():
+        sums[a] += value * value
+        sums[b] += value * value
+    col_norms = {t: math.sqrt(total) for t, total in sums.items()}
+
+    def get(a, b):
+        if a == b:
+            return 0.0
+        return values.get(_oracle_pair(a, b), 0.0)
+
+    def similarity(term, present, s_norm):
+        col_norm = col_norms[term]
+        if col_norm == 0.0 or s_norm == 0.0:
+            return 0.0
+        dot = sum(get(other, term) for other in present)
+        if dot == 0.0:
+            return 0.0
+        return dot / (s_norm * col_norm)
+
+    dict_terms = frozenset(terms)
+    sim = {}
+    for sentence in doc.sentences:
+        present = Counter(t for t in sentence if t in dict_terms)
+        s_norm = math.sqrt(len(present))
+        for term, count in present.items():
+            value = 0.0
+            if config.mode != "context-only":
+                value += float(count)
+            if config.alpha > 0.0:
+                value += config.alpha * similarity(term, present, s_norm)
+            sim[term] = sim.get(term, 0.0) + value
+    return sim
+
+
+def _oracle_score_context(q, doc, terms, values, norms, config):
+    if doc.id in norms.empty_doc_ids:
+        return 0.0
+    sim = _oracle_tfsim(doc, terms, values, config)
+    log_avgtf = math.log(norms.avgtf[doc.id])
+    norm = norms.norm[doc.id]
+    score = 0.0
+    for entry in q.entries:
+        value = sim.get(entry.term, 0.0)
+        if value > 0.0:
+            value = max(value, 1e-9)
+            score += max(0.0, 1.0 + math.log(value)) / (1.0 + log_avgtf) * entry.boost * norm
+    return score
+
+
+def _random_docs(rng, vocab, n_docs, prefix):
+    weights = [1.0 / (i + 1) for i in range(len(vocab))]
+    return [
+        Document(
+            id=f"{prefix}{i}",
+            sentences=[
+                rng.choices(vocab, weights, k=rng.randint(1, 12))
+                for _ in range(rng.randint(0, 6))
+            ],
+        )
+        for i in range(n_docs)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scores_equal_the_frozen_pair_dict_loop_bit_for_bit(seed):
+    rng = random.Random(seed)
+    vocab = [f"t{i:02d}" for i in range(40)]
+    # the last two dictionary terms never occur in the reference corpus, so
+    # their profiles are empty
+    q = make_dictionary(*rng.sample(vocab[:30], 13), vocab[30], vocab[31])
+    reference = Corpus(documents=_random_docs(rng, vocab[:30], 40, "r"), role="reference")
+    generic = Corpus(documents=_random_docs(rng, vocab, 40, "g"), role="generic")
+    matrix = filter_cooc(build_cooc(reference, q), build_cooc(generic, q))
+    target = corpus_of(*_random_docs(rng, vocab, 60, "d"))
+    stats = term_stats(target)
+    norms = compute_norms(target, stats, ScoringConfig())
+    configs = [ScoringConfig(alpha=a, mode="context") for a in (0.0, 0.5, 2.0, 30.0)]
+    configs.append(ScoringConfig(mode="context-only"))
+    for config in configs:
+        for doc in target.documents:
+            expected = _oracle_score_context(q, doc, matrix.terms, matrix.values, norms, config)
+            assert score_context(q, doc, matrix, norms, config) == expected
+            sim = _oracle_tfsim(doc, matrix.terms, matrix.values, config)
+            for term in q.terms:
+                assert tfsim(term, doc, matrix, config) == sim.get(term, 0.0)
