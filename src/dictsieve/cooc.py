@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import Corpus
-from .dictionary import Dictionary
+from .dictionary import Dictionary, read_header
 
 PROVENANCES = ("reference", "generic", "filtered")
 
@@ -58,6 +58,10 @@ class CoocMatrix:
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_pos
+
+    def position(self, term: str) -> int:
+        """Index of ``term`` in ``terms``."""
+        return self._term_pos[term]
 
     def get(self, a: str, b: str) -> float:
         if a == b:
@@ -152,15 +156,14 @@ def save_cooc(matrix: CoocMatrix, path) -> None:
 def load_cooc(path) -> CoocMatrix:
     """Read a matrix written by ``save_cooc``.
 
-    Every pair line must name two listed terms in lexicographic order, at
-    most once, with a finite value in (0, 1]; a violation is reported as
-    ``path:line``.
+    The header's n must count the listed terms, and every pair line must
+    name two listed terms in lexicographic order, at most once, with a
+    finite value in (0, 1]; a violation is reported as ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as stream:
-        header = stream.readline().rstrip("\n")
-        if not header.startswith("#dictsieve-cooc"):
-            raise ValueError(f"not a co-occurrence matrix file: {path}")
-        provenance = dict(f.split("=", 1) for f in header.split("\t")[1:])["provenance"]
+        provenance, n = read_header(stream, path, "#dictsieve-cooc", "co-occurrence matrix", "provenance")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"{path}:1: unknown provenance {provenance!r}")
         terms_line = stream.readline().rstrip("\n").split("\t")
         if terms_line[0] != "#terms":
             raise ValueError(f"missing term list in {path}")
@@ -168,6 +171,8 @@ def load_cooc(path) -> CoocMatrix:
         known = set(terms)
         if len(known) != len(terms):
             raise ValueError(f"{path}:2: duplicate term in the term list")
+        if len(terms) != n:
+            raise ValueError(f"{path}:1: header says n={n} but the term list has {len(terms)} terms")
         values = {}
         for lineno, line in enumerate(stream, start=3):
             if not line.strip():

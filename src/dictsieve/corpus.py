@@ -135,7 +135,8 @@ def _parse_jsonl_record(line: str, index: int) -> Document:
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
         if not isinstance(paragraphs, list) or any(
-            not isinstance(p, list) or any(not isinstance(i, int) for i in p) for p in paragraphs
+            # type(), not isinstance(): JSON true and false are Python bools, a subclass of int
+            not isinstance(p, list) or any(type(i) is not int for i in p) for p in paragraphs
         ):
             raise ValueError(f"malformed JSONL record {index}: 'paragraphs' must be lists of sentence indices")
         for group in paragraphs:

@@ -66,6 +66,11 @@ class Dictionary:
         return self._index[term]
 
     @property
+    def index(self) -> dict[str, DictionaryEntry]:
+        """term -> entry; read-only by convention."""
+        return self._index
+
+    @property
     def terms(self) -> tuple[str, ...]:
         return tuple(e.term for e in self.entries)
 
@@ -127,18 +132,65 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
             out.write(f"{e.rank}\t{e.term}\t{e.weight!r}\t{e.boost!r}\n")
 
 
+def read_header(stream, path, magic: str, kind: str, key: str) -> tuple[str, int]:
+    """Read the first line of an artifact file, ``magic<TAB>key=value<TAB>n=count``.
+
+    Returns the value of ``key`` and the count ``n``; a missing or
+    malformed field is reported as ``path:1``.
+    """
+    fields = stream.readline().rstrip("\n").split("\t")
+    if fields[0] != magic:
+        raise ValueError(f"not a {kind} file: {path}")
+    values = {}
+    for text in fields[1:]:
+        name, sep, value = text.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:1: header field {text!r} is not name=value")
+        values[name] = value
+    for name in (key, "n"):
+        if name not in values:
+            raise ValueError(f"{path}:1: header has no {name}= field")
+    n_text = values["n"]
+    if not n_text.isdecimal():
+        raise ValueError(f"{path}:1: n={n_text!r} is not a count")
+    return values[key], int(n_text)
+
+
 def load_dictionary(path) -> Dictionary:
+    """Read a dictionary written by ``save_dictionary``.
+
+    Every line must hold 4 fields: ranks run 1..n in file order, each boost
+    equals ``boost(rank)``, weights and boosts are finite, terms are
+    distinct, and the header's n counts the entries; a violation is
+    reported as ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as stream:
-        header = stream.readline().rstrip("\n")
-        if not header.startswith("#dictsieve-dictionary"):
-            raise ValueError(f"not a dictionary file: {path}")
-        method = dict(f.split("=", 1) for f in header.split("\t")[1:])["method"]
+        method, n = read_header(stream, path, "#dictsieve-dictionary", "dictionary", "method")
+        if method not in METHOD_LABELS:
+            raise ValueError(f"{path}:1: unknown dictionary method {method!r}")
         entries = []
-        for line in stream:
+        seen = set()
+        for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
-            rank, term, weight, boost_value = line.rstrip("\n").split("\t")
-            entries.append(
-                DictionaryEntry(term=term, weight=float(weight), rank=int(rank), boost=float(boost_value))
-            )
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+            rank_text, term, weight_text, boost_text = fields
+            try:
+                rank, weight, boost_value = int(rank_text), float(weight_text), float(boost_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: rank, weight and boost must be numbers") from None
+            if rank != len(entries) + 1:
+                raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
+            if not (math.isfinite(weight) and math.isfinite(boost_value)):
+                raise ValueError(f"{path}:{lineno}: weight and boost must be finite")
+            if boost_value != boost(rank):
+                raise ValueError(f"{path}:{lineno}: boost {boost_text} is not 1/sqrt({rank}) = {boost(rank)!r}")
+            if term in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
+            seen.add(term)
+            entries.append(DictionaryEntry(term=term, weight=weight, rank=rank, boost=boost_value))
+    if len(entries) != n:
+        raise ValueError(f"{path}:1: header says n={n} but the file has {len(entries)} entries")
     return Dictionary(entries=entries, method=method)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .cooc import CoocMatrix
 from .corpus import Corpus, term_stats
 from .dictionary import Dictionary
-from .retrieval import RankedList, rank_collection
-from .scoring import ScoringConfig, compute_norms
+from .retrieval import RankedList, check_matrix, rank_collection
+from .scoring import ScoringConfig, compute_norms, sentence_features
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(float(a) for a in range(0, 31, 2))
 DEFAULT_TOP_M = 50
@@ -121,7 +121,9 @@ def generate_sweep(
     With the default alphas both dictionaries yield 17 systems each.  The
     biased subset defaults to the extremes of each dictionary's sweep: the
     alpha=0 system (pure term frequency) and the context-only system.
-    Document statistics and length norms are shared across the whole sweep.
+    Document statistics and length norms are shared across the whole sweep;
+    the sentence features, the only alpha-free part of tfsim, are computed
+    once per dictionary and shared by its systems.
     """
     if not alphas:
         raise ValueError("alphas must be non-empty")
@@ -132,22 +134,26 @@ def generate_sweep(
     ]
     if not pairs:
         raise ValueError("at least one dictionary is required")
+    configs = [ScoringConfig(slope=slope, alpha=float(alpha), mode="context") for alpha in alphas]
+    configs.append(ScoringConfig(slope=slope, mode="context-only"))
+    for dictionary, cooc in pairs:
+        check_matrix(dictionary, cooc, "context")
 
     stats = term_stats(target)
     norms = compute_norms(target, stats, ScoringConfig(slope=slope))
     systems: list[RankedList] = []
     biased: list[str] = []
     for dictionary, cooc in pairs:
-        for alpha in alphas:
-            config = ScoringConfig(slope=slope, alpha=float(alpha), mode="context")
-            ranked = rank_collection(target, dictionary, cooc, config, k, stats=stats, norms=norms)
+        features = {doc.id: sentence_features(doc, cooc) for doc in target.documents}
+        for config in configs:
+            ranked = rank_collection(
+                target, dictionary, cooc, config, k, stats=stats, norms=norms, features=features
+            )
             systems.append(ranked)
-            if alpha == 0:
+            if config.mode == "context-only" or config.alpha == 0:
                 biased.append(ranked.system_id)
-        config = ScoringConfig(slope=slope, mode="context-only")
-        ranked = rank_collection(target, dictionary, cooc, config, k, stats=stats, norms=norms)
-        systems.append(ranked)
-        biased.append(ranked.system_id)
+        # free this dictionary's features before the next one's are built
+        del features
     return SystemSet(systems=systems, biased_subset=tuple(biased))
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cooc import CoocMatrix
 from .corpus import Corpus, TermStats, term_stats
 from .dictionary import Dictionary
-from .scoring import CollectionNorms, ScoringConfig, compute_norms, score_context, score_dict
+from .scoring import (
+    CollectionNorms,
+    ScoringConfig,
+    SentenceFeatures,
+    compute_norms,
+    score_context,
+    score_dict,
+)
 
 
 def format_alpha(alpha: float) -> str:
@@ -59,6 +67,15 @@ class RankedList:
         return [e.doc_id for e in self.entries]
 
 
+def check_matrix(dictionary: Dictionary, cooc_filtered: CoocMatrix | None, mode: str) -> None:
+    """A context mode needs a co-occurrence matrix built for ``dictionary``."""
+    if mode != "unigram":
+        if cooc_filtered is None:
+            raise ValueError(f"co-occurrence matrix required for mode {mode!r}")
+        if cooc_filtered.terms != dictionary.terms:
+            raise ValueError("co-occurrence matrix terms do not match the dictionary terms")
+
+
 def rank_collection(
     target: Corpus,
     dictionary: Dictionary,
@@ -67,21 +84,20 @@ def rank_collection(
     k: int,
     stats: TermStats | None = None,
     norms: CollectionNorms | None = None,
+    features: dict[str, SentenceFeatures] | None = None,
 ) -> RankedList:
     """Score every target document and keep the top min(k, m) of them.
 
     Zero-score documents are dropped rather than padded, so the list length
     m reflects actual matches.  Ties break by doc id, which makes ranking
-    idempotent and gives shorter runs the k-prefix property.  ``stats`` and
-    ``norms`` may be passed in to share work across systems of a sweep.
+    idempotent and gives shorter runs the k-prefix property.  ``stats``,
+    ``norms`` and the per-document ``features`` (doc id ->
+    ``sentence_features``) may be passed in to share work across systems of
+    a sweep.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if config.mode != "unigram":
-        if cooc_filtered is None:
-            raise ValueError(f"co-occurrence matrix required for mode {config.mode!r}")
-        if cooc_filtered.terms != dictionary.terms:
-            raise ValueError("co-occurrence matrix terms do not match the dictionary terms")
+    check_matrix(dictionary, cooc_filtered, config.mode)
     if stats is None:
         stats = term_stats(target)
     if norms is None:
@@ -92,7 +108,8 @@ def rank_collection(
         if config.mode == "unigram":
             score = score_dict(dictionary, doc, stats, norms)
         else:
-            score = score_context(dictionary, doc, cooc_filtered, norms, config)
+            doc_features = None if features is None else features[doc.id]
+            score = score_context(dictionary, doc, cooc_filtered, norms, config, doc_features)
         if score > 0.0:
             scored.append((score, doc.id))
     scored.sort(key=lambda item: (-item[0], item[1]))
@@ -112,15 +129,38 @@ def save_ranked_list(ranked: RankedList, path) -> None:
 
 
 def load_ranked_list(path) -> RankedList:
+    """Read a list written by ``save_ranked_list``.
+
+    Every line must hold 3 fields: ranks run 1..m in file order, scores are
+    finite and non-increasing, and no doc id repeats; a violation is
+    reported as ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as stream:
         header = stream.readline().rstrip("\n")
         if not header.startswith("# system_id="):
             raise ValueError(f"not a ranked list file: {path}")
         system_id = header[len("# system_id=") :]
-        entries = []
-        for line in stream:
+        entries: list[RankedEntry] = []
+        seen = set()
+        for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
-            rank, doc_id, score = line.rstrip("\n").split("\t")
-            entries.append(RankedEntry(doc_id=doc_id, score=float(score), rank=int(rank)))
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            rank_text, doc_id, score_text = fields
+            try:
+                rank, score = int(rank_text), float(score_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: rank and score must be numbers") from None
+            if rank != len(entries) + 1:
+                raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {score_text!r} is not finite")
+            if entries and score > entries[-1].score:
+                raise ValueError(f"{path}:{lineno}: score {score_text} is above the score of rank {rank - 1}")
+            if doc_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
+            seen.add(doc_id)
+            entries.append(RankedEntry(doc_id=doc_id, score=score, rank=rank))
     return RankedList(system_id=system_id, entries=entries)

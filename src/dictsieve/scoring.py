@@ -12,8 +12,10 @@ the weight alpha.  With alpha = 0 the two scores coincide exactly.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .cooc import CoocMatrix
 from .corpus import Corpus, Document, TermStats
@@ -35,8 +37,10 @@ class ScoringConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.slope <= 1.0:
             raise ValueError(f"slope must be in [0, 1], got {self.slope}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        # sentence features store an undefined cosine as 0.0, which only an
+        # infinite alpha would turn into NaN
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.mode == "context-only":
@@ -86,10 +90,9 @@ def _term_contribution(tf_value: float, log_avgtf: float, boost: float, norm: fl
     return max(0.0, 1.0 + math.log(tf_value)) / (1.0 + log_avgtf) * boost * norm
 
 
-def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf: dict[str, float]) -> float:
-    """Sum the term contributions of the dictionary entries in dictionary
-    order, reading each term's frequency from the mapping ``tf``; terms
-    absent from it contribute 0."""
+def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf_items) -> float:
+    """Sum the term contributions of ``tf_items``, pairs (dictionary entry,
+    term frequency) in dictionary order; terms absent from them contribute 0."""
     if len(q) == 0:
         raise ValueError("dictionary is empty")
     if d.id in norms.empty_doc_ids:
@@ -97,8 +100,7 @@ def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf: dict[str, flo
     log_avgtf = math.log(norms.avgtf[d.id])
     norm = norms.norm[d.id]
     score = 0.0
-    for entry in q.entries:
-        tf_value = tf.get(entry.term, 0)
+    for entry, tf_value in tf_items:
         if tf_value > 0:
             score += _term_contribution(float(tf_value), log_avgtf, entry.boost, norm)
     return score
@@ -106,32 +108,67 @@ def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf: dict[str, flo
 
 def score_dict(q: Dictionary, d: Document, stats: TermStats, norms: CollectionNorms) -> float:
     """Unigram dictionary score over the document's raw term frequencies."""
-    return _score(q, d, norms, stats.tf_doc[d.id])
+    tf = stats.tf_doc[d.id]
+    return _score(q, d, norms, ((entry, tf.get(entry.term, 0)) for entry in q.entries))
 
 
-def _tfsim_all(d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> dict[str, float]:
-    """tfsim of every dictionary term present in ``d``, in one pass over its
-    sentences.  The context similarity is the cosine between the sentence's
-    binary dictionary-term vector and the term's filtered co-occurrence
-    profile, 0 when either vector is zero."""
+@dataclass(frozen=True)
+class SentenceFeatures:
+    """The alpha-free part of tfsim for one document.
+
+    For each matrix term present in the document, in the matrix's term
+    order, ``lengths`` gives its number of rows; the rows follow one another
+    in ``counts`` and ``cosines``, one per sentence containing the term, in
+    sentence order: the term's count in the sentence and the cosine between
+    the sentence's binary dictionary-term vector and the term's filtered
+    co-occurrence profile.  A cosine that is undefined (an empty profile, or
+    no profile partner in the sentence) is stored as 0.0, which adds exactly
+    nothing for any finite alpha.
+    """
+
+    terms: tuple[str, ...]
+    lengths: tuple[int, ...]
+    counts: array
+    cosines: array
+
+
+def sentence_features(d: Document, cooc_filtered: CoocMatrix) -> SentenceFeatures:
+    """One pass over the sentences of ``d``: the (count, cosine) row of every
+    matrix term in every sentence that contains it."""
     profiles = cooc_filtered.profiles
     profile_norms = cooc_filtered.norms
-    with_tf = config.mode != "context-only"
-    alpha = config.alpha
-    sim: dict[str, float] = {}
+    rows: dict[str, list[tuple[int, float]]] = {}
     for sentence in d.sentences:
         present = Counter(filter(profiles.__contains__, sentence))
         s_norm = math.sqrt(len(present))
         for term, count in present.items():
-            value = float(count) if with_tf else 0.0
-            if alpha > 0.0:
-                profile = profiles[term]
-                dot = sum(profile.get(other, 0.0) for other in present)
-                col_norm = profile_norms[term]
-                if dot != 0.0 and col_norm != 0.0:
-                    value += alpha * (dot / (s_norm * col_norm))
-            sim[term] = sim.get(term, 0.0) + value
-    return sim
+            profile = profiles[term]
+            dot = sum(profile.get(other, 0.0) for other in present)
+            col_norm = profile_norms[term]
+            cos = dot / (s_norm * col_norm) if dot != 0.0 and col_norm != 0.0 else 0.0
+            rows.setdefault(term, []).append((count, cos))
+    terms = tuple(sorted(rows, key=cooc_filtered.position))
+    counts = array("d")
+    cosines = array("d")
+    for term in terms:
+        for count, cos in rows[term]:
+            counts.append(count)
+            cosines.append(cos)
+    return SentenceFeatures(terms, tuple(len(rows[term]) for term in terms), counts, cosines)
+
+
+def _replay(features: SentenceFeatures, config: ScoringConfig):
+    """Yield (term, tfsim) in the features' term order.  Each sentence adds
+    its count (none in context-only mode) plus alpha times its cosine, and
+    the sentences are summed one by one in sentence order."""
+    alpha = config.alpha
+    counts = features.counts if config.mode != "context-only" else repeat(0.0)
+    rows = zip(counts, features.cosines)
+    for term, length in zip(features.terms, features.lengths):
+        total = 0.0
+        for count, cos in islice(rows, length):
+            total += count + alpha * cos
+        yield term, total
 
 
 def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> float:
@@ -143,7 +180,7 @@ def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConf
     """
     if term not in cooc_filtered:
         raise ValueError(f"term {term!r} not in dictionary")
-    return _tfsim_all(d, cooc_filtered, config).get(term, 0.0)
+    return dict(_replay(sentence_features(d, cooc_filtered), config)).get(term, 0.0)
 
 
 def score_context(
@@ -152,6 +189,15 @@ def score_context(
     cooc_filtered: CoocMatrix,
     norms: CollectionNorms,
     config: ScoringConfig,
+    features: SentenceFeatures | None = None,
 ) -> float:
-    """Context-sensitive score: the unigram formula with tf replaced by tfsim."""
-    return _score(q, d, norms, _tfsim_all(d, cooc_filtered, config))
+    """Context-sensitive score: the unigram formula with tf replaced by tfsim.
+
+    ``features`` are ``sentence_features(d, cooc_filtered)``, passed in to
+    share them across the systems of a sweep and computed here otherwise.
+    """
+    if features is None:
+        features = sentence_features(d, cooc_filtered)
+    index = q.index
+    tf_items = ((index[term], value) for term, value in _replay(features, config) if term in index)
+    return _score(q, d, norms, tf_items)

@@ -267,6 +267,62 @@ class TestSubcommands:
         assert code == EXIT_DATA
         assert "do not match the dictionary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cooc_args, message",
+        [
+            (["--cooc-tm", "cooc_filtered_tfidf.tsv"], "do not match the dictionary terms"),
+            ([], "co-occurrence matrix required for mode 'context'"),
+        ],
+    )
+    def test_sweep_with_a_missing_or_foreign_matrix_is_data_error(
+        self, pipeline_dir, corpora_dir, tmp_path, capsys, cooc_args, message
+    ):
+        if cooc_args:
+            cooc_args = [cooc_args[0], str(pipeline_dir / cooc_args[1])]
+        code = main(
+            [
+                "sweep",
+                "--target", str(corpora_dir / "target.jsonl"),
+                "--dict-tm", str(pipeline_dir / "dict_tm.tsv"),
+                *cooc_args,
+                "--alphas", "0,2",
+                "--out-dir", str(tmp_path / "sweep"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_rank_rejects_a_dictionary_with_a_nan_boost(self, corpora_dir, tmp_path, capsys):
+        dictionary = tmp_path / "dict.tsv"
+        dictionary.write_text("#dictsieve-dictionary\tmethod=tfidf\tn=1\n7\ta\t1.0\tnan\n")
+        code = main(
+            [
+                "rank",
+                "--target", str(corpora_dir / "target.jsonl"),
+                "--dict", str(dictionary),
+                "--out", str(tmp_path / "r.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"{dictionary}:2: rank 7 is out of order, expected 1" in capsys.readouterr().err
+
+    def test_filter_rejects_a_header_without_provenance(self, tmp_path, capsys):
+        reference = tmp_path / "ref.tsv"
+        generic = tmp_path / "gen.tsv"
+        reference.write_text("#dictsieve-cooc\tprovenance=reference\tn=2\n#terms\ta\tb\na\tb\t0.5\n")
+        generic.write_text("#dictsieve-cooc\tn=2\n#terms\ta\tb\na\tb\t0.4\n")
+        code = main(
+            [
+                "filter-cooc",
+                "--reference", str(reference),
+                "--generic", str(generic),
+                "--out", str(tmp_path / "f.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"{generic}:1: header has no provenance= field" in capsys.readouterr().err
+
     def test_filter_rejects_a_reversed_pair_with_its_location(self, tmp_path, capsys):
         reference = tmp_path / "ref.tsv"
         generic = tmp_path / "gen.tsv"

@@ -278,6 +278,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{path.name}:{lineno}: .*{message}"):
             load_cooc(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#dictsieve-cooc\tn=2", "header has no provenance= field"),
+            ("#dictsieve-cooc\tprovenance=generic", "header has no n= field"),
+            ("#dictsieve-cooc\tprovenance=generic\tn=3", "header says n=3 but the term list has 2 terms"),
+            ("#dictsieve-cooc\tprovenance=generic\tn=two", "n='two' is not a count"),
+            ("#dictsieve-cooc\tprovenance\tn=2", "header field 'provenance' is not name=value"),
+            ("#dictsieve-cooc\tprovenance=raw\tn=2", "unknown provenance 'raw'"),
+        ],
+    )
+    def test_rejects_bad_headers_with_their_location(self, tmp_path, header, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(header + "\n#terms\ta\tb\na\tb\t0.5\n")
+        with pytest.raises(ValueError, match=f"{path.name}:1: {message}"):
+            load_cooc(path)
+
     def test_rejects_duplicate_terms(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("#dictsieve-cooc\tprovenance=generic\tn=2\n#terms\ta\ta\n")

@@ -144,6 +144,11 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"record 1: paragraph sentence index {bad} is out of range"):
             ingest_corpus(io.StringIO(payload))
 
+    def test_boolean_paragraph_indices_rejected(self):
+        record = json.dumps({"id": "d1", "sentences": [["a"], ["b"]], "paragraphs": [[True], [False]]})
+        with pytest.raises(ValueError, match="record 0: 'paragraphs' must be lists of sentence indices"):
+            ingest_corpus(io.StringIO(record))
+
     def test_zero_documents_is_an_error(self):
         with pytest.raises(ValueError, match="zero documents"):
             ingest_corpus(io.StringIO(""))

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsieve import (
     Corpus,
@@ -19,7 +21,7 @@ from dictsieve import (
     save_dictionary,
     term_weight,
 )
-from dictsieve.dictionary import Dictionary, DictionaryEntry
+from dictsieve.dictionary import METHOD_LABELS, Dictionary, DictionaryEntry
 from dictsieve.topics import TopicModelResult
 
 
@@ -217,3 +219,67 @@ class TestPersistence:
         path.write_text("a\t1.0\n")
         with pytest.raises(ValueError, match="not a dictionary file"):
             load_dictionary(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2\tc\t0.5", "expected 4 tab-separated fields, got 3"),
+            ("2\tc\t0.5\t0.7071067811865475\tx", "expected 4 tab-separated fields, got 5"),
+            ("3\tc\t0.5\t0.5773502691896258", "rank 3 is out of order, expected 2"),
+            ("1\tc\t0.5\t1.0", "rank 1 is out of order, expected 2"),
+            ("two\tc\t0.5\t0.7071067811865475", "rank, weight and boost must be numbers"),
+            ("2\tc\tnan\t0.7071067811865475", "weight and boost must be finite"),
+            ("2\tc\t0.5\tnan", "weight and boost must be finite"),
+            ("2\tc\t0.5\tinf", "weight and boost must be finite"),
+            ("2\tc\t0.5\t0.7", "boost 0.7 is not 1/sqrt\\(2\\)"),
+            ("2\ta\t0.5\t0.7071067811865475", "duplicate term 'a'"),
+        ],
+    )
+    def test_rejects_bad_entry_lines_with_their_location(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#dictsieve-dictionary\tmethod=tfidf\tn=2\n1\ta\t1.0\t1.0\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"{path.name}:3: {message}"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#dictsieve-dictionary\tn=1", "header has no method= field"),
+            ("#dictsieve-dictionary\tmethod=tfidf", "header has no n= field"),
+            ("#dictsieve-dictionary\tmethod=tfidf\tn=2", "header says n=2 but the file has 1 entries"),
+            ("#dictsieve-dictionary\tmethod=tfidf\tn=-1", "n='-1' is not a count"),
+            ("#dictsieve-dictionary\tmethod=lsa\tn=1", "unknown dictionary method 'lsa'"),
+        ],
+    )
+    def test_rejects_bad_headers_with_their_location(self, tmp_path, header, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(header + "\n1\ta\t1.0\t1.0\n")
+        with pytest.raises(ValueError, match=f"{path.name}:1: {message}"):
+            load_dictionary(path)
+
+    @settings(deadline=None)
+    @given(
+        terms=st.lists(
+            st.text(
+                st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+                min_size=1,
+                max_size=6,
+            ),
+            max_size=8,
+            unique=True,
+        ),
+        data=st.data(),
+    )
+    def test_save_load_round_trip_property(self, tmp_path_factory, terms, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        weights = data.draw(st.lists(finite, min_size=len(terms), max_size=len(terms)))
+        entries = [
+            DictionaryEntry(term=term, weight=weight, rank=rank, boost=boost(rank))
+            for rank, (term, weight) in enumerate(zip(terms, weights), start=1)
+        ]
+        method = data.draw(st.sampled_from(sorted(METHOD_LABELS)))
+        path = tmp_path_factory.mktemp("dict") / "dict.tsv"
+        save_dictionary(Dictionary(entries=entries, method=method), path)
+        loaded = load_dictionary(path)
+        assert loaded.method == method
+        assert loaded.entries == entries

@@ -7,15 +7,22 @@ import random
 import pytest
 
 from dictsieve import (
+    Corpus,
+    Document,
+    build_cooc,
     condorcet_rank,
     evaluate_sweep,
+    filter_cooc,
     generate_sweep,
     map_score,
     norm_weights,
     precision_at_ranges,
+    rank_collection,
     select_candidates,
     select_pseudorels,
 )
+from dictsieve import evaluation
+from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.evaluation import (
     DEFAULT_ALPHAS,
     PseudorelSet,
@@ -29,6 +36,7 @@ from dictsieve.evaluation import (
     write_wins_series,
 )
 from dictsieve.retrieval import RankedEntry, RankedList
+from dictsieve.scoring import ScoringConfig, sentence_features
 
 
 def ranked(system_id: str, *doc_ids: str) -> RankedList:
@@ -111,6 +119,83 @@ class TestGenerateSweep:
         cf_tm, _ = planted_filtered
         with pytest.raises(ValueError, match="alphas must be non-empty"):
             generate_sweep(planted_target, d_tm, None, cf_tm, None, alphas=[])
+
+
+    def test_context_mode_without_a_matrix_fails_before_any_feature_pass(
+        self, planted_target, planted_dictionaries, planted_filtered, monkeypatch
+    ):
+        d_tm, d_tfidf = planted_dictionaries
+        cf_tm, _ = planted_filtered
+        monkeypatch.setattr(evaluation, "sentence_features", None)
+        with pytest.raises(ValueError, match="co-occurrence matrix required for mode 'context'"):
+            generate_sweep(planted_target, d_tm, d_tfidf, cf_tm, None)
+
+    def test_matrix_for_another_dictionary_fails_before_any_feature_pass(
+        self, planted_target, planted_dictionaries, planted_filtered, monkeypatch
+    ):
+        d_tm, d_tfidf = planted_dictionaries
+        cf_tm, cf_tfidf = planted_filtered
+        assert cf_tm.terms != d_tfidf.terms
+        monkeypatch.setattr(evaluation, "sentence_features", None)
+        with pytest.raises(ValueError, match="do not match the dictionary terms"):
+            generate_sweep(planted_target, d_tm, d_tfidf, cf_tm, cf_tm)
+
+
+def _random_docs(rng, vocab, n_docs, prefix):
+    weights = [1.0 / (i + 1) for i in range(len(vocab))]
+    return [
+        Document(
+            id=f"{prefix}{i}",
+            sentences=[
+                rng.choices(vocab, weights, k=rng.randint(1, 10))
+                for _ in range(rng.randint(0, 6))
+            ],
+        )
+        for i in range(n_docs)
+    ]
+
+
+def _make_dictionary(terms, method):
+    entries = [
+        DictionaryEntry(term=t, weight=float(len(terms) - i), rank=i + 1, boost=boost(i + 1))
+        for i, t in enumerate(terms)
+    ]
+    return Dictionary(entries=entries, method=method)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_swept_system_equals_a_standalone_ranking(seed):
+    rng = random.Random(seed)
+    vocab = [f"t{i:02d}" for i in range(30)]
+    reference = Corpus(documents=_random_docs(rng, vocab, 40, "r"), role="reference")
+    generic = Corpus(documents=_random_docs(rng, vocab, 40, "g"), role="generic")
+    dictionaries = [
+        _make_dictionary(rng.sample(vocab, 12), "topic-model"),
+        _make_dictionary(rng.sample(vocab, 12), "tfidf"),
+    ]
+    matrices = [filter_cooc(build_cooc(reference, q), build_cooc(generic, q)) for q in dictionaries]
+    docs = _random_docs(rng, vocab, 50, "d")
+    # one term in ten sentences: its tfsim is a sum of ten rows, long enough
+    # that a pairwise or unrolled reduction would associate it differently
+    anchor = dictionaries[0].entries[0].term
+    docs.append(
+        Document(id="long", sentences=[[anchor] + rng.choices(vocab, k=rng.randint(1, 6)) for _ in range(10)])
+    )
+    target = Corpus(documents=docs, role="target")
+    assert max(sentence_features(docs[-1], matrices[0]).lengths) >= 8
+
+    alphas = (0.0, 0.5, 2.0, 30.0)
+    swept = generate_sweep(target, *dictionaries, *matrices, alphas=alphas, k=40)
+    configs = [ScoringConfig(alpha=a, mode="context") for a in alphas] + [ScoringConfig(mode="context-only")]
+    expected = [
+        rank_collection(target, q, matrix, config, 40)
+        for q, matrix in zip(dictionaries, matrices)
+        for config in configs
+    ]
+    assert swept.ids == [ranked.system_id for ranked in expected]
+    for system, alone in zip(swept.systems, expected):
+        assert [(e.rank, e.doc_id, e.score) for e in system] == [(e.rank, e.doc_id, e.score) for e in alone]
+        assert system.m > 0
 
 
 class TestNormWeights:

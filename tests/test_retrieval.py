@@ -163,6 +163,30 @@ class TestPersistence:
             load_ranked_list(path)
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2\td1", "expected 3 tab-separated fields, got 2"),
+            ("3\td1\t0.5", "rank 3 is out of order, expected 2"),
+            ("two\td1\t0.5", "rank and score must be numbers"),
+            ("2\td1\tnan", "score 'nan' is not finite"),
+            ("2\td1\t-inf", "score '-inf' is not finite"),
+            ("2\td1\t1.5", "score 1.5 is above the score of rank 1"),
+            ("2\td0\t0.5", "duplicate doc id 'd0'"),
+        ],
+    )
+    def test_rejects_bad_lines_with_their_location(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# system_id=tm:context:alpha=2\n1\td0\t1.0\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"{path.name}:3: {message}"):
+            load_ranked_list(path)
+
+    def test_equal_scores_are_allowed(self, tmp_path):
+        path = tmp_path / "tied.tsv"
+        path.write_text("# system_id=s\n1\td0\t1.0\n2\td1\t1.0\n")
+        assert load_ranked_list(path).doc_ids() == ["d0", "d1"]
+
+
 class TestPlantedSeparation:
     """With the planted corpora, sentence context must beat raw frequency."""
 

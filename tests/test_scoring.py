@@ -50,6 +50,9 @@ class TestScoringConfig:
             ScoringConfig(slope=1.5)
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             ScoringConfig(alpha=-1.0)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be >= 0 and finite"):
+                ScoringConfig(alpha=alpha)
         with pytest.raises(ValueError, match="unknown mode"):
             ScoringConfig(mode="bigram")
 
@@ -430,3 +433,30 @@ def test_scores_equal_the_frozen_pair_dict_loop_bit_for_bit(seed):
             sim = _oracle_tfsim(doc, matrix.terms, matrix.values, config)
             for term in q.terms:
                 assert tfsim(term, doc, matrix, config) == sim.get(term, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_long_documents_equal_the_frozen_pair_dict_loop_bit_for_bit(seed):
+    # every target document repeats one dictionary term in 8 to 16 sentences,
+    # so its tfsim sums enough rows that a pairwise or unrolled reduction
+    # would associate them differently from the sentence-by-sentence loop
+    rng = random.Random(seed)
+    vocab = [f"t{i:02d}" for i in range(40)]
+    q = make_dictionary(*rng.sample(vocab[:30], 15))
+    reference = Corpus(documents=_random_docs(rng, vocab[:30], 40, "r"), role="reference")
+    generic = Corpus(documents=_random_docs(rng, vocab, 40, "g"), role="generic")
+    matrix = filter_cooc(build_cooc(reference, q), build_cooc(generic, q))
+    weights = [1.0 / (i + 1) for i in range(len(vocab))]
+    docs = []
+    for i in range(20):
+        anchor = rng.choice(q.terms)
+        sentences = [[anchor] + rng.choices(vocab, weights, k=rng.randint(1, 8)) for _ in range(rng.randint(8, 16))]
+        docs.append(Document(id=f"d{i}", sentences=sentences))
+    target = corpus_of(*docs)
+    norms = compute_norms(target, term_stats(target), ScoringConfig())
+    configs = [ScoringConfig(alpha=a, mode="context") for a in (0.5, 2.0, 30.0)]
+    configs.append(ScoringConfig(mode="context-only"))
+    for config in configs:
+        for doc in docs:
+            expected = _oracle_score_context(q, doc, matrix.terms, matrix.values, norms, config)
+            assert score_context(q, doc, matrix, norms, config) == expected
