@@ -16,16 +16,16 @@ import json
 import os
 import re
 import sys
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .cooc import build_cooc, filter_cooc, load_cooc, save_cooc
-from .corpus import ROLES, export_corpus, ingest_corpus, term_stats
+from .cooc import CoocMatrix, build_cooc, filter_cooc, load_cooc, save_cooc
+from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, term_stats
 from .dictionary import (
-    METHOD_TFIDF,
-    METHOD_TOPIC_MODEL,
+    Dictionary,
     extract_dictionary_tfidf,
     extract_dictionary_tm,
     load_dictionary,
@@ -35,6 +35,7 @@ from .evaluation import (
     DEFAULT_FRACTION,
     DEFAULT_RANGES,
     DEFAULT_TOP_M,
+    EvalReport,
     SystemSet,
     evaluate_sweep,
     generate_sweep,
@@ -50,7 +51,7 @@ from .evaluation import (
 )
 from .retrieval import load_ranked_list, rank_collection, save_ranked_list
 from .scoring import MODES, ScoringConfig
-from .topics import exclude_topics, fit_lda, load_model, save_model, top_terms
+from .topics import TopicModelResult, exclude_topics, fit_lda, load_model, save_model, top_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,8 +61,6 @@ EXIT_INTERNAL = 3
 # The only environment variable the tool honors; overrides the output
 # directory of config files (explicit flags still win).
 OUT_DIR_ENV = "DICTSIEVE_OUT_DIR"
-
-DEFAULT_ALPHA_SPEC = "0:30:2"
 
 
 class UsageError(Exception):
@@ -154,7 +153,7 @@ class PipelineConfig:
     n_topics: int | None = None
     n_terms: int = 500
     slope: float = 0.7
-    alphas: str = DEFAULT_ALPHA_SPEC
+    alphas: str = "0:30:2"
     k: int = 2000
     seed: int = 0
     lda_alpha: float | None = None
@@ -165,9 +164,17 @@ class PipelineConfig:
     fraction: float = DEFAULT_FRACTION
 
 
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
-_INT_KEYS = {"n_topics", "n_terms", "k", "seed", "iterations", "top_m"}
-_FLOAT_KEYS = {"slope", "lda_alpha", "beta", "fraction"}
+def _value_type(hint) -> type:
+    """The annotation's type with any ``| None`` dropped."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+# config key -> int, float or str; the keys of config files and the flags of
+# ``run`` are generated from this table
+_CONFIG_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(PipelineConfig).items()}
+
+# the subcommands take their defaults for config keys from here
+_DEFAULTS = PipelineConfig()
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -182,23 +189,19 @@ def read_config_file(path) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
 def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
+    if not isinstance(value, str):
         return value
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return _CONFIG_TYPES[key](value)
     except ValueError:
         raise UsageError(f"bad value for {key}: {value!r}") from None
-    return value
 
 
 def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -209,7 +212,7 @@ def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:
         merged["out_dir"] = env_out
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -218,6 +221,8 @@ def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError("reference and target corpora are required")
     if config.n_topics is None:
         raise UsageError("n_topics is required")
+    if config.format not in FORMATS:
+        raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {config.format!r}")
     if config.n_terms < 1:
         raise UsageError("n_terms must be >= 1")
     if config.k < 1:
@@ -247,10 +252,6 @@ def write_manifest(config: PipelineConfig, path) -> None:
     Deliberately no timestamps or host details, so identical runs produce
     identical manifests.
     """
-    config_out = {}
-    for f in fields(PipelineConfig):
-        value = getattr(config, f.name)
-        config_out[f.name] = value
     inputs = {}
     for name in ("reference", "generic", "target"):
         value = getattr(config, name)
@@ -259,7 +260,7 @@ def write_manifest(config: PipelineConfig, path) -> None:
     manifest = {
         "package": "dictsieve",
         "version": __version__,
-        "config": config_out,
+        "config": asdict(config),
         "inputs": inputs,
     }
     with open(path, "w", encoding="utf-8") as out:
@@ -274,41 +275,31 @@ def system_filename(system_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9.-]+", "_", system_id) + ".tsv"
 
 
-def _write_system_index(rows: list[tuple[str, str, bool]], path) -> None:
-    names = [fname for _, fname, _ in rows]
-    if len(set(names)) != len(names):
-        raise ValueError("system filename collision")
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("system_id\tfile\tbiased\n")
-        for system_id, fname, biased in rows:
-            out.write(f"{system_id}\t{fname}\t{int(biased)}\n")
-
-
 def _read_system_index(path) -> list[tuple[str, str, bool]]:
+    """Rows of ``system_id<TAB>file<TAB>0|1`` with distinct system ids; a
+    malformed line is reported as ``path:line``."""
     rows = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as stream:
         header = stream.readline().rstrip("\n")
         if header != "system_id\tfile\tbiased":
             raise ValueError(f"not a system index: {path}")
-        for line in stream:
+        for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
-            system_id, fname, biased = line.rstrip("\n").split("\t")
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            system_id, fname, biased = fields
+            if biased not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: biased must be 0 or 1, got {biased!r}")
+            if system_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate system id {system_id!r}")
+            seen.add(system_id)
             rows.append((system_id, fname, biased == "1"))
     if not rows:
         raise ValueError(f"empty system index: {path}")
     return rows
-
-
-def _write_systems(systems: SystemSet, out_dir: Path) -> None:
-    (out_dir / "systems").mkdir(parents=True, exist_ok=True)
-    biased_ids = set(systems.biased_subset)
-    rows = []
-    for ranked in systems.systems:
-        fname = system_filename(ranked.system_id)
-        save_ranked_list(ranked, out_dir / "systems" / fname)
-        rows.append((ranked.system_id, f"systems/{fname}", ranked.system_id in biased_ids))
-    _write_system_index(rows, out_dir / "systems.tsv")
 
 
 def _load_systems(systems_dir: Path, biased_override: str | None) -> SystemSet:
@@ -328,25 +319,99 @@ def _load_systems(systems_dir: Path, biased_override: str | None) -> SystemSet:
 
 
 # ---------------------------------------------------------------------------
+# stages: each computes its artifact from in-memory inputs, saves it and
+# returns it.  A subcommand loads the inputs from files; ``run_pipeline``
+# passes on what the stage before returned.  The library is called through
+# the names imported here, which the traced benchmark rebinds.
+
+def ingest_stage(source, format: str, role: str, out) -> Corpus:
+    corpus = ingest_corpus(source, format=format, role=role)
+    export_corpus(corpus, out)
+    return corpus
+
+
+def fit_topics_stage(
+    corpus: Corpus, n_topics: int, alpha: float | None, beta: float, iterations: int, seed: int, out
+) -> TopicModelResult:
+    model = fit_lda(corpus, n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
+    save_model(model, out)
+    return model
+
+
+def extract_dict_stage(
+    method: str, corpus: Corpus, model: TopicModelResult | None, excluded: frozenset[int], n: int, out
+) -> Dictionary:
+    """``method`` is ``tm`` (weights from ``model`` without the ``excluded``
+    topics) or ``tfidf`` (``model`` and ``excluded`` unused)."""
+    if method == "tm":
+        dictionary = extract_dictionary_tm(exclude_topics(model, excluded), term_stats(corpus), n)
+    else:
+        dictionary = extract_dictionary_tfidf(corpus, n)
+    save_dictionary(dictionary, out)
+    return dictionary
+
+
+def build_cooc_stage(corpus: Corpus, dictionary: Dictionary, out) -> CoocMatrix:
+    matrix = build_cooc(corpus, dictionary)
+    save_cooc(matrix, out)
+    return matrix
+
+
+def filter_cooc_stage(reference: CoocMatrix, generic: CoocMatrix, out) -> CoocMatrix:
+    matrix = filter_cooc(reference, generic)
+    save_cooc(matrix, out)
+    return matrix
+
+
+def sweep_stage(
+    target: Corpus,
+    dict_tm: Dictionary | None,
+    dict_tfidf: Dictionary | None,
+    cooc_tm: CoocMatrix | None,
+    cooc_tfidf: CoocMatrix | None,
+    alphas: tuple[float, ...],
+    k: int,
+    slope: float,
+    out_dir: Path,
+) -> SystemSet:
+    """Writes one ranked list per system under ``out_dir/systems``, then the
+    index ``out_dir/systems.tsv`` that ``_read_system_index`` reads."""
+    systems = generate_sweep(target, dict_tm, dict_tfidf, cooc_tm, cooc_tfidf, alphas=alphas, k=k, slope=slope)
+    fnames = [system_filename(ranked.system_id) for ranked in systems.systems]
+    if len(set(fnames)) != len(fnames):
+        raise ValueError("system filename collision")
+    (out_dir / "systems").mkdir(parents=True, exist_ok=True)
+    for ranked, fname in zip(systems.systems, fnames):
+        save_ranked_list(ranked, out_dir / "systems" / fname)
+    biased_ids = set(systems.biased_subset)
+    with open(out_dir / "systems.tsv", "w", encoding="utf-8") as index:
+        index.write("system_id\tfile\tbiased\n")
+        for ranked, fname in zip(systems.systems, fnames):
+            index.write(f"{ranked.system_id}\tsystems/{fname}\t{int(ranked.system_id in biased_ids)}\n")
+    return systems
+
+
+def fuse_stage(systems: SystemSet, top_m: int, fraction: float, out_dir: Path) -> EvalReport:
+    report = evaluate_sweep(systems, top_m=top_m, fraction=fraction)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_eval_report(report, out_dir / "eval_report.tsv")
+    write_pseudorels(report.pseudorels, out_dir / "pseudorels.txt")
+    write_nd_series(report.nd_series, out_dir / "nd_series.tsv")
+    write_wins_series(report.win_series, out_dir / "wins_series.tsv")
+    return report
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_ingest(args) -> None:
-    corpus = ingest_corpus(args.input, format=args.format, role=args.role)
-    export_corpus(corpus, args.out)
+    corpus = ingest_stage(args.input, args.format, args.role, args.out)
     print(f"ingested {len(corpus)} documents (role={corpus.role}) -> {args.out}")
 
 
 def cmd_fit_topics(args) -> None:
     corpus = ingest_corpus(args.corpus, role="reference")
-    model = fit_lda(
-        corpus,
-        args.n_topics,
-        alpha=args.alpha,
-        beta=args.beta,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
-    save_model(model, args.out)
+    model = fit_topics_stage(corpus, args.n_topics, args.alpha, args.beta, args.iterations, args.seed, args.out)
     print(f"fitted {model.n_topics} topics on {len(corpus)} documents -> {args.out}")
 
 
@@ -362,33 +427,21 @@ def cmd_inspect_topics(args) -> None:
 
 def cmd_extract_dict(args) -> None:
     corpus = ingest_corpus(args.corpus, role="reference")
-    if args.method == "tm":
-        if args.model is None:
-            raise UsageError("--model is required for --method tm")
-        model = load_model(args.model)
-        excluded = parse_topic_ids(args.exclude)
-        if excluded:
-            model = exclude_topics(model, excluded)
-        dictionary = extract_dictionary_tm(model, term_stats(corpus), args.n)
-    else:
-        dictionary = extract_dictionary_tfidf(corpus, args.n)
-    save_dictionary(dictionary, args.out)
+    if args.method == "tm" and args.model is None:
+        raise UsageError("--model is required for --method tm")
+    model = load_model(args.model) if args.method == "tm" else None
+    dictionary = extract_dict_stage(args.method, corpus, model, parse_topic_ids(args.exclude), args.n, args.out)
     print(f"extracted {len(dictionary)} terms ({dictionary.method}) -> {args.out}")
 
 
 def cmd_build_cooc(args) -> None:
     corpus = ingest_corpus(args.corpus, role=args.role)
-    dictionary = load_dictionary(args.dict)
-    matrix = build_cooc(corpus, dictionary)
-    save_cooc(matrix, args.out)
+    matrix = build_cooc_stage(corpus, load_dictionary(args.dict), args.out)
     print(f"{len(matrix.values)} nonzero pairs over {len(matrix.terms)} terms -> {args.out}")
 
 
 def cmd_filter_cooc(args) -> None:
-    reference = load_cooc(args.reference)
-    generic = load_cooc(args.generic)
-    filtered = filter_cooc(reference, generic)
-    save_cooc(filtered, args.out)
+    filtered = filter_cooc_stage(load_cooc(args.reference), load_cooc(args.generic), args.out)
     print(f"{len(filtered.values)} pairs survive filtering -> {args.out}")
 
 
@@ -408,31 +461,17 @@ def cmd_sweep(args) -> None:
     dict_tfidf = load_dictionary(args.dict_tfidf) if args.dict_tfidf else None
     cooc_tm = load_cooc(args.cooc_tm) if args.cooc_tm else None
     cooc_tfidf = load_cooc(args.cooc_tfidf) if args.cooc_tfidf else None
-    systems = generate_sweep(
-        target,
-        dict_tm,
-        dict_tfidf,
-        cooc_tm,
-        cooc_tfidf,
-        alphas=parse_alphas(args.alphas),
-        k=args.k,
-        slope=args.slope,
-    )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_systems(systems, out_dir)
+    systems = sweep_stage(
+        target, dict_tm, dict_tfidf, cooc_tm, cooc_tfidf, parse_alphas(args.alphas), args.k, args.slope, out_dir
+    )
     print(f"{len(systems.systems)} systems -> {out_dir}")
 
 
 def cmd_fuse(args) -> None:
     systems = _load_systems(Path(args.systems_dir), args.biased)
-    report = evaluate_sweep(systems, top_m=args.top_m, fraction=args.fraction)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.systems_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_eval_report(report, out_dir / "eval_report.tsv")
-    write_pseudorels(report.pseudorels, out_dir / "pseudorels.txt")
-    write_nd_series(report.nd_series, out_dir / "nd_series.tsv")
-    write_wins_series(report.win_series, out_dir / "wins_series.tsv")
+    report = fuse_stage(systems, args.top_m, args.fraction, out_dir)
     best_id, best_map = max(report.map_by_system.items(), key=lambda item: (item[1], item[0]))
     print(f"{len(report.pseudorels)} pseudorels from {len(report.pseudorels.candidate_pool)} candidates")
     print(f"best system: {best_id} (MAP {best_map:.4f}) -> {out_dir}")
@@ -472,83 +511,60 @@ def run_pipeline(config: PipelineConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with _stage("ingest"):
-        reference = ingest_corpus(config.reference, format=config.format, role="reference")
-        generic = (
-            ingest_corpus(config.generic, format=config.format, role="generic")
-            if config.generic
-            else None
-        )
-        target = ingest_corpus(config.target, format=config.format, role="target")
-        export_corpus(reference, out_dir / "corpus_reference.jsonl")
-        if generic is not None:
-            export_corpus(generic, out_dir / "corpus_generic.jsonl")
-        export_corpus(target, out_dir / "corpus_target.jsonl")
-        print(f"[ingest] reference={len(reference)} generic={len(generic) if generic else 0} target={len(target)}")
+        corpora = {
+            role: ingest_stage(getattr(config, role), config.format, role, out_dir / f"corpus_{role}.jsonl")
+            for role in ROLES
+            if getattr(config, role)
+        }
+        reference, generic, target = map(corpora.get, ROLES)
+        print("[ingest] " + " ".join(f"{role}={len(corpora.get(role, ()))}" for role in ROLES))
 
     with _stage("fit-topics"):
-        model = fit_lda(
-            reference,
-            config.n_topics,
-            alpha=config.lda_alpha,
-            beta=config.beta,
-            iterations=config.iterations,
-            seed=config.seed,
+        model = fit_topics_stage(
+            reference, config.n_topics, config.lda_alpha, config.beta, config.iterations, config.seed,
+            out_dir / "model.tsv",
         )
-        save_model(model, out_dir / "model.tsv")
         print(f"[fit-topics] {model.n_topics} topics, seed={config.seed}")
 
     with _stage("extract-dict"):
-        if excluded:
-            model = exclude_topics(model, excluded)
-        ref_stats = term_stats(reference)
-        dict_tm = extract_dictionary_tm(model, ref_stats, config.n_terms)
-        dict_tfidf = extract_dictionary_tfidf(reference, config.n_terms)
-        save_dictionary(dict_tm, out_dir / "dict_tm.tsv")
-        save_dictionary(dict_tfidf, out_dir / "dict_tfidf.tsv")
-        print(f"[extract-dict] {len(dict_tm)} tm terms, {len(dict_tfidf)} tfidf terms")
+        dicts = {
+            method: extract_dict_stage(
+                method, reference, model, excluded, config.n_terms, out_dir / f"dict_{method}.tsv"
+            )
+            for method in ("tm", "tfidf")
+        }
+        print(f"[extract-dict] {len(dicts['tm'])} tm terms, {len(dicts['tfidf'])} tfidf terms")
 
     with _stage("build-cooc"):
         if generic is None:
             raise ValueError("generic corpus required to filter co-occurrence data")
-        raw = {}
-        for label, dictionary in (("tm", dict_tm), ("tfidf", dict_tfidf)):
-            c_ref = build_cooc(reference, dictionary)
-            c_gen = build_cooc(generic, dictionary)
-            save_cooc(c_ref, out_dir / f"cooc_reference_{label}.tsv")
-            save_cooc(c_gen, out_dir / f"cooc_generic_{label}.tsv")
-            raw[label] = (c_ref, c_gen)
+        raw = {
+            method: [
+                build_cooc_stage(corpus, dictionary, out_dir / f"cooc_{corpus.role}_{method}.tsv")
+                for corpus in (reference, generic)
+            ]
+            for method, dictionary in dicts.items()
+        }
         print("[build-cooc] reference and generic matrices for tm and tfidf")
 
     with _stage("filter-cooc"):
-        filtered = {}
-        for label, (c_ref, c_gen) in raw.items():
-            matrix = filter_cooc(c_ref, c_gen)
-            save_cooc(matrix, out_dir / f"cooc_filtered_{label}.tsv")
-            filtered[label] = matrix
+        filtered = {
+            method: filter_cooc_stage(c_ref, c_gen, out_dir / f"cooc_filtered_{method}.tsv")
+            for method, (c_ref, c_gen) in raw.items()
+        }
         # the raw matrices are saved and never scored; free them before the sweep
-        del raw, c_ref, c_gen
+        del raw
         print(f"[filter-cooc] {len(filtered['tm'].values)} tm pairs, {len(filtered['tfidf'].values)} tfidf pairs")
 
     with _stage("sweep"):
-        systems = generate_sweep(
-            target,
-            dict_tm,
-            dict_tfidf,
-            filtered["tm"],
-            filtered["tfidf"],
-            alphas=alphas,
-            k=config.k,
-            slope=config.slope,
+        systems = sweep_stage(
+            target, dicts["tm"], dicts["tfidf"], filtered["tm"], filtered["tfidf"], alphas, config.k, config.slope,
+            out_dir,
         )
-        _write_systems(systems, out_dir)
         print(f"[sweep] {len(systems.systems)} systems")
 
     with _stage("fuse"):
-        report = evaluate_sweep(systems, top_m=config.top_m, fraction=config.fraction)
-        write_eval_report(report, out_dir / "eval_report.tsv")
-        write_pseudorels(report.pseudorels, out_dir / "pseudorels.txt")
-        write_nd_series(report.nd_series, out_dir / "nd_series.tsv")
-        write_wins_series(report.win_series, out_dir / "wins_series.tsv")
+        report = fuse_stage(systems, config.top_m, config.fraction, out_dir)
         print(f"[fuse] {len(report.pseudorels)} pseudorels")
 
     with _stage("manifest"):
@@ -568,7 +584,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="read a corpus and write canonical JSONL")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("jsonl", "plaintext-dir"), default="jsonl")
+    p.add_argument("--format", choices=FORMATS, default=_DEFAULTS.format)
     p.add_argument("--role", choices=ROLES, default="target")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_ingest)
@@ -576,10 +592,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit-topics", help="fit a topic model on a reference corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--n-topics", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=None, help="document-topic prior (default 50/K)")
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=_DEFAULTS.lda_alpha, help="document-topic prior (default 50/K)")
+    p.add_argument("--beta", type=float, default=_DEFAULTS.beta)
+    p.add_argument("--iterations", type=int, default=_DEFAULTS.iterations)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_fit_topics)
 
@@ -592,8 +608,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("tm", "tfidf"), required=True)
     p.add_argument("--corpus", required=True, help="reference corpus (JSONL)")
     p.add_argument("--model", default=None, help="topic model file (tm only)")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--exclude", default="", help="comma-separated topic ids to drop")
+    p.add_argument("--n", type=int, default=_DEFAULTS.n_terms)
+    p.add_argument("--exclude", default=_DEFAULTS.exclude, help="comma-separated topic ids to drop")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_extract_dict)
 
@@ -616,8 +632,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cooc", default=None, help="filtered co-occurrence matrix")
     p.add_argument("--mode", choices=MODES, default="unigram")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--slope", type=float, default=0.7)
-    p.add_argument("--k", type=int, default=2000)
+    p.add_argument("--slope", type=float, default=_DEFAULTS.slope)
+    p.add_argument("--k", type=int, default=_DEFAULTS.k)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_rank)
 
@@ -627,17 +643,17 @@ def build_parser() -> _Parser:
     p.add_argument("--dict-tfidf", default=None)
     p.add_argument("--cooc-tm", default=None)
     p.add_argument("--cooc-tfidf", default=None)
-    p.add_argument("--alphas", default=DEFAULT_ALPHA_SPEC)
-    p.add_argument("--k", type=int, default=2000)
-    p.add_argument("--slope", type=float, default=0.7)
+    p.add_argument("--alphas", default=_DEFAULTS.alphas)
+    p.add_argument("--k", type=int, default=_DEFAULTS.k)
+    p.add_argument("--slope", type=float, default=_DEFAULTS.slope)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("fuse", help="pseudorel fusion and MAP over a sweep directory")
     p.add_argument("--systems-dir", required=True)
     p.add_argument("--biased", default=None, help="comma-separated system ids (default: index flags)")
-    p.add_argument("--top-m", type=int, default=DEFAULT_TOP_M)
-    p.add_argument("--fraction", type=float, default=DEFAULT_FRACTION)
+    p.add_argument("--top-m", type=int, default=_DEFAULTS.top_m)
+    p.add_argument("--fraction", type=float, default=_DEFAULTS.fraction)
     p.add_argument("--out-dir", default=None, help="default: the systems directory")
     p.set_defaults(handler=cmd_fuse)
 
@@ -655,23 +671,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="run the whole pipeline from a config")
     p.add_argument("--config", default=None, help="flat key=value file")
-    p.add_argument("--reference")
-    p.add_argument("--generic")
-    p.add_argument("--target")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--format", choices=("jsonl", "plaintext-dir"))
-    p.add_argument("--n-topics", dest="n_topics", type=int)
-    p.add_argument("--n-terms", dest="n_terms", type=int)
-    p.add_argument("--slope", type=float)
-    p.add_argument("--alphas")
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lda-alpha", dest="lda_alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--exclude")
-    p.add_argument("--top-m", dest="top_m", type=int)
-    p.add_argument("--fraction", type=float)
+    for key, value_type in _CONFIG_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=value_type)
     p.set_defaults(handler=cmd_run)
 
     return parser

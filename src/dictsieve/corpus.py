@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 ROLES = ("reference", "generic", "target")
+FORMATS = ("jsonl", "plaintext-dir")
 
 # Unicode letters and digits; punctuation and underscore split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)

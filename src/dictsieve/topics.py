@@ -212,36 +212,81 @@ def save_model(model: TopicModelResult, path) -> None:
 
 
 def load_model(path) -> TopicModelResult:
+    """Read a model written by ``save_model``.
+
+    Lines come in the order ``save_model`` writes them.  ``vocab`` holds
+    n_vocab distinct terms, ``topic_weight`` n_topics finite values and
+    ``excluded`` ids in 1..n_topics; then comes exactly one ``phi`` row per
+    topic 1..n_topics, in order, each with n_vocab finite, non-negative
+    values summing to 1 within 1e-9.  A violation is reported as
+    ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as stream:
-        header = stream.readline().rstrip("\n")
-        if not header.startswith("#dictsieve-topic-model"):
+        if not stream.readline().startswith("#dictsieve-topic-model"):
             raise ValueError(f"not a topic model file: {path}")
-        fields: dict[str, str] = {}
-        vocab: tuple[str, ...] = ()
-        topic_weight: list[float] = []
-        phi_rows: dict[int, list[float]] = {}
+        lineno = 1
+
+        def fail(message):
+            raise ValueError(f"{path}:{lineno}: {message}")
+
+        def read(*head, convert=None, count=None):
+            """The values of the next line after its leading fields ``head``."""
+            nonlocal lineno
+            lineno += 1
+            values = stream.readline().rstrip("\n").split("\t")
+            name = " ".join(head)
+            if values[: len(head)] != list(head):
+                fail(f"expected the {name} line")
+            values = values[len(head):]
+            if count is not None and len(values) != count:
+                fail(f"{name} has {len(values)} values, expected {count}")
+            if convert is None:
+                return values
+            try:
+                return [convert(v) for v in values]
+            except ValueError:
+                fail(f"{name} holds a value that is not {convert.__name__}")
+
+        n_topics, = read("n_topics", convert=int, count=1)
+        n_vocab, = read("n_vocab", convert=int, count=1)
+        alpha, = read("alpha", convert=float, count=1)
+        beta, = read("beta", convert=float, count=1)
+        iterations, = read("iterations", convert=int, count=1)
+        seed, = read("seed", convert=int, count=1)
+        excluded_text, = read("excluded", count=1)
+        try:
+            excluded = frozenset(int(k) for k in excluded_text.split(",") if k)
+        except ValueError:
+            fail(f"excluded topic ids {excluded_text!r} are not integers")
+        if not excluded <= set(range(1, n_topics + 1)):
+            fail(f"excluded topic ids {sorted(excluded)} are not all in 1..{n_topics}")
+        vocab = tuple(read("vocab"))
+        if len(vocab) != n_vocab or len(set(vocab)) != n_vocab:
+            fail(f"vocab must hold {n_vocab} distinct terms")
+        topic_weight = np.array(read("topic_weight", convert=float, count=n_topics))
+        if not np.isfinite(topic_weight).all():
+            fail("topic_weight values must be finite")
+        phi = np.empty((n_topics, n_vocab))
+        for k in range(1, n_topics + 1):
+            row = phi[k - 1]
+            row[:] = read("phi", str(k), convert=float, count=n_vocab)
+            if not (np.isfinite(row).all() and (row >= 0.0).all()):
+                fail(f"phi row {k} must hold finite, non-negative values")
+            total = float(row.sum())
+            if abs(total - 1.0) > 1e-9:
+                fail(f"phi row {k} sums to {total!r}, not 1")
         for line in stream:
-            parts = line.rstrip("\n").split("\t")
-            key = parts[0]
-            if key == "vocab":
-                vocab = tuple(parts[1:])
-            elif key == "topic_weight":
-                topic_weight = [float(x) for x in parts[1:]]
-            elif key == "phi":
-                phi_rows[int(parts[1])] = [float(x) for x in parts[2:]]
-            else:
-                fields[key] = parts[1] if len(parts) > 1 else ""
-    n_topics = int(fields["n_topics"])
-    excluded = frozenset(int(k) for k in fields["excluded"].split(",") if k)
-    phi = np.array([phi_rows[k] for k in range(1, n_topics + 1)])
+            lineno += 1
+            if line.strip():
+                fail("unexpected line after the last phi row")
     return TopicModelResult(
         n_topics=n_topics,
         vocab=vocab,
         phi=phi,
-        topic_weight=np.array(topic_weight),
+        topic_weight=topic_weight,
         excluded=excluded,
-        seed=int(fields["seed"]),
-        alpha=float(fields["alpha"]),
-        beta=float(fields["beta"]),
-        iterations=int(fields["iterations"]),
+        seed=seed,
+        alpha=alpha,
+        beta=beta,
+        iterations=iterations,
     )

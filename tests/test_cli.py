@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,9 @@ from dictsieve.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    PipelineConfig,
+    build_parser,
+    build_pipeline_config,
     main,
     parse_alphas,
     parse_ranges,
@@ -21,6 +27,11 @@ from dictsieve.cli import (
     read_config_file,
     system_filename,
 )
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +361,43 @@ class TestSubcommands:
         assert main(args + ["--out", str(tmp_path / "bad.tsv")]) == EXIT_DATA
         assert "record 0: paragraph sentence index 3 is out of range" in capsys.readouterr().err
 
+    def test_extract_rejects_a_model_whose_phi_row_is_not_a_distribution(
+        self, pipeline_dir, corpora_dir, tmp_path, capsys
+    ):
+        lines = (pipeline_dir / "model.tsv").read_text().splitlines()
+        head = lines[10].split("\t")[:2]
+        assert head == ["phi", "1"]
+        lines[10] = "\t".join(head + ["5.0"] * (len(lines[10].split("\t")) - 2))
+        model = tmp_path / "model.tsv"
+        model.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "extract-dict",
+                "--method", "tm",
+                "--corpus", str(corpora_dir / "reference.jsonl"),
+                "--model", str(model),
+                "--out", str(tmp_path / "d.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"{model}:11: phi row 1 sums to" in capsys.readouterr().err
+        assert not (tmp_path / "d.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "rows, lineno, message",
+        [
+            (["a\tsystems/a.tsv"], 2, "expected 3 tab-separated fields, got 2"),
+            (["a\tsystems/a.tsv\tyes"], 2, "biased must be 0 or 1, got 'yes'"),
+            (["a\tsystems/a.tsv\t1", "", "a\tsystems/b.tsv\t0"], 4, "duplicate system id 'a'"),
+        ],
+    )
+    def test_fuse_rejects_a_malformed_system_index(self, tmp_path, capsys, rows, lineno, message):
+        index = tmp_path / "systems.tsv"
+        index.write_text("system_id\tfile\tbiased\n" + "\n".join(rows) + "\n")
+        code = main(["fuse", "--systems-dir", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert f"{index}:{lineno}: {message}" in capsys.readouterr().err
+
 
 class TestPipelineArtifacts:
     EXPECTED = (
@@ -418,6 +466,61 @@ class TestPipelineArtifacts:
         assert (out_dir / "eval_report.tsv").exists()
         assert (out_dir / "pseudorels.txt").exists()
         assert "pseudorels" in capsys.readouterr().out
+
+    def test_subcommand_chain_reproduces_run(self, pipeline_dir, corpora_dir, tmp_path, capsys):
+        out = tmp_path / "chain"
+        out.mkdir()
+        corpus = {role: str(out / f"corpus_{role}.jsonl") for role in ("reference", "generic", "target")}
+        commands = [
+            ["ingest", "--input", str(corpora_dir / f"{role}.jsonl"), "--role", role, "--out", path]
+            for role, path in corpus.items()
+        ]
+        commands.append(
+            [
+                "fit-topics", "--corpus", corpus["reference"], "--n-topics", "2", "--alpha", "0.5",
+                "--iterations", "60", "--seed", "7", "--out", str(out / "model.tsv"),
+            ]
+        )
+        for method in ("tm", "tfidf"):
+            model = ["--model", str(out / "model.tsv")] if method == "tm" else []
+            commands.append(
+                ["extract-dict", "--method", method, "--corpus", corpus["reference"], *model,
+                 "--n", "16", "--out", str(out / f"dict_{method}.tsv")]
+            )
+        for method in ("tm", "tfidf"):
+            for role in ("reference", "generic"):
+                commands.append(
+                    ["build-cooc", "--corpus", corpus[role], "--dict", str(out / f"dict_{method}.tsv"),
+                     "--role", role, "--out", str(out / f"cooc_{role}_{method}.tsv")]
+                )
+            commands.append(
+                ["filter-cooc", "--reference", str(out / f"cooc_reference_{method}.tsv"),
+                 "--generic", str(out / f"cooc_generic_{method}.tsv"),
+                 "--out", str(out / f"cooc_filtered_{method}.tsv")]
+            )
+        commands.append(
+            ["sweep", "--target", corpus["target"],
+             "--dict-tm", str(out / "dict_tm.tsv"), "--dict-tfidf", str(out / "dict_tfidf.tsv"),
+             "--cooc-tm", str(out / "cooc_filtered_tm.tsv"), "--cooc-tfidf", str(out / "cooc_filtered_tfidf.tsv"),
+             "--alphas", "0:4:2", "--k", "50", "--out-dir", str(out)]
+        )
+        commands.append(["fuse", "--systems-dir", str(out)])
+        assert len(commands) == 14
+        for argv in commands:
+            assert main(argv) == EXIT_OK, argv
+
+        def tree(root: Path) -> dict[str, bytes]:
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file() and path.name != "manifest.json"
+            }
+
+        from_run, from_chain = tree(pipeline_dir), tree(out)
+        assert len(from_run) == 25
+        assert from_chain.keys() == from_run.keys()
+        for name, data in from_run.items():
+            assert from_chain[name] == data, name
 
     def test_map_subcommand(self, pipeline_dir, tmp_path, capsys):
         index_lines = (pipeline_dir / "systems.tsv").read_text().splitlines()[1:]
@@ -531,3 +634,106 @@ class TestPrecedence:
 
     def test_run_requires_the_three_essentials(self, capsys):
         assert main(["run", "--n-topics", "2"]) == EXIT_USAGE
+
+
+# (subcommand, option dest, config key) for every subcommand default that
+# mirrors a config key
+MIRRORED_DEFAULTS = (
+    ("ingest", "format", "format"),
+    ("fit-topics", "alpha", "lda_alpha"),
+    ("fit-topics", "beta", "beta"),
+    ("fit-topics", "iterations", "iterations"),
+    ("fit-topics", "seed", "seed"),
+    ("extract-dict", "n", "n_terms"),
+    ("extract-dict", "exclude", "exclude"),
+    ("rank", "slope", "slope"),
+    ("rank", "k", "k"),
+    ("sweep", "alphas", "alphas"),
+    ("sweep", "k", "k"),
+    ("sweep", "slope", "slope"),
+    ("fuse", "top_m", "top_m"),
+    ("fuse", "fraction", "fraction"),
+)
+
+# config key -> (config-file value, a different flag value), both valid
+CONFIG_VALUES = {
+    "reference": ("ref-a.jsonl", "ref-b.jsonl"),
+    "generic": ("gen-a.jsonl", "gen-b.jsonl"),
+    "target": ("tgt-a.jsonl", "tgt-b.jsonl"),
+    "out_dir": ("out-a", "out-b"),
+    "format": ("jsonl", "plaintext-dir"),
+    "n_topics": ("3", "5"),
+    "n_terms": ("10", "20"),
+    "slope": ("0.25", "0.5"),
+    "alphas": ("0:4:2", "1,3"),
+    "k": ("10", "20"),
+    "seed": ("1", "2"),
+    "lda_alpha": ("0.25", "0.5"),
+    "beta": ("0.02", "0.03"),
+    "iterations": ("10", "20"),
+    "exclude": ("1", "2"),
+    "top_m": ("10", "20"),
+    "fraction": ("0.25", "0.75"),
+}
+
+
+class TestRunFlags:
+    def test_each_config_key_is_a_run_flag(self):
+        flags = {
+            action.dest: action.option_strings
+            for action in subparser("run")._actions
+            if action.dest not in ("help", "config")
+        }
+        assert flags == {f.name: ["--" + f.name.replace("_", "-")] for f in fields(PipelineConfig)}
+        assert len(flags) == 17
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)])
+    def test_the_flag_beats_the_config_file(self, key, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        file_value, flag_value = CONFIG_VALUES[key]
+        values = {"reference": "ref.jsonl", "target": "tgt.jsonl", "n_topics": "4", key: file_value}
+        config_path = tmp_path / "run.conf"
+        config_path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+        flag = "--" + key.replace("_", "-")
+        parser = build_parser()
+        from_file = build_pipeline_config(parser.parse_args(["run", "--config", str(config_path)]))
+        from_flag = build_pipeline_config(parser.parse_args(["run", "--config", str(config_path), flag, flag_value]))
+        assert str(getattr(from_file, key)) == file_value
+        assert str(getattr(from_flag, key)) == flag_value
+        assert type(getattr(from_flag, key)) is type(getattr(from_file, key))
+
+    @pytest.mark.parametrize("command, dest, key", MIRRORED_DEFAULTS)
+    def test_subcommand_defaults_are_the_config_defaults(self, command, dest, key):
+        assert subparser(command).get_default(dest) == getattr(PipelineConfig(), key)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_unknown_format_is_a_usage_error_before_any_stage(
+        self, source, corpora_dir, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        args = [
+            "run",
+            "--reference", str(corpora_dir / "reference.jsonl"),
+            "--target", str(corpora_dir / "target.jsonl"),
+            "--out-dir", str(out_dir),
+            "--n-topics", "2",
+        ]
+        if source == "flag":
+            args += ["--format", "bogus"]
+        else:
+            config_path = tmp_path / "run.conf"
+            config_path.write_text("format = bogus\n")
+            args += ["--config", str(config_path)]
+        assert main(args) == EXIT_USAGE
+        assert "format must be one of jsonl, plaintext-dir, got 'bogus'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_the_traced_benchmark_finds_every_cli_name_it_wraps(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        names = [name for module, name, *_ in spans.WRAPPED if module == "cli"]
+        assert names
+        for name in names:
+            assert callable(getattr(cli, name, None)), name

@@ -244,3 +244,49 @@ class TestPersistence:
         path.write_text("rank\tdoc\n1\tx\n")
         with pytest.raises(ValueError, match="not a topic model file"):
             load_model(path)
+
+    @staticmethod
+    def saved_lines(tmp_path) -> tuple:
+        """A saved 2-topic model over 3 terms: line 8 is ``excluded``, 9
+        ``vocab``, 10 ``topic_weight`` and 11-12 the ``phi`` rows."""
+        path = tmp_path / "model.tsv"
+        save_model(fit_lda(tiny_corpus(), 2, alpha=0.5, iterations=5, seed=3), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "start, stop, replacement, lineno, message",
+        [
+            pytest.param(1, None, [], 2, "expected the n_topics line", id="header-only"),
+            pytest.param(2, 3, [], 3, "expected the n_vocab line", id="no-n_vocab"),
+            pytest.param(3, 4, ["alpha\tmany"], 4, "alpha holds a value that is not float", id="alpha-text"),
+            pytest.param(7, 8, ["excluded\t3"], 8, r"excluded topic ids \[3\] are not all in 1..2", id="excluded-3"),
+            pytest.param(7, 8, ["excluded\t0"], 8, r"excluded topic ids \[0\] are not all in 1..2", id="excluded-0"),
+            pytest.param(8, 9, ["vocab\tapple\tpear"], 9, "vocab must hold 3 distinct terms", id="vocab-short"),
+            pytest.param(8, 9, ["vocab\tapple\tpear\tpear"], 9, "vocab must hold 3 distinct", id="vocab-repeat"),
+            pytest.param(9, 10, ["topic_weight\t1.0"], 10, "topic_weight has 1 values, expected 2", id="weight-short"),
+            pytest.param(9, 10, ["topic_weight\t0.5\tnan"], 10, "topic_weight values must be finite", id="weight-nan"),
+            pytest.param(10, 11, ["phi\t1\t0.5\t0.5"], 11, "phi 1 has 2 values, expected 3", id="phi-short"),
+            pytest.param(11, None, [], 12, "expected the phi 2 line", id="phi-missing"),
+            pytest.param(11, 12, ["phi\t1\t0.5\t0.25\t0.25"], 12, "expected the phi 2 line", id="phi-repeat"),
+            pytest.param(12, 12, ["phi\t2\t0.5\t0.25\t0.25"], 13, "unexpected line after the last phi row", id="phi-extra"),
+            pytest.param(10, 11, ["phi\t1\t0.5\tinf\t0.5"], 11, "phi row 1 must hold finite, non-negative", id="phi-inf"),
+            pytest.param(10, 11, ["phi\t1\t0.5\tnan\t0.5"], 11, "phi row 1 must hold finite, non-negative", id="phi-nan"),
+            pytest.param(10, 11, ["phi\t1\t1.5\t-0.5\t0.0"], 11, "phi row 1 must hold finite, non-negative", id="phi-neg"),
+            pytest.param(10, 11, ["phi\t1\t5.0\t5.0\t5.0"], 11, "phi row 1 sums to 15.0, not 1", id="phi-fives"),
+            pytest.param(10, 11, ["phi\t1\t0.5\t0.5\t1e-08"], 11, "phi row 1 sums to 1.00000001", id="phi-sum-off"),
+        ],
+    )
+    def test_rejects_malformed_lines_with_their_location(
+        self, tmp_path, start, stop, replacement, lineno, message
+    ):
+        path, lines = self.saved_lines(tmp_path)
+        lines[start:stop] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"model.tsv:{lineno}: {message}"):
+            load_model(path)
+
+    def test_accepts_rows_that_sum_to_one_within_tolerance(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[10] = "phi\t1\t0.5\t0.25\t0.25000000000100003"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_model(path).phi[0, 2] == 0.25000000000100003
