@@ -7,13 +7,23 @@ is stored on the model and consulted later during dictionary extraction.
 
 Paragraph groups, when a document carries them, are treated as separate
 modeling documents; otherwise whole documents are the modeling unit.
+
+The Gibbs sampler is a loop over plain Python lists: each token-visit builds
+the K cumulative weights of its full conditional with ``map`` and
+``accumulate`` and draws a topic by bisection, with no per-topic bytecode.
+It yields a snapshot of the counts after every sweep; the model is computed
+from the last one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 
@@ -74,44 +84,68 @@ def _modeling_units(corpus: Corpus) -> list[list[str]]:
 
 
 def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations, rng):
-    """Run the collapsed Gibbs sweep, yielding count arrays after each pass.
+    """Run the collapsed Gibbs sweep, yielding count snapshots after each pass.
 
-    Yields (n_kw, n_k) so callers can check count consistency per iteration;
-    arrays are live views of sampler state, not copies.
+    ``word_ids`` and ``unit_ids`` give each token's vocabulary index and
+    modeling unit, in corpus order.  Yields (n_kw, n_k) after every sweep as
+    new float arrays (K x V in C order, and K), never views of sampler
+    state, so a consumer may keep them.
+
+    The sampler runs on plain lists: int counts per word, unit and topic,
+    and beside each count its smoothed term of the full conditional
+    (n_wk + beta, n_dk + alpha, n_k + V beta), recomputed from the count
+    whenever the count changes, never stepped by 1.0, so each weight has the
+    bits of the float64 arithmetic of the numpy oracle in
+    ``tests/test_topics.py``.  A sweep's uniforms come from one
+    ``rng.random(n_tokens)`` call, the same stream as one ``rng.random()``
+    per token.
     """
     n_tokens = len(word_ids)
-    n_units = int(unit_ids.max()) + 1 if n_tokens else 0
-    assignments = rng.integers(0, n_topics, size=n_tokens)
-    n_kw = np.zeros((n_topics, n_vocab), dtype=np.float64)
-    n_k = np.zeros(n_topics, dtype=np.float64)
-    n_dk = np.zeros((n_units, n_topics), dtype=np.float64)
-    np.add.at(n_kw, (assignments, word_ids), 1.0)
-    np.add.at(n_k, assignments, 1.0)
-    np.add.at(n_dk, (unit_ids, assignments), 1.0)
+    assignments = rng.integers(0, n_topics, size=n_tokens).tolist()
+    n_wk = [[0] * n_topics for _ in range(n_vocab)]
+    n_dk = [[0] * n_topics for _ in range(max(unit_ids, default=-1) + 1)]
+    n_k = [0] * n_topics
+    for w, d, k in zip(word_ids, unit_ids, assignments):
+        n_wk[w][k] += 1
+        n_dk[d][k] += 1
+        n_k[k] += 1
 
     v_beta = n_vocab * beta
+    wb = [[c + beta for c in row] for row in n_wk]
+    da = [[c + alpha for c in row] for row in n_dk]
+    kb = [c + v_beta for c in n_k]
+    last = n_topics - 1
     for _ in range(iterations):
-        for i in range(n_tokens):
-            w = word_ids[i]
-            d = unit_ids[i]
+        uniforms = rng.random(n_tokens).tolist()
+        for i, (w, d, u) in enumerate(zip(word_ids, unit_ids, uniforms)):
             k = assignments[i]
-            n_kw[k, w] -= 1.0
-            n_k[k] -= 1.0
-            n_dk[d, k] -= 1.0
+            word, word_b, unit, unit_a = n_wk[w], wb[w], n_dk[d], da[d]
+            c = word[k] = word[k] - 1
+            word_b[k] = c + beta
+            c = n_k[k] = n_k[k] - 1
+            kb[k] = c + v_beta
+            c = unit[k] = unit[k] - 1
+            unit_a[k] = c + alpha
 
-            # full conditional over topics; the per-unit denominator is
-            # constant across k and cancels
-            weights = (n_kw[:, w] + beta) / (n_k + v_beta) * (n_dk[d] + alpha)
-            u = rng.random() * weights.sum()
-            k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-            if k == n_topics:  # guard against u landing on the top edge
-                k = n_topics - 1
+            # full conditional over topics, (n_wk + beta) / (n_k + V beta) *
+            # (n_dk + alpha) in the oracle's operation order; the per-unit
+            # denominator is constant across k and cancels.  The total
+            # cum[-1] is a sequential sum where the oracle's sum() is pairwise:
+            # the two may differ in the last ulp, which moves a draw only if
+            # u * total falls within an ulp of a cumulative boundary.
+            cum = list(accumulate(map(mul, map(truediv, word_b, kb), unit_a)))
+            k = bisect_right(cum, u * cum[-1])
+            if k > last:  # guard against u landing on the top edge
+                k = last
 
             assignments[i] = k
-            n_kw[k, w] += 1.0
-            n_k[k] += 1.0
-            n_dk[d, k] += 1.0
-        yield n_kw, n_k
+            c = word[k] = word[k] + 1
+            word_b[k] = c + beta
+            c = n_k[k] = n_k[k] + 1
+            kb[k] = c + v_beta
+            c = unit[k] = unit[k] + 1
+            unit_a[k] = c + alpha
+        yield np.array(n_wk, dtype=np.float64).T.copy(), np.array(n_k, dtype=np.float64)
 
 
 def fit_lda(
@@ -124,9 +158,11 @@ def fit_lda(
 ) -> TopicModelResult:
     """Fit LDA on the reference corpus with collapsed Gibbs sampling.
 
-    ``alpha`` defaults to 50/K.  The fit is single-threaded and fully
-    deterministic for a fixed seed: the sweep visits tokens in corpus order
-    and the vocabulary is ordered lexicographically.
+    ``alpha`` defaults to 50/K; ``alpha`` and ``beta`` must be finite and
+    positive.  The fit is single-threaded and fully deterministic for a
+    fixed seed: the sweep visits tokens in corpus order and the vocabulary
+    is ordered lexicographically.  ``phi`` and ``topic_weight`` come from
+    the count snapshot of the last sweep.
     """
     if not corpus.documents:
         raise ValueError("cannot fit a topic model on an empty corpus")
@@ -136,6 +172,9 @@ def fit_lda(
         raise ValueError("iterations must be >= 1")
     if alpha is None:
         alpha = 50.0 / n_topics
+    for name, prior in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(prior) and prior > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {prior!r}")
 
     vocab = tuple(sorted(corpus.vocabulary))
     vocab_index = {w: i for i, w in enumerate(vocab)}
@@ -148,8 +187,8 @@ def fit_lda(
             f"n_topics={n_topics} exceeds vocabulary size {len(vocab)}; proceeding",
             stacklevel=2,
         )
-    word_ids = np.array([vocab_index[t] for unit in units for t in unit], dtype=np.int64)
-    unit_ids = np.array([d for d, unit in enumerate(units) for _ in unit], dtype=np.int64)
+    word_ids = [vocab_index[t] for unit in units for t in unit]
+    unit_ids = [d for d, unit in enumerate(units) for _ in unit]
 
     rng = np.random.default_rng(seed)
     n_kw = n_k = None
@@ -214,12 +253,13 @@ def save_model(model: TopicModelResult, path) -> None:
 def load_model(path) -> TopicModelResult:
     """Read a model written by ``save_model``.
 
-    Lines come in the order ``save_model`` writes them.  ``vocab`` holds
-    n_vocab distinct terms, ``topic_weight`` n_topics finite values and
-    ``excluded`` ids in 1..n_topics; then comes exactly one ``phi`` row per
-    topic 1..n_topics, in order, each with n_vocab finite, non-negative
-    values summing to 1 within 1e-9.  A violation is reported as
-    ``path:line``.
+    Lines come in the order ``save_model`` writes them.  ``alpha`` and
+    ``beta`` are finite and positive, ``iterations`` is at least 1,
+    ``vocab`` holds n_vocab distinct terms, ``topic_weight`` n_topics finite
+    values and ``excluded`` ids in 1..n_topics; then comes exactly one
+    ``phi`` row per topic 1..n_topics, in order, each with n_vocab finite,
+    non-negative values summing to 1 within 1e-9.  A violation is reported
+    as ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as stream:
         if not stream.readline().startswith("#dictsieve-topic-model"):
@@ -250,8 +290,14 @@ def load_model(path) -> TopicModelResult:
         n_topics, = read("n_topics", convert=int, count=1)
         n_vocab, = read("n_vocab", convert=int, count=1)
         alpha, = read("alpha", convert=float, count=1)
+        if not (math.isfinite(alpha) and alpha > 0):
+            fail(f"alpha must be finite and > 0, got {alpha!r}")
         beta, = read("beta", convert=float, count=1)
+        if not (math.isfinite(beta) and beta > 0):
+            fail(f"beta must be finite and > 0, got {beta!r}")
         iterations, = read("iterations", convert=int, count=1)
+        if iterations < 1:
+            fail(f"iterations must be >= 1, got {iterations}")
         seed, = read("seed", convert=int, count=1)
         excluded_text, = read("excluded", count=1)
         try:

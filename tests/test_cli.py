@@ -161,6 +161,36 @@ class TestExitCodes:
         assert "[build-cooc]" in err
         assert "generic corpus required" in err
 
+    @pytest.mark.parametrize(
+        "prior, value",
+        [("beta", "0"), ("alpha", "0"), ("alpha", "nan"), ("alpha", "inf")],
+    )
+    def test_bad_lda_priors_fail_before_any_sampling(
+        self, corpora_dir, tmp_path, capsys, monkeypatch, prior, value
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled with a bad prior")
+
+        monkeypatch.setattr("dictsieve.topics._gibbs_states", no_sampling)
+        reference = str(corpora_dir / "reference.jsonl")
+        fit = ["fit-topics", "--corpus", reference, "--n-topics", "2", "--out", str(tmp_path / "model.tsv")]
+        assert main(fit + [f"--{prior}", value]) == EXIT_DATA
+        assert f"[fit-topics] {prior} must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.tsv").exists()
+
+        run_flag = "--lda-alpha" if prior == "alpha" else "--beta"
+        run = [
+            "run",
+            "--reference", reference,
+            "--generic", str(corpora_dir / "generic.jsonl"),
+            "--target", str(corpora_dir / "target.jsonl"),
+            "--out-dir", str(tmp_path / "out"),
+            "--n-topics", "2",
+        ]
+        assert main(run + [run_flag, value]) == EXIT_DATA
+        assert f"[fit-topics] {prior} must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.tsv").exists()
+
 
 class TestSubcommands:
     def test_ingest_writes_canonical_jsonl(self, corpora_dir, tmp_path, capsys):

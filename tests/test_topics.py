@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -18,6 +19,104 @@ from dictsieve import (
     top_terms,
 )
 from dictsieve.topics import TopicModelResult, _gibbs_states, _modeling_units
+
+
+def numpy_gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations, rng):
+    """Frozen oracle: the float64 numpy sampler that the list sampler replaced.
+
+    Kept verbatim.  Its yields are live views of sampler state, so callers
+    copy them.
+    """
+    n_tokens = len(word_ids)
+    n_units = int(unit_ids.max()) + 1 if n_tokens else 0
+    assignments = rng.integers(0, n_topics, size=n_tokens)
+    n_kw = np.zeros((n_topics, n_vocab), dtype=np.float64)
+    n_k = np.zeros(n_topics, dtype=np.float64)
+    n_dk = np.zeros((n_units, n_topics), dtype=np.float64)
+    np.add.at(n_kw, (assignments, word_ids), 1.0)
+    np.add.at(n_k, assignments, 1.0)
+    np.add.at(n_dk, (unit_ids, assignments), 1.0)
+
+    v_beta = n_vocab * beta
+    for _ in range(iterations):
+        for i in range(n_tokens):
+            w = word_ids[i]
+            d = unit_ids[i]
+            k = assignments[i]
+            n_kw[k, w] -= 1.0
+            n_k[k] -= 1.0
+            n_dk[d, k] -= 1.0
+
+            # full conditional over topics; the per-unit denominator is
+            # constant across k and cancels
+            weights = (n_kw[:, w] + beta) / (n_k + v_beta) * (n_dk[d] + alpha)
+            u = rng.random() * weights.sum()
+            k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+            if k == n_topics:  # guard against u landing on the top edge
+                k = n_topics - 1
+
+            assignments[i] = k
+            n_kw[k, w] += 1.0
+            n_k[k] += 1.0
+            n_dk[d, k] += 1.0
+        yield n_kw, n_k
+
+
+def sampler_inputs(corpus: Corpus) -> tuple[list[int], list[int], int]:
+    """Word ids, unit ids and vocabulary size, as ``fit_lda`` builds them."""
+    vocab = sorted(corpus.vocabulary)
+    index = {w: i for i, w in enumerate(vocab)}
+    units = _modeling_units(corpus)
+    word_ids = [index[t] for unit in units for t in unit]
+    unit_ids = [d for d, unit in enumerate(units) for _ in unit]
+    return word_ids, unit_ids, len(vocab)
+
+
+def assert_same_chain(corpus, n_topics, alpha, beta, sweeps, make_rng):
+    """Both samplers, fed the same uniforms, hold equal counts after every sweep."""
+    word_ids, unit_ids, n_vocab = sampler_inputs(corpus)
+    args = (n_topics, n_vocab, alpha, beta, sweeps)
+    expected = [
+        (n_kw.copy(), n_k.copy())
+        for n_kw, n_k in numpy_gibbs_states(np.array(word_ids), np.array(unit_ids), *args, make_rng())
+    ]
+    got = list(_gibbs_states(word_ids, unit_ids, *args, make_rng()))
+    assert len(got) == len(expected) == sweeps
+    for sweep, ((n_kw, n_k), (want_kw, want_k)) in enumerate(zip(got, expected), 1):
+        np.testing.assert_array_equal(n_kw, want_kw, err_msg=f"n_kw after sweep {sweep}")
+        np.testing.assert_array_equal(n_k, want_k, err_msg=f"n_k after sweep {sweep}")
+
+
+def paragraph_corpus(seed: int) -> Corpus:
+    """Sixteen documents over 40 Zipf-weighted terms; every other one is cut
+    into two paragraph groups, so units are paragraphs and documents mixed."""
+    rng = random.Random(seed)
+    terms = [f"t{i:02d}" for i in range(40)]
+    weights = [1.0 / (i + 1) for i in range(40)]
+    docs = []
+    for i in range(16):
+        sentences = [rng.choices(terms, weights, k=rng.randint(3, 9)) for _ in range(4)]
+        paragraphs = [[0, 1], [2, 3]] if i % 2 else None
+        docs.append(Document(id=f"d{i:02d}", sentences=sentences, paragraphs=paragraphs))
+    return Corpus(documents=docs, role="reference")
+
+
+class QuarterUniforms:
+    """A generator whose uniforms are multiples of 1/4.
+
+    When topics tie on weight, u * total then lands exactly on a cumulative
+    boundary, where the draw must go to the upper topic, as
+    ``searchsorted(side="right")`` sends it.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        return np.floor(self._rng.random(size) * 4.0) / 4.0
 
 
 def tiny_corpus() -> Corpus:
@@ -111,6 +210,13 @@ class TestFitProperties:
             sweeps += 1
         assert sweeps == 10
 
+    def test_snapshots_are_not_views_of_sampler_state(self):
+        word_ids, unit_ids, n_vocab = sampler_inputs(two_vocab_corpus(seed=3))
+        rng = np.random.default_rng(42)
+        states = list(_gibbs_states(word_ids, unit_ids, 4, n_vocab, 0.5, 0.01, 3, rng))
+        assert not np.array_equal(states[0][0], states[-1][0])
+        assert all(n_kw.flags.c_contiguous for n_kw, _ in states)
+
     def test_paragraph_groups_change_the_modeling_units(self):
         doc = Document(
             id="d",
@@ -136,6 +242,37 @@ class TestFitProperties:
         assert sides1 != sides2
 
 
+class TestSamplerMatchesNumpyOracle:
+    """The list sampler draws the numpy sampler's chain, sweep for sweep."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [pytest.param(0.5, 0.01, id="a0.5-b0.01"), pytest.param(50.0 / 7, 0.1, id="a50over7-b0.1")],
+    )
+    @pytest.mark.parametrize("n_topics", [1, 2, 7, 8, 9, 23, 64])
+    def test_same_counts_after_every_sweep(self, n_topics, alpha, beta):
+        corpus = paragraph_corpus(seed=n_topics)
+        assert_same_chain(
+            corpus, n_topics, alpha, beta, 6, lambda: np.random.default_rng(1000 + n_topics)
+        )
+
+    @pytest.mark.parametrize("n_topics", [2, 4])
+    def test_ties_go_to_the_upper_topic(self, n_topics):
+        # one term in one unit: word, unit and topic counts coincide, so any
+        # even split of the other tokens gives topics equal weights
+        corpus = Corpus(documents=[Document(id="d", sentences=[["a"] * 7])], role="reference")
+        assert_same_chain(corpus, n_topics, 1.0, 0.5, 20, lambda: QuarterUniforms(4))
+
+    def test_planted_model_bytes_are_pinned(self, planted_reference, tmp_path):
+        """sha256 of the model file written from the numpy sampler's chain."""
+        model = fit_lda(planted_reference, 2, alpha=0.5, beta=0.01, iterations=120, seed=7)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "55c2a69dfdc32fd826fc6af75af678d66ac2bfd40fb83df22208ef74ef7bab2c"
+        )
+
+
 class TestFitValidation:
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -153,6 +290,27 @@ class TestFitValidation:
     def test_bad_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             fit_lda(tiny_corpus(), 1, iterations=0)
+
+    @pytest.mark.parametrize(
+        "prior, value",
+        [
+            ("beta", 0.0),
+            ("beta", -0.01),
+            ("beta", float("nan")),
+            ("beta", float("inf")),
+            ("alpha", 0.0),
+            ("alpha", -1.0),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
+        ],
+    )
+    def test_bad_priors_are_rejected_before_sampling(self, monkeypatch, prior, value):
+        def no_sampling(*args):
+            raise AssertionError("sampled with a bad prior")
+
+        monkeypatch.setattr("dictsieve.topics._gibbs_states", no_sampling)
+        with pytest.raises(ValueError, match=f"{prior} must be finite and > 0"):
+            fit_lda(tiny_corpus(), 2, iterations=1, **{prior: value})
 
     def test_more_topics_than_terms_warns_but_fits(self):
         with pytest.warns(UserWarning, match="exceeds vocabulary size"):
@@ -259,6 +417,11 @@ class TestPersistence:
             pytest.param(1, None, [], 2, "expected the n_topics line", id="header-only"),
             pytest.param(2, 3, [], 3, "expected the n_vocab line", id="no-n_vocab"),
             pytest.param(3, 4, ["alpha\tmany"], 4, "alpha holds a value that is not float", id="alpha-text"),
+            pytest.param(3, 4, ["alpha\tnan"], 4, "alpha must be finite and > 0, got nan", id="alpha-nan"),
+            pytest.param(3, 4, ["alpha\tinf"], 4, "alpha must be finite and > 0, got inf", id="alpha-inf"),
+            pytest.param(4, 5, ["beta\t0.0"], 5, "beta must be finite and > 0, got 0.0", id="beta-zero"),
+            pytest.param(4, 5, ["beta\t-0.01"], 5, "beta must be finite and > 0, got -0.01", id="beta-neg"),
+            pytest.param(5, 6, ["iterations\t0"], 6, "iterations must be >= 1, got 0", id="iterations-0"),
             pytest.param(7, 8, ["excluded\t3"], 8, r"excluded topic ids \[3\] are not all in 1..2", id="excluded-3"),
             pytest.param(7, 8, ["excluded\t0"], 8, r"excluded topic ids \[0\] are not all in 1..2", id="excluded-0"),
             pytest.param(8, 9, ["vocab\tapple\tpear"], 9, "vocab must hold 3 distinct terms", id="vocab-short"),
