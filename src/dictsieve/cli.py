@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .cooc import CoocMatrix, build_cooc, filter_cooc, load_cooc, save_cooc
-from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, term_stats
+from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, open_text, term_stats
 from .dictionary import (
     Dictionary,
     extract_dictionary_tfidf,
@@ -37,12 +37,14 @@ from .evaluation import (
     DEFAULT_TOP_M,
     EvalReport,
     SystemSet,
+    check_fusion_settings,
     evaluate_sweep,
     generate_sweep,
     map_score,
     precision_at_ranges,
     read_judgments,
     read_pseudorels,
+    sweep_configs,
     write_eval_report,
     write_nd_series,
     write_p_at_k,
@@ -51,7 +53,7 @@ from .evaluation import (
 )
 from .retrieval import load_ranked_list, rank_collection, save_ranked_list
 from .scoring import MODES, ScoringConfig
-from .topics import TopicModelResult, exclude_topics, fit_lda, load_model, save_model, top_terms
+from .topics import TopicModelResult, check_fit_settings, exclude_topics, fit_lda, load_model, save_model, top_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,7 +182,7 @@ _DEFAULTS = PipelineConfig()
 def read_config_file(path) -> dict[str, str]:
     """Flat `key=value` lines; # starts a comment, blank lines are skipped."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -280,7 +282,7 @@ def _read_system_index(path) -> list[tuple[str, str, bool]]:
     malformed line is reported as ``path:line``."""
     rows = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         header = stream.readline().rstrip("\n")
         if header != "system_id\tfile\tbiased":
             raise ValueError(f"not a system index: {path}")
@@ -508,6 +510,13 @@ def run_pipeline(config: PipelineConfig) -> Path:
     out_dir = Path(config.out_dir)
     alphas = parse_alphas(config.alphas)
     excluded = parse_topic_ids(config.exclude)
+    # every stage's settings are checked before the first artifact is written
+    with _stage("fit-topics"):
+        check_fit_settings(config.n_topics, config.lda_alpha, config.beta, config.iterations)
+    with _stage("sweep"):
+        sweep_configs(alphas, config.slope)
+    with _stage("fuse"):
+        check_fusion_settings(config.top_m, config.fraction)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with _stage("ingest"):

@@ -12,12 +12,13 @@ subtraction meaningful.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
+from operator import add, mul
 
-import numpy as np
-
-from .corpus import Corpus
+from .corpus import Corpus, open_text
 from .dictionary import Dictionary, read_header
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -30,10 +31,6 @@ def dice(n_a: int, n_b: int, n_ab: int) -> float:
     if n_ab > min(n_a, n_b):
         raise ValueError(f"n_ab={n_ab} exceeds min(n_a={n_a}, n_b={n_b})")
     return 2.0 * n_ab / (n_a + n_b)
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass
@@ -66,7 +63,7 @@ class CoocMatrix:
     def get(self, a: str, b: str) -> float:
         if a == b:
             return 0.0
-        return self.values.get(_pair(a, b), 0.0)
+        return self.values.get((a, b) if a < b else (b, a), 0.0)
 
     @cached_property
     def profiles(self) -> dict[str, dict[str, float]]:
@@ -79,24 +76,12 @@ class CoocMatrix:
 
     @cached_property
     def norms(self) -> dict[str, float]:
-        """term -> Euclidean norm of its profile."""
-        sums = dict.fromkeys(self.terms, 0.0)
-        for (a, b), value in self.values.items():
-            sums[a] += value * value
-            sums[b] += value * value
-        return {t: math.sqrt(total) for t, total in sums.items()}
-
-    def column(self, term: str) -> np.ndarray:
-        """Context profile of ``term``: its row/column in dictionary order."""
-        if term not in self._term_pos:
-            raise ValueError(f"term {term!r} not in matrix")
-        col = np.zeros(len(self.terms))
-        for other, value in self.profiles[term].items():
-            col[self._term_pos[other]] = value
-        return col
-
-    def column_norm(self, term: str) -> float:
-        return self.norms[term]
+        """term -> Euclidean norm of its profile, its squares added left to
+        right (``sum`` compensates float rounding from Python 3.12 on)."""
+        return {
+            t: math.sqrt(reduce(add, map(mul, p.values(), p.values()), 0.0))
+            for t, p in self.profiles.items()
+        }
 
 
 def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
@@ -110,20 +95,15 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     if not corpus.documents:
         raise ValueError("corpus is empty")
     dict_terms = set(dictionary.terms)
-    n_single: dict[str, int] = {}
-    n_joint: dict[tuple[str, str], int] = {}
+    n_single: Counter = Counter()
+    n_joint: Counter = Counter()
     for doc in corpus.documents:
         for sentence in doc.sentences:
+            # sorted, so each pair comes out as (a, b) with a < b
             present = sorted(dict_terms.intersection(sentence))
-            for i, a in enumerate(present):
-                n_single[a] = n_single.get(a, 0) + 1
-                for b in present[i + 1 :]:
-                    key = (a, b)
-                    n_joint[key] = n_joint.get(key, 0) + 1
-    values = {
-        pair: dice(n_single[pair[0]], n_single[pair[1]], n_ab)
-        for pair, n_ab in n_joint.items()
-    }
+            n_single.update(present)
+            n_joint.update(combinations(present, 2))
+    values = {(a, b): dice(n_single[a], n_single[b], n_ab) for (a, b), n_ab in n_joint.items()}
     return CoocMatrix(terms=dictionary.terms, values=values, provenance=corpus.role)
 
 
@@ -160,7 +140,7 @@ def load_cooc(path) -> CoocMatrix:
     name two listed terms in lexicographic order, at most once, with a
     finite value in (0, 1]; a violation is reported as ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         provenance, n = read_header(stream, path, "#dictsieve-cooc", "co-occurrence matrix", "provenance")
         if provenance not in PROVENANCES:
             raise ValueError(f"{path}:1: unknown provenance {provenance!r}")

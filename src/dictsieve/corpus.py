@@ -13,7 +13,9 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 ROLES = ("reference", "generic", "target")
@@ -62,20 +64,20 @@ class Corpus:
 
     documents: list[Document]
     role: str
-    vocabulary: frozenset[str] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"unknown corpus role {self.role!r}, expected one of {ROLES}")
         seen: set[str] = set()
-        vocab: set[str] = set()
         for doc in self.documents:
             if doc.id in seen:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
-            for sentence in doc.sentences:
-                vocab.update(sentence)
-        self.vocabulary = frozenset(vocab)
+
+    @cached_property
+    def vocabulary(self) -> frozenset[str]:
+        """Every distinct token of the corpus, built on first use."""
+        return frozenset().union(*(sentence for doc in self.documents for sentence in doc.sentences))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -128,7 +130,7 @@ def _parse_jsonl_record(line: str, index: int) -> Document:
     # position of each kept sentence among the kept ones, by its index in the record
     kept_at: dict[int, int] = {}
     for position, sentence in enumerate(sentences):
-        if not isinstance(sentence, list) or any(not isinstance(t, str) or not t for t in sentence):
+        if type(sentence) is not list or not {str}.issuperset(map(type, sentence)) or "" in sentence:
             raise ValueError(f"malformed JSONL record {index}: sentences must be lists of non-empty strings")
         if sentence:
             kept_at[position] = len(cleaned)
@@ -166,12 +168,34 @@ def _ingest_jsonl(stream: io.TextIOBase, role: str) -> Corpus:
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     documents = []
     for path in sorted(directory.glob("*.txt")):
-        text = path.read_text(encoding="utf-8")
+        with open_text(path) as stream:
+            text = stream.read()
         sentences = [tokens for raw in split_sentences(text) if (tokens := tokenize(raw))]
         documents.append(Document(id=path.stem, sentences=sentences))
     if not documents:
         raise ValueError(f"zero documents found under {directory}")
     return Corpus(documents=documents, role=role)
+
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` for reading as UTF-8 text.
+
+    A byte sequence that is not UTF-8 is reported as ``path:line: not
+    UTF-8 text`` at the first line that does not decode.  UTF-8 never holds
+    a newline or carriage-return byte inside a multi-byte sequence, so that
+    line is found by decoding the file line by line.
+    """
+    with open(path, "r", encoding="utf-8") as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError:
+            for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+            raise
 
 
 def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus:
@@ -184,7 +208,7 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     if format == "jsonl":
         if hasattr(source, "read"):
             return _ingest_jsonl(source, role)
-        with open(source, "r", encoding="utf-8") as stream:
+        with open_text(source) as stream:
             return _ingest_jsonl(stream, role)
     if format == "plaintext-dir":
         directory = Path(source)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TermStats, term_stats
+from .corpus import Corpus, TermStats, open_text, term_stats
 from .topics import TopicModelResult
 
 METHOD_TOPIC_MODEL = "topic-model"
@@ -119,7 +119,7 @@ def extract_dictionary_tfidf(reference: Corpus, n: int) -> Dictionary:
     n_docs = len(reference.documents)
     weighted = [
         (term, stats.tf[term] * math.log(n_docs / stats.df[term]))
-        for term in reference.vocabulary
+        for term in stats.tf
     ]
     return Dictionary(entries=_build_entries(weighted, n), method=METHOD_TFIDF)
 
@@ -164,7 +164,7 @@ def load_dictionary(path) -> Dictionary:
     distinct, and the header's n counts the entries; a violation is
     reported as ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         method, n = read_header(stream, path, "#dictsieve-dictionary", "dictionary", "method")
         if method not in METHOD_LABELS:
             raise ValueError(f"{path}:1: unknown dictionary method {method!r}")

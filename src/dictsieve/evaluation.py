@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, term_stats
+from .corpus import Corpus, open_text, term_stats
 from .dictionary import Dictionary
 from .retrieval import RankedList, check_matrix, rank_collection
 from .scoring import ScoringConfig, compute_norms, sentence_features
@@ -106,6 +106,16 @@ class EvalReport:
     win_series: list[tuple[str, int]]
 
 
+def sweep_configs(alphas: tuple[float, ...] | list[float], slope: float) -> list[ScoringConfig]:
+    """The scoring settings of a sweep: one context run per alpha, then the
+    context-only run."""
+    if not alphas:
+        raise ValueError("alphas must be non-empty")
+    configs = [ScoringConfig(slope=slope, alpha=float(alpha), mode="context") for alpha in alphas]
+    configs.append(ScoringConfig(slope=slope, mode="context-only"))
+    return configs
+
+
 def generate_sweep(
     target: Corpus,
     dict_tm: Dictionary | None,
@@ -125,8 +135,7 @@ def generate_sweep(
     the sentence features, the only alpha-free part of tfsim, are computed
     once per dictionary and shared by its systems.
     """
-    if not alphas:
-        raise ValueError("alphas must be non-empty")
+    configs = sweep_configs(alphas, slope)
     pairs = [
         (dictionary, cooc)
         for dictionary, cooc in ((dict_tm, cooc_tm), (dict_tfidf, cooc_tfidf))
@@ -134,8 +143,6 @@ def generate_sweep(
     ]
     if not pairs:
         raise ValueError("at least one dictionary is required")
-    configs = [ScoringConfig(slope=slope, alpha=float(alpha), mode="context") for alpha in alphas]
-    configs.append(ScoringConfig(slope=slope, mode="context-only"))
     for dictionary, cooc in pairs:
         check_matrix(dictionary, cooc, "context")
 
@@ -171,10 +178,17 @@ def norm_weights(systems: SystemSet) -> dict[str, float]:
     return weights
 
 
-def select_candidates(systems: SystemSet, top_m: int = DEFAULT_TOP_M) -> set[str]:
-    """Union of each biased system's top_m doc ids (all of them if m_s < top_m)."""
+def check_fusion_settings(top_m: int, fraction: float = DEFAULT_FRACTION) -> None:
+    """Reject a pool depth below 1 or a kept fraction outside (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
     if top_m < 1:
         raise ValueError("top_m must be >= 1")
+
+
+def select_candidates(systems: SystemSet, top_m: int = DEFAULT_TOP_M) -> set[str]:
+    """Union of each biased system's top_m doc ids (all of them if m_s < top_m)."""
+    check_fusion_settings(top_m)
     biased = systems.biased()
     if not biased:
         raise ValueError("biased subset is empty, nothing to pool")
@@ -237,8 +251,7 @@ def select_pseudorels(
     Pool the biased top_m lists, Condorcet-rank the pool, keep the first
     ceil(fraction * pool size) documents.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+    check_fusion_settings(top_m, fraction)
     pool = select_candidates(systems, top_m)
     order = condorcet_rank(pool, systems)
     cutoff = math.ceil(fraction * len(pool))
@@ -335,7 +348,7 @@ def write_pseudorels(rels: PseudorelSet, path) -> None:
 
 
 def read_pseudorels(path) -> frozenset[str]:
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         ids = [
             line.strip()
             for line in stream
@@ -370,7 +383,7 @@ def write_p_at_k(table: dict[tuple[int, int], float], path) -> None:
 def read_judgments(path) -> dict[str, bool]:
     """Parse a `doc_id<TAB>0|1` file into a judgment map."""
     judgments: dict[str, bool] = {}
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, TermStats, term_stats
+from .corpus import Corpus, TermStats, open_text, term_stats
 from .dictionary import Dictionary
 from .scoring import (
     CollectionNorms,
@@ -135,7 +135,7 @@ def load_ranked_list(path) -> RankedList:
     finite and non-increasing, and no doc id repeats; a violation is
     reported as ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         header = stream.readline().rstrip("\n")
         if not header.startswith("# system_id="):
             raise ValueError(f"not a ranked list file: {path}")

@@ -27,7 +27,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, open_text
 
 
 @dataclass
@@ -148,6 +148,21 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
         yield np.array(n_wk, dtype=np.float64).T.copy(), np.array(n_k, dtype=np.float64)
 
 
+def check_fit_settings(n_topics: int, alpha: float | None, beta: float, iterations: int) -> float:
+    """Reject settings ``fit_lda`` cannot sample with; return ``alpha``,
+    which defaults to 50/K."""
+    if n_topics < 1:
+        raise ValueError("n_topics must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if alpha is None:
+        alpha = 50.0 / n_topics
+    for name, prior in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(prior) and prior > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {prior!r}")
+    return alpha
+
+
 def fit_lda(
     corpus: Corpus,
     n_topics: int,
@@ -166,15 +181,7 @@ def fit_lda(
     """
     if not corpus.documents:
         raise ValueError("cannot fit a topic model on an empty corpus")
-    if n_topics < 1:
-        raise ValueError("n_topics must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if alpha is None:
-        alpha = 50.0 / n_topics
-    for name, prior in (("alpha", alpha), ("beta", beta)):
-        if not (math.isfinite(prior) and prior > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {prior!r}")
+    alpha = check_fit_settings(n_topics, alpha, beta, iterations)
 
     vocab = tuple(sorted(corpus.vocabulary))
     vocab_index = {w: i for i, w in enumerate(vocab)}
@@ -253,15 +260,15 @@ def save_model(model: TopicModelResult, path) -> None:
 def load_model(path) -> TopicModelResult:
     """Read a model written by ``save_model``.
 
-    Lines come in the order ``save_model`` writes them.  ``alpha`` and
-    ``beta`` are finite and positive, ``iterations`` is at least 1,
+    Lines come in the order ``save_model`` writes them.  ``n_topics`` and
+    ``iterations`` are at least 1, ``alpha`` and ``beta`` finite and positive,
     ``vocab`` holds n_vocab distinct terms, ``topic_weight`` n_topics finite
     values and ``excluded`` ids in 1..n_topics; then comes exactly one
     ``phi`` row per topic 1..n_topics, in order, each with n_vocab finite,
     non-negative values summing to 1 within 1e-9.  A violation is reported
     as ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_text(path) as stream:
         if not stream.readline().startswith("#dictsieve-topic-model"):
             raise ValueError(f"not a topic model file: {path}")
         lineno = 1
@@ -288,6 +295,8 @@ def load_model(path) -> TopicModelResult:
                 fail(f"{name} holds a value that is not {convert.__name__}")
 
         n_topics, = read("n_topics", convert=int, count=1)
+        if n_topics < 1:
+            fail(f"n_topics must be >= 1, got {n_topics}")
         n_vocab, = read("n_vocab", convert=int, count=1)
         alpha, = read("alpha", convert=float, count=1)
         if not (math.isfinite(alpha) and alpha > 0):

@@ -5,13 +5,22 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import planted
-from dictsieve import cli, export_corpus
+from dictsieve import (
+    cli,
+    export_corpus,
+    ingest_corpus,
+    load_cooc,
+    load_dictionary,
+    load_model,
+    load_ranked_list,
+)
 from dictsieve.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -27,6 +36,7 @@ from dictsieve.cli import (
     read_config_file,
     system_filename,
 )
+from dictsieve.evaluation import read_judgments, read_pseudorels
 
 
 def subparser(command: str) -> argparse.ArgumentParser:
@@ -190,6 +200,36 @@ class TestExitCodes:
         assert main(run + [run_flag, value]) == EXIT_DATA
         assert f"[fit-topics] {prior} must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-topics", "0", "[fit-topics] n_topics must be >= 1"),
+            ("--iterations", "0", "[fit-topics] iterations must be >= 1"),
+            ("--lda-alpha", "0", "[fit-topics] alpha must be finite and > 0, got 0.0"),
+            ("--beta", "0", "[fit-topics] beta must be finite and > 0, got 0.0"),
+            ("--slope", "2", "[sweep] slope must be in [0, 1], got 2.0"),
+            ("--alphas", "1,nan", "[sweep] alpha must be >= 0 and finite, got nan"),
+            ("--top-m", "0", "[fuse] top_m must be >= 1"),
+            ("--fraction", "0", "[fuse] fraction must be in (0, 1]"),
+        ],
+    )
+    def test_run_checks_every_stage_setting_before_writing_anything(
+        self, corpora_dir, tmp_path, capsys, flag, value, message
+    ):
+        options = {
+            "--reference": str(corpora_dir / "reference.jsonl"),
+            "--generic": str(corpora_dir / "generic.jsonl"),
+            "--target": str(corpora_dir / "target.jsonl"),
+            "--out-dir": str(tmp_path / "out"),
+            "--n-topics": "2",
+            flag: value,
+        }
+        assert main(["run", *(item for option in options.items() for item in option)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err
+        assert "[ingest]" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSubcommands:
@@ -413,6 +453,22 @@ class TestSubcommands:
         assert f"{model}:11: phi row 1 sums to" in capsys.readouterr().err
         assert not (tmp_path / "d.tsv").exists()
 
+    def test_a_model_without_topics_is_rejected_with_its_location(
+        self, pipeline_dir, corpora_dir, tmp_path, capsys
+    ):
+        lines = (pipeline_dir / "model.tsv").read_text().splitlines()
+        lines[1] = "n_topics\t0"
+        model = tmp_path / "model.tsv"
+        model.write_text("\n".join(lines) + "\n")
+        assert main(["inspect-topics", "--model", str(model)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"[inspect-topics] {model}:2: n_topics must be >= 1, got 0" in captured.err
+        assert captured.out == ""
+        args = ["extract-dict", "--method", "tm", "--corpus", str(corpora_dir / "reference.jsonl")]
+        assert main(args + ["--model", str(model), "--out", str(tmp_path / "d.tsv")]) == EXIT_DATA
+        assert f"[extract-dict] {model}:2: n_topics must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "d.tsv").exists()
+
     @pytest.mark.parametrize(
         "rows, lineno, message",
         [
@@ -427,6 +483,52 @@ class TestSubcommands:
         code = main(["fuse", "--systems-dir", str(tmp_path)])
         assert code == EXIT_DATA
         assert f"{index}:{lineno}: {message}" in capsys.readouterr().err
+
+
+# every reader of a file the tool takes as input, called on ``path``
+TEXT_READERS = {
+    "jsonl": ingest_corpus,
+    "plaintext-dir": lambda path: ingest_corpus(path.parent, format="plaintext-dir"),
+    "dictionary": load_dictionary,
+    "matrix": load_cooc,
+    "ranked-list": load_ranked_list,
+    "model": load_model,
+    "systems.tsv": cli._read_system_index,
+    "pseudorels": read_pseudorels,
+    "judgments": read_judgments,
+    "config": read_config_file,
+}
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("lineno", [1, 3])
+    @pytest.mark.parametrize("reader", list(TEXT_READERS))
+    def test_each_reader_names_the_line(self, tmp_path, reader, lineno):
+        path = tmp_path / "input" / "doc.txt"
+        path.parent.mkdir()
+        lines = [b"ok"] * 4
+        lines[lineno - 1] = b"caf\xe9 \xff"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: not UTF-8 text$"):
+            TEXT_READERS[reader](path)
+
+    def test_a_bad_byte_past_the_first_read_buffer(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        record = json.dumps({"id": "d", "sentences": [["word"] * 40]}).encode()
+        records = [record.replace(b'"d"', f'"d{i}"'.encode()) for i in range(2000)]
+        records[1499] = records[1499].replace(b"word", b"w\xffrd", 1)
+        path.write_bytes(b"\n".join(records) + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1500: not UTF-8 text$"):
+            ingest_corpus(path)
+
+    def test_ingest_of_latin_1_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        source = tmp_path / "latin1.jsonl"
+        lines = [{"id": "a", "sentences": [["tea"]]}, {"id": "b", "sentences": [["café"]]}]
+        source.write_bytes("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in lines).encode("latin-1"))
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--input", str(source), "--out", str(out)]) == EXIT_DATA
+        assert f"[ingest] {source}:2: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineArtifacts:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -128,6 +129,99 @@ class TestBuildCooc:
                     assert matrix.get(a, b) == 0.0
 
 
+def oracle_cooc_values(corpus: Corpus, dictionary: Dictionary) -> dict[tuple[str, str], float]:
+    """The nested counting loop ``build_cooc`` used before it counted with
+    ``Counter``, verbatim: the stored pairs, in insertion order."""
+    dict_terms = set(dictionary.terms)
+    n_single: dict[str, int] = {}
+    n_joint: dict[tuple[str, str], int] = {}
+    for doc in corpus.documents:
+        for sentence in doc.sentences:
+            present = sorted(dict_terms.intersection(sentence))
+            for i, a in enumerate(present):
+                n_single[a] = n_single.get(a, 0) + 1
+                for b in present[i + 1 :]:
+                    key = (a, b)
+                    n_joint[key] = n_joint.get(key, 0) + 1
+    values = {
+        pair: dice(n_single[pair[0]], n_single[pair[1]], n_ab)
+        for pair, n_ab in n_joint.items()
+    }
+    return values
+
+
+def oracle_norms(matrix: CoocMatrix) -> dict[str, float]:
+    """The second pass over ``values`` that ``CoocMatrix.norms`` made before
+    it read the profiles, verbatim."""
+    sums = dict.fromkeys(matrix.terms, 0.0)
+    for (a, b), value in matrix.values.items():
+        sums[a] += value * value
+        sums[b] += value * value
+    return {t: math.sqrt(total) for t, total in sums.items()}
+
+
+# dictionary terms, two of which ("q", "r") never occur, and noise words
+ORACLE_TERMS = ("k", "c", "x", "a", "m", "e", "t", "b", "q", "r")
+ORACLE_NOISE = ("noise", "zz", "aa")
+
+
+def random_corpus(rng: random.Random, role: str, n_docs: int) -> Corpus:
+    """Documents whose sentences hold 0, 1 or many dictionary terms, often
+    repeated, among noise words; some documents have no sentences."""
+    words = ORACLE_TERMS[:-2] + ORACLE_NOISE
+    documents = []
+    for i in range(n_docs):
+        sentences = []
+        for _ in range(rng.randint(0, 6)):
+            shape = rng.random()
+            if shape < 0.15:
+                sentence = [rng.choice(ORACLE_NOISE) for _ in range(rng.randint(1, 3))]
+            elif shape < 0.3:
+                sentence = [rng.choice(ORACLE_TERMS[:-2])] * rng.randint(1, 3) + ["noise"]
+            else:
+                sentence = [rng.choice(words) for _ in range(rng.randint(2, 14))]
+            sentences.append(sentence)
+        documents.append(Document(id=f"{role}{i}", sentences=sentences))
+    return Corpus(documents=documents, role=role)
+
+
+def assert_matches_oracles(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
+    matrix = build_cooc(corpus, dictionary)
+    assert list(matrix.values.items()) == list(oracle_cooc_values(corpus, dictionary).items())
+    assert list(matrix.norms.items()) == list(oracle_norms(matrix).items())
+    return matrix
+
+
+class TestFrozenOracles:
+    """``build_cooc`` stores the pairs, counts and insertion order of the
+    nested loop, and ``norms`` has its bits; equality is exact."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_corpora(self, seed):
+        rng = random.Random(seed)
+        dictionary = make_dictionary(*ORACLE_TERMS)
+        reference = assert_matches_oracles(random_corpus(rng, "reference", 40), dictionary)
+        generic = assert_matches_oracles(random_corpus(rng, "generic", 40), dictionary)
+        filtered = filter_cooc(reference, generic)
+        assert filtered.norms == oracle_norms(filtered)
+
+    def test_sentences_with_zero_one_and_many_terms(self):
+        corpus = one_doc_corpus([["noise"], ["a", "a"], ["t", "m", "a", "a", "e", "k", "x", "t"], ["b"]])
+        matrix = assert_matches_oracles(corpus, make_dictionary(*ORACLE_TERMS))
+        assert matrix.norms["q"] == matrix.norms["r"] == 0.0
+        assert matrix.profiles["b"] == {}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(ORACLE_TERMS[:-2] + ORACLE_NOISE), max_size=12), min_size=1, max_size=30
+        ),
+        n_terms=st.integers(min_value=1, max_value=len(ORACLE_TERMS)),
+    )
+    def test_property(self, sentences, n_terms):
+        assert_matches_oracles(one_doc_corpus(sentences), make_dictionary(*ORACLE_TERMS[:n_terms]))
+
+
 class TestMatrixAccess:
     def test_symmetric_lookup_and_zero_diagonal(self):
         matrix = build_cooc(one_doc_corpus([["a", "b"], ["b"]]), make_dictionary("a", "b"))
@@ -135,25 +229,17 @@ class TestMatrixAccess:
         assert matrix.get("a", "a") == 0.0
         assert matrix.get("b", "b") == 0.0
 
-    def test_column_is_ordered_by_term_list(self):
-        corpus = one_doc_corpus([["a", "b"], ["b", "c"], ["a", "c"]])
-        matrix = build_cooc(corpus, make_dictionary("a", "b", "c"))
-        col = matrix.column("b")
-        expected = np.array([matrix.get("b", "a"), 0.0, matrix.get("b", "c")])
-        np.testing.assert_array_equal(col, expected)
-
-    def test_column_norm_matches_numpy(self):
+    def test_norm_matches_numpy(self):
         corpus = one_doc_corpus([["a", "b"], ["b", "c"], ["a", "c"], ["a"]])
         matrix = build_cooc(corpus, make_dictionary("a", "b", "c"))
         for term in matrix.terms:
-            assert matrix.column_norm(term) == pytest.approx(
-                float(np.linalg.norm(matrix.column(term))), rel=1e-12
-            )
+            profile = np.array(list(matrix.profiles[term].values()))
+            assert matrix.norms[term] == pytest.approx(float(np.linalg.norm(profile)), rel=1e-12)
 
-    def test_unknown_term_rejected(self):
+    def test_unknown_term_is_not_in_the_matrix(self):
         matrix = build_cooc(one_doc_corpus([["a", "b"]]), make_dictionary("a", "b"))
-        with pytest.raises(ValueError, match="not in matrix"):
-            matrix.column("zzz")
+        assert "zzz" not in matrix
+        assert "a" in matrix
 
     def test_profiles_skip_zero_partners(self):
         corpus = one_doc_corpus([["a", "b"], ["c"]])

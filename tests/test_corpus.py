@@ -187,6 +187,39 @@ class TestIngest:
             ingest_corpus(tmp_path, format="xml")
 
 
+def per_token_sentence_check(sentence) -> bool:
+    """The check ``_parse_jsonl_record`` ran on each sentence before it
+    checked types per sentence, verbatim: True means malformed."""
+    return not isinstance(sentence, list) or any(not isinstance(t, str) or not t for t in sentence)
+
+
+@pytest.mark.parametrize(
+    "sentence, malformed",
+    [
+        pytest.param(["a", "b"], False, id="tokens"),
+        pytest.param([], False, id="empty-sentence"),
+        pytest.param(["a", ["b"]], True, id="nested-list"),
+        pytest.param(["a", 1], True, id="int"),
+        pytest.param([1.5], True, id="float"),
+        pytest.param([None], True, id="null"),
+        pytest.param([True], True, id="true"),
+        pytest.param(["a", ""], True, id="empty-string"),
+        pytest.param([{"t": "a"}], True, id="object"),
+        pytest.param("ab", True, id="string-sentence"),
+        pytest.param(None, True, id="null-sentence"),
+    ],
+)
+def test_sentence_check_accepts_what_the_per_token_check_accepts(sentence, malformed):
+    assert per_token_sentence_check(sentence) is malformed
+    record = io.StringIO(json.dumps({"id": "d1", "sentences": [["x"], sentence]}))
+    if malformed:
+        with pytest.raises(ValueError, match="record 0: sentences must be lists of non-empty strings"):
+            ingest_corpus(record)
+    else:
+        expected = [["x"], sentence] if sentence else [["x"]]  # an empty sentence is dropped
+        assert ingest_corpus(record).documents[0].sentences == expected
+
+
 class TestExport:
     def test_round_trip_is_lossless(self, tmp_path):
         original = Corpus(

@@ -1,0 +1,33 @@
+"""numpy stays the only runtime dependency: in the package metadata and in
+every import of the package's modules."""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_numpy_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    # a requirement is its distribution name, then any version specifier
+    assert [re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]] == ["numpy"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "dictsieve").glob("*.py")))
+def test_modules_import_only_the_standard_library_and_numpy(module):
+    tree = ast.parse((ROOT / "src" / "dictsieve" / module).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert outside == []

@@ -415,6 +415,7 @@ class TestPersistence:
         "start, stop, replacement, lineno, message",
         [
             pytest.param(1, None, [], 2, "expected the n_topics line", id="header-only"),
+            pytest.param(1, 2, ["n_topics\t0"], 2, "n_topics must be >= 1, got 0", id="n_topics-0"),
             pytest.param(2, 3, [], 3, "expected the n_vocab line", id="no-n_vocab"),
             pytest.param(3, 4, ["alpha\tmany"], 4, "alpha holds a value that is not float", id="alpha-text"),
             pytest.param(3, 4, ["alpha\tnan"], 4, "alpha must be finite and > 0, got nan", id="alpha-nan"),
