@@ -53,7 +53,16 @@ from .evaluation import (
 )
 from .retrieval import load_ranked_list, rank_collection, save_ranked_list
 from .scoring import MODES, ScoringConfig
-from .topics import TopicModelResult, check_fit_settings, exclude_topics, fit_lda, load_model, save_model, top_terms
+from .topics import (
+    TopicModelResult,
+    check_fit_settings,
+    check_topic_ids,
+    exclude_topics,
+    fit_lda,
+    load_model,
+    save_model,
+    top_terms,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -513,6 +522,11 @@ def run_pipeline(config: PipelineConfig) -> Path:
     # every stage's settings are checked before the first artifact is written
     with _stage("fit-topics"):
         check_fit_settings(config.n_topics, config.lda_alpha, config.beta, config.iterations)
+    with _stage("extract-dict"):
+        check_topic_ids(config.n_topics, excluded)
+    with _stage("build-cooc"):
+        if not config.generic:
+            raise ValueError("generic corpus required to filter co-occurrence data")
     with _stage("sweep"):
         sweep_configs(alphas, config.slope)
     with _stage("fuse"):
@@ -545,8 +559,6 @@ def run_pipeline(config: PipelineConfig) -> Path:
         print(f"[extract-dict] {len(dicts['tm'])} tm terms, {len(dicts['tfidf'])} tfidf terms")
 
     with _stage("build-cooc"):
-        if generic is None:
-            raise ValueError("generic corpus required to filter co-occurrence data")
         raw = {
             method: [
                 build_cooc_stage(corpus, dictionary, out_dir / f"cooc_{corpus.role}_{method}.tsv")

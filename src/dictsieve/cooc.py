@@ -12,11 +12,12 @@ subtraction meaningful.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, count, repeat
 from operator import add, mul
+
+import numpy as np
 
 from .corpus import Corpus, open_text
 from .dictionary import Dictionary, read_header
@@ -88,22 +89,67 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     """Count sentence co-occurrences of dictionary terms and apply Dice.
 
     n_x counts sentences containing x at least once; pairs never seen in a
-    common sentence are omitted from sparse storage.
+    common sentence are omitted from sparse storage.  ``values`` holds the
+    pairs in the order they first co-occur: by sentence, and within a
+    sentence in ``combinations`` order of its sorted terms.
     """
-    if len(dictionary) == 0:
+    n = len(dictionary)
+    if n == 0:
         raise ValueError("dictionary is empty")
     if not corpus.documents:
         raise ValueError("corpus is empty")
-    dict_terms = set(dictionary.terms)
-    n_single: Counter = Counter()
-    n_joint: Counter = Counter()
-    for doc in corpus.documents:
-        for sentence in doc.sentences:
-            # sorted, so each pair comes out as (a, b) with a < b
-            present = sorted(dict_terms.intersection(sentence))
-            n_single.update(present)
-            n_joint.update(combinations(present, 2))
-    values = {(a, b): dice(n_single[a], n_single[b], n_ab) for (a, b), n_ab in n_joint.items()}
+    sentences = [sentence for doc in corpus.documents for sentence in doc.sentences]
+    n_sentences = len(sentences)
+    if n * n * n_sentences >= 2**63:
+        raise ValueError(f"{n} terms over {n_sentences} sentences overflow the int64 pair keys")
+    # terms coded by lexicographic rank: a sentence's codes in ascending
+    # order are its terms sorted, and every pair (a, b) has a < b
+    lexicon = sorted(dictionary.terms)
+    code = {term: i for i, term in enumerate(lexicon)}
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n_sentences)
+    codes = np.fromiter(
+        map(code.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.int32, count=int(lengths.sum())
+    )
+    sentence_dtype = np.int32 if n_sentences < 2**31 else np.int64
+    sentence_ids = np.repeat(np.arange(n_sentences, dtype=sentence_dtype), lengths)
+    present = codes >= 0
+    # (sentence, term) keys sorted and deduplicated: each sentence's distinct
+    # terms, ascending, sentence after sentence
+    keys = sentence_ids[present].astype(np.int64) * n + codes[present]
+    del codes, sentence_ids, present, lengths
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    sentence = (keys // n).astype(sentence_dtype)
+    term = (keys % n).astype(np.int32)
+    del keys
+    n_single = np.bincount(term, minlength=n)
+
+    # one key per pair occurrence, (a*n + b) * n_sentences + sentence: the
+    # pairs are the entries d apart inside one sentence, for d = 1, 2, ...
+    occurrences = [np.empty(0, dtype=np.int64)]
+    first = np.arange(len(term))
+    for d in count(1):
+        first = first[: np.searchsorted(first, len(term) - d)]
+        first = first[sentence[first + d] == sentence[first]]
+        if not first.size:
+            break
+        occurrences.append(
+            (term[first].astype(np.int64) * n + term[first + d]) * n_sentences + sentence[first]
+        )
+    occurrence = np.sort(np.concatenate(occurrences))
+    # a pair occurs at most once per sentence, so its group's length is its
+    # count and the group's head holds the first sentence it occurs in
+    pair = occurrence // n_sentences
+    head = np.flatnonzero(np.diff(pair, prepend=-1))
+    n_ab = np.diff(head, append=len(pair))
+    # stable, so pairs first seen in one sentence keep their (a, b) order
+    order = np.argsort(occurrence[head] % n_sentences, kind="stable")
+    pair, n_ab = pair[head][order], n_ab[order]
+    a, b = pair // n, pair % n
+    # the operations of ``dice`` on exact integer counts, so the same bits
+    dice_values = 2.0 * n_ab / (n_single[a] + n_single[b])
+    keys_ab = zip(map(lexicon.__getitem__, a.tolist()), map(lexicon.__getitem__, b.tolist()))
+    values = dict(zip(keys_ab, dice_values.tolist()))
     return CoocMatrix(terms=dictionary.terms, values=values, provenance=corpus.role)
 
 

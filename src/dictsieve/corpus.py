@@ -115,7 +115,7 @@ def term_stats(corpus: Corpus) -> TermStats:
     return TermStats(tf, df, tf_doc)
 
 
-def _parse_jsonl_record(line: str, index: int) -> Document:
+def _parse_jsonl_record(line: str, index: int, memo: dict[str, str]) -> Document:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -134,7 +134,7 @@ def _parse_jsonl_record(line: str, index: int) -> Document:
             raise ValueError(f"malformed JSONL record {index}: sentences must be lists of non-empty strings")
         if sentence:
             kept_at[position] = len(cleaned)
-            cleaned.append(list(sentence))
+            cleaned.append(list(map(memo.setdefault, sentence, sentence)))
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
         if not isinstance(paragraphs, list) or any(
@@ -156,10 +156,11 @@ def _parse_jsonl_record(line: str, index: int) -> Document:
 
 def _ingest_jsonl(stream: io.TextIOBase, role: str) -> Corpus:
     documents = []
+    memo: dict[str, str] = {}
     for index, line in enumerate(stream):
         if not line.strip():
             continue
-        documents.append(_parse_jsonl_record(line, index))
+        documents.append(_parse_jsonl_record(line, index, memo))
     if not documents:
         raise ValueError("zero documents after parsing")
     return Corpus(documents=documents, role=role)
@@ -167,10 +168,13 @@ def _ingest_jsonl(stream: io.TextIOBase, role: str) -> Corpus:
 
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     documents = []
+    memo: dict[str, str] = {}
     for path in sorted(directory.glob("*.txt")):
         with open_text(path) as stream:
             text = stream.read()
-        sentences = [tokens for raw in split_sentences(text) if (tokens := tokenize(raw))]
+        sentences = [
+            list(map(memo.setdefault, tokens, tokens)) for raw in split_sentences(text) if (tokens := tokenize(raw))
+        ]
         documents.append(Document(id=path.stem, sentences=sentences))
     if not documents:
         raise ValueError(f"zero documents found under {directory}")
@@ -203,7 +207,9 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
 
     ``source`` is a file path (either format) or an open text stream (JSONL
     only).  ``format`` is ``jsonl`` or ``plaintext-dir``.  Empty sentences are
-    dropped; a corpus with zero documents is an error.
+    dropped; a corpus with zero documents is an error.  Equal tokens share
+    one ``str`` object across the corpus, so memory grows with the
+    vocabulary rather than with each token's own copy.
     """
     if format == "jsonl":
         if hasattr(source, "read"):

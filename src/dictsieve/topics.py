@@ -224,11 +224,19 @@ def exclude_topics(model: TopicModelResult, ids) -> TopicModelResult:
     Distributions are left untouched; exclusion takes effect at dictionary
     extraction time.
     """
+    return dataclasses.replace(model, excluded=model.excluded | check_topic_ids(model.n_topics, ids))
+
+
+def check_topic_ids(n_topics: int, ids) -> frozenset[int]:
+    """Reject topic ids outside 1..n_topics, and a set of ids that excludes
+    every topic; return the ids as a frozenset."""
     ids = frozenset(ids)
-    out_of_range = sorted(k for k in ids if k < 1 or k > model.n_topics)
+    out_of_range = sorted(k for k in ids if k < 1 or k > n_topics)
     if out_of_range:
-        raise ValueError(f"topic ids out of range 1..{model.n_topics}: {out_of_range}")
-    return dataclasses.replace(model, excluded=model.excluded | ids)
+        raise ValueError(f"topic ids out of range 1..{n_topics}: {out_of_range}")
+    if len(ids) == n_topics:
+        raise ValueError("all topics excluded")
+    return ids
 
 
 def top_terms(model: TopicModelResult, topic_id: int, n: int) -> list[tuple[str, float]]:

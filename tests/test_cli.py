@@ -231,6 +231,33 @@ class TestExitCodes:
         assert "[ingest]" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "drop, extra, message",
+        [
+            (None, ["--exclude", "5"], "[extract-dict] topic ids out of range 1..2: [5]"),
+            (None, ["--exclude", "1,2"], "[extract-dict] all topics excluded"),
+            ("--generic", [], "[build-cooc] generic corpus required to filter co-occurrence data"),
+        ],
+        ids=["exclude-out-of-range", "exclude-all", "no-generic"],
+    )
+    def test_run_checks_exclusions_and_the_generic_corpus_before_writing_anything(
+        self, corpora_dir, tmp_path, capsys, drop, extra, message
+    ):
+        options = {
+            "--reference": str(corpora_dir / "reference.jsonl"),
+            "--generic": str(corpora_dir / "generic.jsonl"),
+            "--target": str(corpora_dir / "target.jsonl"),
+            "--out-dir": str(tmp_path / "out"),
+            "--n-topics": "2",
+        }
+        options.pop(drop, None)
+        argv = ["run", *(item for option in options.items() for item in option), *extra]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err
+        assert "[ingest]" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSubcommands:
     def test_ingest_writes_canonical_jsonl(self, corpora_dir, tmp_path, capsys):

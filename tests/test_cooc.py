@@ -221,6 +221,68 @@ class TestFrozenOracles:
     def test_property(self, sentences, n_terms):
         assert_matches_oracles(one_doc_corpus(sentences), make_dictionary(*ORACLE_TERMS[:n_terms]))
 
+    def test_rank_order_differs_from_code_point_order(self):
+        rng = random.Random(3)
+        alphabet = "abcXYZéßøΩж日本"
+        terms = sorted({"".join(rng.choices(alphabet, k=rng.randint(1, 4))) for _ in range(500)})[:300]
+        rng.shuffle(terms)
+        assert len(terms) == 300
+        assert terms != sorted(terms)
+        documents = [
+            Document(
+                id=f"d{i}",
+                sentences=[rng.sample(terms + ["noise"] * 20, rng.randint(1, 9)) for _ in range(rng.randint(1, 5))],
+            )
+            for i in range(120)
+        ]
+        matrix = assert_matches_oracles(Corpus(documents=documents, role="reference"), make_dictionary(*terms))
+        assert len(matrix.values) > 1000
+
+    def test_pairs_first_seen_in_one_sentence_keep_combinations_order(self):
+        """The first sentence's 300 pairs tie on their first sentence; only
+        their (a, b) order tells them apart from each other, and later
+        sentences bring pairs of the other terms."""
+        rng = random.Random(8)
+        terms = [f"t{i:02d}" for i in range(60)]
+        first = rng.sample(terms, 25) + ["noise"]
+        later = [rng.sample(terms, rng.randint(2, 6)) for _ in range(200)]
+        assert_matches_oracles(one_doc_corpus([first, *later]), make_dictionary(*reversed(terms)))
+
+    def test_no_dictionary_term_in_the_corpus(self):
+        matrix = assert_matches_oracles(
+            one_doc_corpus([["noise", "zz"], [], ["aa"]]), make_dictionary(*ORACLE_TERMS)
+        )
+        assert matrix.values == {}
+        assert set(matrix.norms.values()) == {0.0}
+
+    def test_one_term_per_sentence(self):
+        sentences = [[term, "noise", term] for term in ORACLE_TERMS[:8] * 3]
+        matrix = assert_matches_oracles(one_doc_corpus(sentences), make_dictionary(*ORACLE_TERMS))
+        assert matrix.values == {}
+        assert set(matrix.norms.values()) == {0.0}
+
+    def test_large_dictionary_over_a_small_corpus(self):
+        """Any array of n² entries would need ~20 GB for 50,000 terms."""
+        rng = random.Random(4)
+        terms = [f"w{i}" for i in range(50_000)]
+        documents = [
+            Document(id=f"d{i}", sentences=[rng.sample(terms, 30) for _ in range(4)]) for i in range(20)
+        ]
+        matrix = assert_matches_oracles(Corpus(documents=documents, role="generic"), make_dictionary(*terms))
+        assert len(matrix.values) > 30_000
+
+    def test_keys_that_could_overflow_int64_are_rejected(self):
+        """n² pair keys times the sentence count must stay below 2**63; a
+        stand-in reports 2**32 terms, since a real dictionary that size
+        would not fit in memory."""
+
+        class HugeDictionary:
+            def __len__(self):
+                return 1 << 32
+
+        with pytest.raises(ValueError, match="4294967296 terms over 1 sentences overflow the int64 pair keys"):
+            build_cooc(one_doc_corpus([["a", "b"]]), HugeDictionary())
+
 
 class TestMatrixAccess:
     def test_symmetric_lookup_and_zero_diagonal(self):

@@ -178,6 +178,33 @@ class TestIngest:
             ["and", "another", "one"],
         ]
 
+    @pytest.mark.parametrize("format", ["jsonl", "plaintext-dir"])
+    def test_equal_tokens_share_one_object(self, tmp_path, format):
+        texts = {"d1": "Alpha beta alpha. Gamma alpha!", "d2": "Beta gamma. Alpha."}
+        if format == "jsonl":
+            source = tmp_path / "corpus.jsonl"
+            source.write_text(
+                "".join(
+                    json.dumps({"id": i, "sentences": [tokenize(s) for s in split_sentences(t)]}) + "\n"
+                    for i, t in texts.items()
+                )
+            )
+        else:
+            source = tmp_path / "docs"
+            source.mkdir()
+            for i, t in texts.items():
+                (source / f"{i}.txt").write_text(t)
+        corpus = ingest_corpus(source, format=format)
+        assert [doc.sentences for doc in corpus] == [
+            [["alpha", "beta", "alpha"], ["gamma", "alpha"]],
+            [["beta", "gamma"], ["alpha"]],
+        ]
+        shared: dict[str, str] = {}
+        for doc in corpus:
+            for sentence in doc.sentences:
+                for token in sentence:
+                    assert shared.setdefault(token, token) is token
+
     def test_plaintext_requires_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not a directory"):
             ingest_corpus(tmp_path / "missing", format="plaintext-dir")
@@ -233,6 +260,16 @@ class TestExport:
         export_corpus(original, path)
         loaded = ingest_corpus(path, role="reference")
         assert loaded.documents == original.documents
+
+    def test_export_of_an_ingested_corpus_is_byte_identical(self, tmp_path):
+        lines = [
+            {"id": "d1", "sentences": [["über", "b"], ["b", "über", "c"]], "paragraphs": [[0, 1]]},
+            {"id": "d2", "sentences": [["c", "b"], ["日本", "b"]]},
+        ]
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        export_corpus(Corpus(documents=[Document(**line) for line in lines], role="target"), first)
+        export_corpus(ingest_corpus(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_round_trip_randomized(self, tmp_path):
         rng = random.Random(42)
