@@ -41,7 +41,8 @@ class CoocMatrix:
     ``values`` is the stored form: keys are term pairs ordered
     lexicographically; the diagonal is defined as 0 and never stored, so a
     term's context profile excludes itself.  Per-term profiles and their
-    norms are derived from it on first use.
+    norms are derived from it on first use, walking the pairs in sorted
+    order, so ``values``' own order carries no meaning.
     """
 
     terms: tuple[str, ...]
@@ -68,11 +69,14 @@ class CoocMatrix:
 
     @cached_property
     def profiles(self) -> dict[str, dict[str, float]]:
-        """term -> {partner: Dice} for every term, nonzero partners only."""
+        """term -> {partner: Dice} for every term, nonzero partners only,
+        each profile in lexicographic partner order."""
         profiles: dict[str, dict[str, float]] = {t: {} for t in self.terms}
-        for (a, b), value in self.values.items():
-            profiles[a][b] = value
-            profiles[b][a] = value
+        values = self.values
+        # the keys are sorted, not the items, so no tuple is built per pair
+        for pair in sorted(values):
+            a, b = pair
+            profiles[a][b] = profiles[b][a] = values[pair]
         return profiles
 
     @cached_property
@@ -90,8 +94,8 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
 
     n_x counts sentences containing x at least once; pairs never seen in a
     common sentence are omitted from sparse storage.  ``values`` holds the
-    pairs in the order they first co-occur: by sentence, and within a
-    sentence in ``combinations`` order of its sorted terms.
+    pairs in lexicographic order, as ``save_cooc`` writes them; that order
+    carries no meaning.
     """
     n = len(dictionary)
     if n == 0:
@@ -100,7 +104,7 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
         raise ValueError("corpus is empty")
     sentences = [sentence for doc in corpus.documents for sentence in doc.sentences]
     n_sentences = len(sentences)
-    if n * n * n_sentences >= 2**63:
+    if n * max(n, n_sentences) >= 2**63:
         raise ValueError(f"{n} terms over {n_sentences} sentences overflow the int64 pair keys")
     # terms coded by lexicographic rank: a sentence's codes in ascending
     # order are its terms sorted, and every pair (a, b) has a < b
@@ -124,8 +128,8 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     del keys
     n_single = np.bincount(term, minlength=n)
 
-    # one key per pair occurrence, (a*n + b) * n_sentences + sentence: the
-    # pairs are the entries d apart inside one sentence, for d = 1, 2, ...
+    # one key a*n + b per pair occurrence: the pairs are the entries d apart
+    # inside one sentence, for d = 1, 2, ...
     occurrences = [np.empty(0, dtype=np.int64)]
     first = np.arange(len(term))
     for d in count(1):
@@ -133,19 +137,12 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
         first = first[sentence[first + d] == sentence[first]]
         if not first.size:
             break
-        occurrences.append(
-            (term[first].astype(np.int64) * n + term[first + d]) * n_sentences + sentence[first]
-        )
-    occurrence = np.sort(np.concatenate(occurrences))
-    # a pair occurs at most once per sentence, so its group's length is its
-    # count and the group's head holds the first sentence it occurs in
-    pair = occurrence // n_sentences
+        occurrences.append(term[first].astype(np.int64) * n + term[first + d])
+    pair = np.sort(np.concatenate(occurrences))
+    # a pair occurs at most once per sentence, so its group's length is its count
     head = np.flatnonzero(np.diff(pair, prepend=-1))
     n_ab = np.diff(head, append=len(pair))
-    # stable, so pairs first seen in one sentence keep their (a, b) order
-    order = np.argsort(occurrence[head] % n_sentences, kind="stable")
-    pair, n_ab = pair[head][order], n_ab[order]
-    a, b = pair // n, pair % n
+    a, b = np.divmod(pair[head], n)
     # the operations of ``dice`` on exact integer counts, so the same bits
     dice_values = 2.0 * n_ab / (n_single[a] + n_single[b])
     keys_ab = zip(map(lexicon.__getitem__, a.tolist()), map(lexicon.__getitem__, b.tolist()))

@@ -27,6 +27,10 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Sentence ends at . ! ? followed by whitespace or end of text.
 _SENTENCE_RE = re.compile(r"[.!?](?:\s+|$)")
 
+# Doc ids and tokens are fields of the line-based artifacts, where a tab,
+# CR or LF would split the field or the line.
+_FIELD_BREAK_RE = re.compile(r"[\t\r\n]")
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace/punctuation, keeping digits."""
@@ -115,7 +119,29 @@ def term_stats(corpus: Corpus) -> TermStats:
     return TermStats(tf, df, tf_doc)
 
 
-def _parse_jsonl_record(line: str, index: int, memo: dict[str, str]) -> Document:
+class _SharedTokens(dict):
+    """token -> the one ``str`` kept for it.  A token is checked the first
+    time it is looked up, so each distinct token is checked once."""
+
+    def __missing__(self, token: str) -> str:
+        if _FIELD_BREAK_RE.search(token):
+            raise ValueError(f"token {token!r} contains a tab, CR or LF")
+        self[token] = token
+        return token
+
+
+def _check_doc_id(doc_id: str, where: str) -> None:
+    """``pseudorels.txt`` holds one doc id per line, and its reader strips
+    each line and skips blank lines and lines starting with '#'."""
+    if _FIELD_BREAK_RE.search(doc_id):
+        raise ValueError(f"{where}: document id {doc_id!r} contains a tab, CR or LF")
+    if doc_id.startswith("#"):
+        raise ValueError(f"{where}: document id {doc_id!r} starts with '#'")
+    if not doc_id or doc_id != doc_id.strip():
+        raise ValueError(f"{where}: document id {doc_id!r} is empty or has leading or trailing whitespace")
+
+
+def _parse_jsonl_record(line: str, index: int, memo: _SharedTokens) -> Document:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -126,6 +152,7 @@ def _parse_jsonl_record(line: str, index: int, memo: dict[str, str]) -> Document
     sentences = record["sentences"]
     if not isinstance(doc_id, str) or not isinstance(sentences, list):
         raise ValueError(f"malformed JSONL record {index}: 'id' must be a string and 'sentences' a list")
+    _check_doc_id(doc_id, f"malformed JSONL record {index}")
     cleaned: list[list[str]] = []
     # position of each kept sentence among the kept ones, by its index in the record
     kept_at: dict[int, int] = {}
@@ -134,7 +161,10 @@ def _parse_jsonl_record(line: str, index: int, memo: dict[str, str]) -> Document
             raise ValueError(f"malformed JSONL record {index}: sentences must be lists of non-empty strings")
         if sentence:
             kept_at[position] = len(cleaned)
-            cleaned.append(list(map(memo.setdefault, sentence, sentence)))
+            try:
+                cleaned.append(list(map(memo.__getitem__, sentence)))
+            except ValueError as exc:
+                raise ValueError(f"malformed JSONL record {index}: {exc}") from None
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
         if not isinstance(paragraphs, list) or any(
@@ -156,7 +186,7 @@ def _parse_jsonl_record(line: str, index: int, memo: dict[str, str]) -> Document
 
 def _ingest_jsonl(stream: io.TextIOBase, role: str) -> Corpus:
     documents = []
-    memo: dict[str, str] = {}
+    memo = _SharedTokens()
     for index, line in enumerate(stream):
         if not line.strip():
             continue
@@ -168,13 +198,12 @@ def _ingest_jsonl(stream: io.TextIOBase, role: str) -> Corpus:
 
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     documents = []
-    memo: dict[str, str] = {}
+    memo = _SharedTokens()
     for path in sorted(directory.glob("*.txt")):
+        _check_doc_id(path.stem, str(path))
         with open_text(path) as stream:
             text = stream.read()
-        sentences = [
-            list(map(memo.setdefault, tokens, tokens)) for raw in split_sentences(text) if (tokens := tokenize(raw))
-        ]
+        sentences = [list(map(memo.__getitem__, tokens)) for raw in split_sentences(text) if (tokens := tokenize(raw))]
         documents.append(Document(id=path.stem, sentences=sentences))
     if not documents:
         raise ValueError(f"zero documents found under {directory}")
@@ -207,9 +236,11 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
 
     ``source`` is a file path (either format) or an open text stream (JSONL
     only).  ``format`` is ``jsonl`` or ``plaintext-dir``.  Empty sentences are
-    dropped; a corpus with zero documents is an error.  Equal tokens share
-    one ``str`` object across the corpus, so memory grows with the
-    vocabulary rather than with each token's own copy.
+    dropped; a corpus with zero documents, a doc id or token holding a tab,
+    CR or LF, and a doc id that is empty, starts with '#' or has leading or
+    trailing whitespace are errors.  Equal tokens share one ``str`` object
+    across the corpus, so memory grows with the vocabulary rather than with
+    each token's own copy.
     """
     if format == "jsonl":
         if hasattr(source, "read"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .cooc import CoocMatrix
 from .corpus import Corpus, open_text, term_stats
 from .dictionary import Dictionary
-from .retrieval import RankedList, check_matrix, rank_collection
+from .retrieval import RankedList, check_matrix, format_alpha, rank_collection
 from .scoring import ScoringConfig, compute_norms, sentence_features
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(float(a) for a in range(0, 31, 2))
@@ -108,10 +108,15 @@ class EvalReport:
 
 def sweep_configs(alphas: tuple[float, ...] | list[float], slope: float) -> list[ScoringConfig]:
     """The scoring settings of a sweep: one context run per alpha, then the
-    context-only run."""
+    context-only run.  A repeated alpha would repeat a system id."""
     if not alphas:
         raise ValueError("alphas must be non-empty")
     configs = [ScoringConfig(slope=slope, alpha=float(alpha), mode="context") for alpha in alphas]
+    seen: set[float] = set()
+    for config in configs:
+        if config.alpha in seen:
+            raise ValueError(f"alpha {format_alpha(config.alpha)} is repeated")
+        seen.add(config.alpha)
     configs.append(ScoringConfig(slope=slope, mode="context-only"))
     return configs
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import random
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 
 import planted
 from dictsieve import (
+    Corpus,
+    Document,
     cli,
     export_corpus,
     ingest_corpus,
@@ -51,6 +54,24 @@ def corpora_dir(tmp_path_factory) -> Path:
     export_corpus(planted.build_generic(), base / "generic.jsonl")
     export_corpus(planted.build_target(n_background=10), base / "target.jsonl")
     return base
+
+
+def write_zipf_corpora(directory: Path, rng: random.Random) -> None:
+    """Reference, generic and target JSONL of 40, 40 and 60 documents over
+    one 40-term Zipf vocabulary; the generic corpus ranks the terms in
+    another order, so filtering keeps part of each profile."""
+    vocab = [f"w{i:02d}" for i in range(40)]
+    weights = [1.0 / rank for rank in range(1, len(vocab) + 1)]
+    for role, n_docs in (("reference", 40), ("generic", 40), ("target", 60)):
+        ranked = rng.sample(vocab, len(vocab)) if role == "generic" else vocab
+        documents = [
+            Document(
+                id=f"{role}{i}",
+                sentences=[rng.choices(ranked, weights, k=rng.randint(2, 10)) for _ in range(rng.randint(1, 6))],
+            )
+            for i in range(n_docs)
+        ]
+        export_corpus(Corpus(documents=documents, role=role), directory / f"{role}.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +231,7 @@ class TestExitCodes:
             ("--beta", "0", "[fit-topics] beta must be finite and > 0, got 0.0"),
             ("--slope", "2", "[sweep] slope must be in [0, 1], got 2.0"),
             ("--alphas", "1,nan", "[sweep] alpha must be >= 0 and finite, got nan"),
+            ("--alphas", "2,2", "[sweep] alpha 2 is repeated"),
             ("--top-m", "0", "[fuse] top_m must be >= 1"),
             ("--fraction", "0", "[fuse] fraction must be in (0, 1]"),
         ],
@@ -626,25 +648,44 @@ class TestPipelineArtifacts:
         assert (out_dir / "pseudorels.txt").exists()
         assert "pseudorels" in capsys.readouterr().out
 
-    def test_subcommand_chain_reproduces_run(self, pipeline_dir, corpora_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "corpora, n_topics, iterations, n_terms",
+        [("planted", 2, 60, 16), ("zipf", 3, 5, 30)],
+        ids=["planted", "zipf"],
+    )
+    def test_subcommand_chain_reproduces_run(
+        self, corpora_dir, tmp_path, capsys, corpora, n_topics, iterations, n_terms
+    ):
+        if corpora == "zipf":
+            corpora_dir = tmp_path / "zipf"
+            corpora_dir.mkdir()
+            write_zipf_corpora(corpora_dir, random.Random(1))
+        run_dir = tmp_path / "run"
+        inputs = {role: str(corpora_dir / f"{role}.jsonl") for role in ("reference", "generic", "target")}
+        run = [
+            "run", *(item for role, path in inputs.items() for item in (f"--{role}", path)),
+            "--out-dir", str(run_dir), "--n-topics", str(n_topics), "--lda-alpha", "0.5",
+            "--iterations", str(iterations), "--seed", "7", "--n-terms", str(n_terms), "--alphas", "0:4:2",
+            "--k", "50",
+        ]
+        assert main(run) == EXIT_OK
         out = tmp_path / "chain"
         out.mkdir()
         corpus = {role: str(out / f"corpus_{role}.jsonl") for role in ("reference", "generic", "target")}
         commands = [
-            ["ingest", "--input", str(corpora_dir / f"{role}.jsonl"), "--role", role, "--out", path]
-            for role, path in corpus.items()
+            ["ingest", "--input", inputs[role], "--role", role, "--out", path] for role, path in corpus.items()
         ]
         commands.append(
             [
-                "fit-topics", "--corpus", corpus["reference"], "--n-topics", "2", "--alpha", "0.5",
-                "--iterations", "60", "--seed", "7", "--out", str(out / "model.tsv"),
+                "fit-topics", "--corpus", corpus["reference"], "--n-topics", str(n_topics), "--alpha", "0.5",
+                "--iterations", str(iterations), "--seed", "7", "--out", str(out / "model.tsv"),
             ]
         )
         for method in ("tm", "tfidf"):
             model = ["--model", str(out / "model.tsv")] if method == "tm" else []
             commands.append(
                 ["extract-dict", "--method", method, "--corpus", corpus["reference"], *model,
-                 "--n", "16", "--out", str(out / f"dict_{method}.tsv")]
+                 "--n", str(n_terms), "--out", str(out / f"dict_{method}.tsv")]
             )
         for method in ("tm", "tfidf"):
             for role in ("reference", "generic"):
@@ -675,7 +716,7 @@ class TestPipelineArtifacts:
                 if path.is_file() and path.name != "manifest.json"
             }
 
-        from_run, from_chain = tree(pipeline_dir), tree(out)
+        from_run, from_chain = tree(run_dir), tree(out)
         assert len(from_run) == 25
         assert from_chain.keys() == from_run.keys()
         for name, data in from_run.items():

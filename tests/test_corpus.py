@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -166,6 +167,39 @@ class TestIngest:
         record = json.dumps({"id": "d1", "sentences": [["a", 3]]})
         with pytest.raises(ValueError, match="non-empty strings"):
             ingest_corpus(io.StringIO(record))
+
+    @pytest.mark.parametrize(
+        "doc_id, problem",
+        [
+            ("d\t1", "contains a tab, CR or LF"),
+            ("d\r1", "contains a tab, CR or LF"),
+            ("d1\n", "contains a tab, CR or LF"),
+            ("#d1", "starts with '#'"),
+            (" d1", "is empty or has leading or trailing whitespace"),
+            ("d1\u00a0", "is empty or has leading or trailing whitespace"),
+            ("", "is empty or has leading or trailing whitespace"),
+        ],
+    )
+    def test_doc_ids_that_artifact_lines_cannot_hold_are_rejected(self, tmp_path, doc_id, problem):
+        payload = "".join(json.dumps({"id": i, "sentences": [["a"]]}) + "\n" for i in ("ok", doc_id))
+        with pytest.raises(ValueError, match=re.escape(f"malformed JSONL record 1: document id {doc_id!r} {problem}")):
+            ingest_corpus(io.StringIO(payload))
+        if doc_id:
+            (tmp_path / "ok.txt").write_text("A b.")
+            path = tmp_path / f"{doc_id}.txt"
+            path.write_text("A b.")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: document id {doc_id!r} {problem}")):
+                ingest_corpus(tmp_path, format="plaintext-dir")
+
+    @pytest.mark.parametrize("token", ["a\tb", "a\rb", "a\nb"])
+    def test_tokens_that_artifact_lines_cannot_hold_are_rejected(self, token):
+        payload = "".join(
+            json.dumps({"id": i, "sentences": sentences}) + "\n"
+            for i, sentences in (("d0", [["a", "b"]]), ("d1", [["a"], ["b", token, token]]))
+        )
+        message = f"malformed JSONL record 1: token {token!r} contains a tab, CR or LF"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_corpus(io.StringIO(payload))
 
     def test_plaintext_dir(self, tmp_path):
         (tmp_path / "b.txt").write_text("Second file here.")

@@ -120,6 +120,15 @@ class TestGenerateSweep:
         with pytest.raises(ValueError, match="alphas must be non-empty"):
             generate_sweep(planted_target, d_tm, None, cf_tm, None, alphas=[])
 
+    def test_repeated_alpha_fails_before_any_feature_pass(
+        self, planted_target, planted_dictionaries, planted_filtered, monkeypatch
+    ):
+        d_tm, _ = planted_dictionaries
+        cf_tm, _ = planted_filtered
+        monkeypatch.setattr(evaluation, "sentence_features", None)
+        with pytest.raises(ValueError, match="alpha 2 is repeated"):
+            generate_sweep(planted_target, d_tm, None, cf_tm, None, alphas=[0, 2, 4, 2.0])
+
 
     def test_context_mode_without_a_matrix_fails_before_any_feature_pass(
         self, planted_target, planted_dictionaries, planted_filtered, monkeypatch
