@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, count, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -88,6 +88,42 @@ class CoocMatrix:
             for t, p in self.profiles.items()
         }
 
+    @cached_property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted keys ``i * n + j``, i < j, over the term positions of the
+        stored pairs, and their values; a last key ``n * n``, above every
+        pair, holds 0.0, so a lookup never runs past the end."""
+        n = len(self.terms)
+        position = self._term_pos.__getitem__
+        n_pairs = len(self.values)
+        a = np.fromiter(map(position, map(itemgetter(0), self.values)), dtype=np.int64, count=n_pairs)
+        b = np.fromiter(map(position, map(itemgetter(1), self.values)), dtype=np.int64, count=n_pairs)
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        del a, b
+        # the keys are distinct: a stable sort only shares its code with the
+        # sentence pass's, which keeps the pages of one sort routine resident
+        order = np.argsort(keys, kind="stable")
+        values = np.fromiter(self.values.values(), dtype=np.float64, count=n_pairs)
+        return np.append(keys[order], n * n), np.append(values[order], 0.0)
+
+
+def check_key_range(n_terms: int, n_sentences: int) -> None:
+    """Keys ``sentence * n_terms + term`` and ``term * n_terms + term`` must
+    fit in int64."""
+    if n_terms * max(n_terms, n_sentences) >= 2**63:
+        raise ValueError(f"{n_terms} terms over {n_sentences} sentences overflow the int64 pair keys")
+
+
+def encode_sentences(sentences: list[list[str]], terms) -> tuple[np.ndarray, np.ndarray]:
+    """Each sentence's length, and the index in ``terms`` of every token,
+    sentence after sentence; -1 codes a token that is not among ``terms``."""
+    code = {term: i for i, term in enumerate(terms)}
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    codes = np.fromiter(
+        map(code.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.int32, count=int(lengths.sum())
+    )
+    return lengths, codes
+
 
 def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     """Count sentence co-occurrences of dictionary terms and apply Dice.
@@ -104,16 +140,11 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
         raise ValueError("corpus is empty")
     sentences = [sentence for doc in corpus.documents for sentence in doc.sentences]
     n_sentences = len(sentences)
-    if n * max(n, n_sentences) >= 2**63:
-        raise ValueError(f"{n} terms over {n_sentences} sentences overflow the int64 pair keys")
+    check_key_range(n, n_sentences)
     # terms coded by lexicographic rank: a sentence's codes in ascending
     # order are its terms sorted, and every pair (a, b) has a < b
     lexicon = sorted(dictionary.terms)
-    code = {term: i for i, term in enumerate(lexicon)}
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n_sentences)
-    codes = np.fromiter(
-        map(code.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.int32, count=int(lengths.sum())
-    )
+    lengths, codes = encode_sentences(sentences, lexicon)
     sentence_dtype = np.int32 if n_sentences < 2**31 else np.int64
     sentence_ids = np.repeat(np.arange(n_sentences, dtype=sentence_dtype), lengths)
     present = codes >= 0

@@ -141,56 +141,57 @@ def _check_doc_id(doc_id: str, where: str) -> None:
         raise ValueError(f"{where}: document id {doc_id!r} is empty or has leading or trailing whitespace")
 
 
-def _parse_jsonl_record(line: str, index: int, memo: _SharedTokens) -> Document:
+def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
+    """One JSONL line as a document; ``where`` is its ``file:line``."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSONL record {index}: {exc}") from None
+        raise ValueError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(record, dict) or "id" not in record or "sentences" not in record:
-        raise ValueError(f"malformed JSONL record {index}: expected object with 'id' and 'sentences'")
+        raise ValueError(f"{where}: expected object with 'id' and 'sentences'")
     doc_id = record["id"]
     sentences = record["sentences"]
     if not isinstance(doc_id, str) or not isinstance(sentences, list):
-        raise ValueError(f"malformed JSONL record {index}: 'id' must be a string and 'sentences' a list")
-    _check_doc_id(doc_id, f"malformed JSONL record {index}")
+        raise ValueError(f"{where}: 'id' must be a string and 'sentences' a list")
+    _check_doc_id(doc_id, where)
     cleaned: list[list[str]] = []
     # position of each kept sentence among the kept ones, by its index in the record
     kept_at: dict[int, int] = {}
     for position, sentence in enumerate(sentences):
         if type(sentence) is not list or not {str}.issuperset(map(type, sentence)) or "" in sentence:
-            raise ValueError(f"malformed JSONL record {index}: sentences must be lists of non-empty strings")
+            raise ValueError(f"{where}: sentences must be lists of non-empty strings")
         if sentence:
             kept_at[position] = len(cleaned)
             try:
                 cleaned.append(list(map(memo.__getitem__, sentence)))
             except ValueError as exc:
-                raise ValueError(f"malformed JSONL record {index}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
         if not isinstance(paragraphs, list) or any(
             # type(), not isinstance(): JSON true and false are Python bools, a subclass of int
             not isinstance(p, list) or any(type(i) is not int for i in p) for p in paragraphs
         ):
-            raise ValueError(f"malformed JSONL record {index}: 'paragraphs' must be lists of sentence indices")
+            raise ValueError(f"{where}: 'paragraphs' must be lists of sentence indices")
         for group in paragraphs:
             for i in group:
                 if not 0 <= i < len(sentences):
                     raise ValueError(
-                        f"malformed JSONL record {index}: paragraph sentence index {i} is out of range "
-                        f"for {len(sentences)} sentences"
+                        f"{where}: paragraph sentence index {i} is out of range for {len(sentences)} sentences"
                     )
         # empty sentences were dropped above, so renumber onto the kept ones
         paragraphs = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
     return Document(id=doc_id, sentences=cleaned, paragraphs=paragraphs)
 
 
-def _ingest_jsonl(stream: io.TextIOBase, role: str) -> Corpus:
+def _ingest_jsonl(stream: io.TextIOBase, role: str, name) -> Corpus:
+    """Errors name the record as ``name:line``, lines counted from 1."""
     documents = []
     memo = _SharedTokens()
-    for index, line in enumerate(stream):
+    for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        documents.append(_parse_jsonl_record(line, index, memo))
+        documents.append(_parse_jsonl_record(line, f"{name}:{lineno}", memo))
     if not documents:
         raise ValueError("zero documents after parsing")
     return Corpus(documents=documents, role=role)
@@ -235,7 +236,8 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     """Read a corpus from ``source``.
 
     ``source`` is a file path (either format) or an open text stream (JSONL
-    only).  ``format`` is ``jsonl`` or ``plaintext-dir``.  Empty sentences are
+    only); a JSONL error names the file and line, ``<stream>`` standing for
+    a stream without a ``name``.  ``format`` is ``jsonl`` or ``plaintext-dir``.  Empty sentences are
     dropped; a corpus with zero documents, a doc id or token holding a tab,
     CR or LF, and a doc id that is empty, starts with '#' or has leading or
     trailing whitespace are errors.  Equal tokens share one ``str`` object
@@ -244,9 +246,9 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     """
     if format == "jsonl":
         if hasattr(source, "read"):
-            return _ingest_jsonl(source, role)
+            return _ingest_jsonl(source, role, getattr(source, "name", "<stream>"))
         with open_text(source) as stream:
-            return _ingest_jsonl(stream, role)
+            return _ingest_jsonl(stream, role, source)
     if format == "plaintext-dir":
         directory = Path(source)
         if not directory.is_dir():

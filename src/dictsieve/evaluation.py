@@ -156,7 +156,7 @@ def generate_sweep(
     systems: list[RankedList] = []
     biased: list[str] = []
     for dictionary, cooc in pairs:
-        features = {doc.id: sentence_features(doc, cooc) for doc in target.documents}
+        features = sentence_features(target.documents, cooc)
         for config in configs:
             ranked = rank_collection(
                 target, dictionary, cooc, config, k, stats=stats, norms=norms, features=features

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cooc import CoocMatrix
 from .corpus import Corpus, TermStats, open_text, term_stats
 from .dictionary import Dictionary
@@ -15,6 +17,8 @@ from .scoring import (
     compute_norms,
     score_context,
     score_dict,
+    sentence_features,
+    tfsim_runs,
 )
 
 
@@ -84,16 +88,17 @@ def rank_collection(
     k: int,
     stats: TermStats | None = None,
     norms: CollectionNorms | None = None,
-    features: dict[str, SentenceFeatures] | None = None,
+    features: SentenceFeatures | None = None,
 ) -> RankedList:
     """Score every target document and keep the top min(k, m) of them.
 
     Zero-score documents are dropped rather than padded, so the list length
     m reflects actual matches.  Ties break by doc id, which makes ranking
     idempotent and gives shorter runs the k-prefix property.  ``stats``,
-    ``norms`` and the per-document ``features`` (doc id ->
-    ``sentence_features``) may be passed in to share work across systems of
-    a sweep.
+    ``norms`` and the target's ``sentence_features`` may be passed in to
+    share work across systems of a sweep.  A context mode takes every
+    document's tfsim from one pass over the features, then scores each
+    document from its slice of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -103,15 +108,21 @@ def rank_collection(
     if norms is None:
         norms = compute_norms(target, stats, config)
 
-    scored: list[tuple[float, str]] = []
-    for doc in target.documents:
-        if config.mode == "unigram":
-            score = score_dict(dictionary, doc, stats, norms)
-        else:
-            doc_features = None if features is None else features[doc.id]
-            score = score_context(dictionary, doc, cooc_filtered, norms, config, doc_features)
-        if score > 0.0:
-            scored.append((score, doc.id))
+    if config.mode == "unigram":
+        scores = [score_dict(dictionary, doc, stats, norms) for doc in target.documents]
+    else:
+        if features is None:
+            features = sentence_features(target.documents, cooc_filtered)
+        tf = tfsim_runs(features, config)
+        # the matrix terms are the dictionary terms, so a run's term position
+        # is its dictionary entry's index
+        boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms].tolist()
+        bounds = features.offsets.tolist()
+        scores = [
+            score_context(dictionary, doc, cooc_filtered, norms, config, zip(boosts[a:b], tf[a:b]))
+            for doc, a, b in zip(target.documents, bounds, bounds[1:])
+        ]
+    scored = [(score, doc.id) for doc, score in zip(target.documents, scores) if score > 0.0]
     scored.sort(key=lambda item: (-item[0], item[1]))
     entries = [
         RankedEntry(doc_id=doc_id, score=score, rank=rank)

@@ -12,12 +12,12 @@ the weight alpha.  With alpha = 0 the two scores coincide exactly.
 from __future__ import annotations
 
 import math
-from array import array
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import count
 
-from .cooc import CoocMatrix
+import numpy as np
+
+from .cooc import CoocMatrix, check_key_range, encode_sentences
 from .corpus import Corpus, Document, TermStats
 from .dictionary import Dictionary
 
@@ -86,13 +86,15 @@ def _term_contribution(tf_value: float, log_avgtf: float, boost: float, norm: fl
     Shared by the unigram and context paths so that equal tf values produce
     bit-identical scores.  The floor and clamp are no-ops for tf >= 1.
     """
-    tf_value = max(tf_value, _TFSIM_FLOOR)
-    return max(0.0, 1.0 + math.log(tf_value)) / (1.0 + log_avgtf) * boost * norm
+    # conditionals rather than max(): this runs once per term per document
+    # per system
+    dampened = 1.0 + math.log(tf_value if tf_value > _TFSIM_FLOOR else _TFSIM_FLOOR)
+    return dampened / (1.0 + log_avgtf) * boost * norm if dampened > 0.0 else 0.0
 
 
 def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf_items) -> float:
-    """Sum the term contributions of ``tf_items``, pairs (dictionary entry,
-    term frequency) in dictionary order; terms absent from them contribute 0."""
+    """Sum the term contributions of ``tf_items``, pairs (boost, term
+    frequency) in dictionary order; terms absent from them contribute 0."""
     if len(q) == 0:
         raise ValueError("dictionary is empty")
     if d.id in norms.empty_doc_ids:
@@ -100,75 +102,147 @@ def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf_items) -> floa
     log_avgtf = math.log(norms.avgtf[d.id])
     norm = norms.norm[d.id]
     score = 0.0
-    for entry, tf_value in tf_items:
+    for boost, tf_value in tf_items:
         if tf_value > 0:
-            score += _term_contribution(float(tf_value), log_avgtf, entry.boost, norm)
+            score += _term_contribution(tf_value, log_avgtf, boost, norm)
     return score
 
 
 def score_dict(q: Dictionary, d: Document, stats: TermStats, norms: CollectionNorms) -> float:
     """Unigram dictionary score over the document's raw term frequencies."""
     tf = stats.tf_doc[d.id]
-    return _score(q, d, norms, ((entry, tf.get(entry.term, 0)) for entry in q.entries))
+    return _score(q, d, norms, ((entry.boost, tf.get(entry.term, 0)) for entry in q.entries))
 
 
 @dataclass(frozen=True)
 class SentenceFeatures:
-    """The alpha-free part of tfsim for one document.
+    """The alpha-free part of tfsim for a sequence of documents.
 
-    For each matrix term present in the document, in the matrix's term
-    order, ``lengths`` gives its number of rows; the rows follow one another
-    in ``counts`` and ``cosines``, one per sentence containing the term, in
-    sentence order: the term's count in the sentence and the cosine between
-    the sentence's binary dictionary-term vector and the term's filtered
-    co-occurrence profile.  A cosine that is undefined (an empty profile, or
-    no profile partner in the sentence) is stored as 0.0, which adds exactly
-    nothing for any finite alpha.
+    A run is one matrix term present in one document.  The runs are ordered
+    by document, then by the term's matrix position: document i holds runs
+    ``offsets[i]:offsets[i + 1]``, and run r is the term at matrix position
+    ``terms[r]`` with ``lengths[r]`` rows.  The rows of the runs follow one
+    another in ``counts`` and ``cosines``, one per sentence containing the
+    term, in sentence order: the term's count in the sentence and the cosine
+    between the sentence's binary dictionary-term vector and the term's
+    filtered co-occurrence profile.  A cosine that is undefined (an empty
+    profile, or no profile partner in the sentence) is stored as 0.0, which
+    adds exactly nothing for any finite alpha.
     """
 
-    terms: tuple[str, ...]
-    lengths: tuple[int, ...]
-    counts: array
-    cosines: array
+    offsets: np.ndarray
+    terms: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
+    cosines: np.ndarray
 
 
-def sentence_features(d: Document, cooc_filtered: CoocMatrix) -> SentenceFeatures:
-    """One pass over the sentences of ``d``: the (count, cosine) row of every
-    matrix term in every sentence that contains it."""
-    profiles = cooc_filtered.profiles
-    profile_norms = cooc_filtered.norms
-    rows: dict[str, list[tuple[int, float]]] = {}
-    for sentence in d.sentences:
-        present = Counter(filter(profiles.__contains__, sentence))
-        s_norm = math.sqrt(len(present))
-        for term, count in present.items():
-            profile = profiles[term]
-            dot = sum(profile.get(other, 0.0) for other in present)
-            col_norm = profile_norms[term]
-            cos = dot / (s_norm * col_norm) if dot != 0.0 and col_norm != 0.0 else 0.0
-            rows.setdefault(term, []).append((count, cos))
-    terms = tuple(sorted(rows, key=cooc_filtered.position))
-    counts = array("d")
-    cosines = array("d")
-    for term in terms:
-        for count, cos in rows[term]:
-            counts.append(count)
-            cosines.append(cos)
-    return SentenceFeatures(terms, tuple(len(rows[term]) for term in terms), counts, cosines)
+def _position_major(lengths: np.ndarray):
+    """Yield (p, the indices of the runs longer than p) for p = 0, 1, ...
+
+    A run's sum that adds its p-th term at step p adds its terms one by one,
+    left to right, as a Python loop over the run would; numpy's own
+    reductions may associate them differently.
+    """
+    alive = np.arange(len(lengths))
+    for p in count():
+        alive = alive[lengths[alive] > p]
+        if not alive.size:
+            return
+        yield p, alive
 
 
-def _replay(features: SentenceFeatures, config: ScoringConfig):
-    """Yield (term, tfsim) in the features' term order.  Each sentence adds
-    its count (none in context-only mode) plus alpha times its cosine, and
-    the sentences are summed one by one in sentence order."""
-    alpha = config.alpha
-    counts = features.counts if config.mode != "context-only" else repeat(0.0)
-    rows = zip(counts, features.cosines)
-    for term, length in zip(features.terms, features.lengths):
-        total = 0.0
-        for count, cos in islice(rows, length):
-            total += count + alpha * cos
-        yield term, total
+def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> SentenceFeatures:
+    """One pass over every sentence of ``documents``: the (count, cosine) row
+    of every matrix term in every sentence that contains it.
+
+    A term's dot product with a sentence adds the term's Dice value with each
+    distinct matrix term of the sentence, left to right in order of first
+    occurrence, as the per-sentence loop that it replaces did.
+    """
+    n = len(cooc_filtered.terms)
+    sentences = [sentence for doc in documents for sentence in doc.sentences]
+    n_sentences = len(sentences)
+    check_key_range(n, n_sentences)
+    lengths, codes = encode_sentences(sentences, cooc_filtered.terms)
+    present = np.flatnonzero(codes >= 0)
+    # key sentence * n + term of every matrix-term token, in token order
+    keys = np.searchsorted(np.cumsum(lengths), present, side="right") * n + codes[present]
+    del sentences, lengths, codes, present
+
+    # one stable sort groups each sentence's tokens by term; the head of a
+    # group is the term's first occurrence and its length the term's count
+    order = np.argsort(keys, kind="stable")
+    head = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    first = np.zeros(len(keys), dtype=bool)
+    first[order[head]] = True
+    token_count = np.zeros(len(keys), dtype=np.int64)
+    token_count[order[head]] = np.diff(head, append=len(keys))
+    del order, head
+    # entries (sentence, term): in sentence order, then in first-occurrence order
+    entry_sentence, entry_term = np.divmod(keys[first], n)
+    entry_count = token_count[first]
+    del keys, first, token_count
+
+    n_present = np.bincount(entry_sentence, minlength=n_sentences)
+    width = n_present[entry_sentence]
+    start = (np.cumsum(n_present) - n_present)[entry_sentence]
+    # step p adds the Dice value of the sentence's p-th distinct term
+    table_keys, table_values = cooc_filtered.pair_table
+    dot = np.zeros(len(entry_term))
+    for p, alive in _position_major(width):
+        term, other = entry_term[alive], entry_term[start[alive] + p]
+        pair_keys = np.minimum(term, other) * n + np.maximum(term, other)
+        hit = np.searchsorted(table_keys, pair_keys)
+        dot[alive] += np.where(table_keys[hit] == pair_keys, table_values[hit], 0.0)
+    col_norm = np.fromiter(map(cooc_filtered.norms.__getitem__, cooc_filtered.terms), dtype=np.float64, count=n)
+    col_norm = col_norm[entry_term]
+    defined = np.flatnonzero((dot != 0.0) & (col_norm != 0.0))
+    cosines = np.zeros(len(dot))
+    cosines[defined] = dot[defined] / (np.sqrt(width[defined]) * col_norm[defined])
+    del n_present, width, start, dot, col_norm, defined
+
+    # rows by (document, term position, sentence); lexsort is stable and the
+    # entries are in sentence order
+    n_documents = len(documents)
+    document_ends = np.cumsum(np.fromiter(map(len, (doc.sentences for doc in documents)), np.int64, n_documents))
+    entry_document = np.searchsorted(document_ends, entry_sentence, side="right")
+    order = np.lexsort((entry_term, entry_document))
+    row_term = entry_term[order]
+    row_document = entry_document[order]
+    run_head = np.flatnonzero((np.diff(row_term, prepend=-1) != 0) | (np.diff(row_document, prepend=-1) != 0))
+    offsets = np.zeros(n_documents + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_document[run_head], minlength=n_documents), out=offsets[1:])
+    return SentenceFeatures(
+        offsets=offsets,
+        terms=row_term[run_head],
+        lengths=np.diff(run_head, append=len(order)),
+        counts=entry_count[order].astype(np.float64),
+        cosines=cosines[order],
+    )
+
+
+def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> list[float]:
+    """Every run's tfsim: each of its sentences adds its count (none in
+    context-only mode) plus alpha times its cosine, the sentences summed one
+    by one in sentence order."""
+    if config.mode == "context-only":
+        values = 0.0 + config.alpha * features.cosines
+    else:
+        values = features.counts + config.alpha * features.cosines
+    lengths = features.lengths
+    start = np.cumsum(lengths) - lengths
+    totals = np.zeros(len(lengths))
+    for p, alive in _position_major(lengths):
+        totals[alive] += values[start[alive] + p]
+    return totals.tolist()
+
+
+def _document_tfsim(d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> dict[str, float]:
+    """term -> tfsim for every matrix term in ``d``."""
+    features = sentence_features([d], cooc_filtered)
+    terms = map(cooc_filtered.terms.__getitem__, features.terms.tolist())
+    return dict(zip(terms, tfsim_runs(features, config)))
 
 
 def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> float:
@@ -180,7 +254,7 @@ def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConf
     """
     if term not in cooc_filtered:
         raise ValueError(f"term {term!r} not in dictionary")
-    return dict(_replay(sentence_features(d, cooc_filtered), config)).get(term, 0.0)
+    return _document_tfsim(d, cooc_filtered, config).get(term, 0.0)
 
 
 def score_context(
@@ -189,15 +263,15 @@ def score_context(
     cooc_filtered: CoocMatrix,
     norms: CollectionNorms,
     config: ScoringConfig,
-    features: SentenceFeatures | None = None,
+    tf_items=None,
 ) -> float:
     """Context-sensitive score: the unigram formula with tf replaced by tfsim.
 
-    ``features`` are ``sentence_features(d, cooc_filtered)``, passed in to
-    share them across the systems of a sweep and computed here otherwise.
+    ``tf_items`` are d's (boost, tfsim) pairs in dictionary order, as
+    ``rank_collection`` passes them from one pass over the whole target;
+    they are computed here from ``d`` alone otherwise.
     """
-    if features is None:
-        features = sentence_features(d, cooc_filtered)
-    index = q.index
-    tf_items = ((index[term], value) for term, value in _replay(features, config) if term in index)
+    if tf_items is None:
+        tf = _document_tfsim(d, cooc_filtered, config)
+        tf_items = ((entry.boost, tf.get(entry.term, 0.0)) for entry in q.entries)
     return _score(q, d, norms, tf_items)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import json
 import random
@@ -363,6 +364,28 @@ class TestSubcommands:
         header = out.read_text().splitlines()[0]
         assert header == "# system_id=tm:context:alpha=2"
 
+    @pytest.mark.parametrize(
+        "method, mode, alpha", [("tm", "context", "2"), ("tfidf", "context", "4"), ("tm", "context-only", "1")]
+    )
+    def test_rank_writes_the_sweep_system_of_the_same_settings(
+        self, pipeline_dir, corpora_dir, tmp_path, method, mode, alpha
+    ):
+        out = tmp_path / "ranked.tsv"
+        args = [
+            "rank",
+            "--target", str(corpora_dir / "target.jsonl"),
+            "--dict", str(pipeline_dir / f"dict_{method}.tsv"),
+            "--cooc", str(pipeline_dir / f"cooc_filtered_{method}.tsv"),
+            "--mode", mode,
+            "--alpha", alpha,
+            "--k", "50",
+            "--out", str(out),
+        ]
+        assert main(args) == EXIT_OK
+        swept = pipeline_dir / "systems" / system_filename(f"{method}:{mode}:alpha={alpha}")
+        assert len(out.read_text().splitlines()) > 10
+        assert out.read_bytes() == swept.read_bytes()
+
     def test_rank_context_without_cooc_is_data_error(
         self, pipeline_dir, corpora_dir, tmp_path, capsys
     ):
@@ -478,7 +501,7 @@ class TestSubcommands:
         record["paragraphs"] = [[1], [3]]
         corpus.write_text(json.dumps(record) + "\n")
         assert main(args + ["--out", str(tmp_path / "bad.tsv")]) == EXIT_DATA
-        assert "record 0: paragraph sentence index 3 is out of range" in capsys.readouterr().err
+        assert f"{corpus}:1: paragraph sentence index 3 is out of range" in capsys.readouterr().err
 
     def test_extract_rejects_a_model_whose_phi_row_is_not_a_distribution(
         self, pipeline_dir, corpora_dir, tmp_path, capsys
@@ -928,12 +951,12 @@ class TestRunFlags:
         assert "format must be one of jsonl, plaintext-dir, got 'bogus'" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_the_traced_benchmark_finds_every_cli_name_it_wraps(self):
+    def test_the_traced_benchmark_finds_every_name_it_wraps(self):
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        names = [name for module, name, *_ in spans.WRAPPED if module == "cli"]
-        assert names
-        for name in names:
-            assert callable(getattr(cli, name, None)), name
+        assert {module for module, *_ in spans.WRAPPED} == {"cli", "dictionary", "evaluation", "retrieval"}
+        for module, name, *_ in spans.WRAPPED:
+            namespace = importlib.import_module(f"dictsieve.{module}")
+            assert callable(getattr(namespace, name, None)), f"{module}.{name}"

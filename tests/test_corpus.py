@@ -142,12 +142,12 @@ class TestIngest:
         payload = json.dumps({"id": "ok", "sentences": [["a"]]}) + "\n" + json.dumps(
             {"id": "d1", "sentences": [["a"], [], ["b"]], "paragraphs": [[0], [bad]]}
         )
-        with pytest.raises(ValueError, match=f"record 1: paragraph sentence index {bad} is out of range"):
+        with pytest.raises(ValueError, match=f"<stream>:2: paragraph sentence index {bad} is out of range"):
             ingest_corpus(io.StringIO(payload))
 
     def test_boolean_paragraph_indices_rejected(self):
         record = json.dumps({"id": "d1", "sentences": [["a"], ["b"]], "paragraphs": [[True], [False]]})
-        with pytest.raises(ValueError, match="record 0: 'paragraphs' must be lists of sentence indices"):
+        with pytest.raises(ValueError, match="<stream>:1: 'paragraphs' must be lists of sentence indices"):
             ingest_corpus(io.StringIO(record))
 
     def test_zero_documents_is_an_error(self):
@@ -156,8 +156,17 @@ class TestIngest:
 
     def test_malformed_record_reports_index(self):
         payload = json.dumps({"id": "ok", "sentences": [["a"]]}) + "\nnot json\n"
-        with pytest.raises(ValueError, match="malformed JSONL record 1"):
+        with pytest.raises(ValueError, match="<stream>:2: invalid JSON"):
             ingest_corpus(io.StringIO(payload))
+
+    def test_errors_name_the_file_and_its_one_based_line(self, tmp_path):
+        path = tmp_path / "reference.jsonl"
+        path.write_text(json.dumps({"id": "a", "sentences": [["x"]]}) + "\n\n" + json.dumps({"id": "b"}) + "\n")
+        message = f"{path}:3: expected object with 'id' and 'sentences'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_corpus(path)
+        with open(path, encoding="utf-8") as stream, pytest.raises(ValueError, match=re.escape(message)):
+            ingest_corpus(stream)
 
     def test_record_missing_fields(self):
         with pytest.raises(ValueError, match="expected object with 'id' and 'sentences'"):
@@ -182,7 +191,7 @@ class TestIngest:
     )
     def test_doc_ids_that_artifact_lines_cannot_hold_are_rejected(self, tmp_path, doc_id, problem):
         payload = "".join(json.dumps({"id": i, "sentences": [["a"]]}) + "\n" for i in ("ok", doc_id))
-        with pytest.raises(ValueError, match=re.escape(f"malformed JSONL record 1: document id {doc_id!r} {problem}")):
+        with pytest.raises(ValueError, match=re.escape(f"<stream>:2: document id {doc_id!r} {problem}")):
             ingest_corpus(io.StringIO(payload))
         if doc_id:
             (tmp_path / "ok.txt").write_text("A b.")
@@ -197,7 +206,7 @@ class TestIngest:
             json.dumps({"id": i, "sentences": sentences}) + "\n"
             for i, sentences in (("d0", [["a", "b"]]), ("d1", [["a"], ["b", token, token]]))
         )
-        message = f"malformed JSONL record 1: token {token!r} contains a tab, CR or LF"
+        message = f"<stream>:2: token {token!r} contains a tab, CR or LF"
         with pytest.raises(ValueError, match=re.escape(message)):
             ingest_corpus(io.StringIO(payload))
 
@@ -274,7 +283,7 @@ def test_sentence_check_accepts_what_the_per_token_check_accepts(sentence, malfo
     assert per_token_sentence_check(sentence) is malformed
     record = io.StringIO(json.dumps({"id": "d1", "sentences": [["x"], sentence]}))
     if malformed:
-        with pytest.raises(ValueError, match="record 0: sentences must be lists of non-empty strings"):
+        with pytest.raises(ValueError, match="<stream>:1: sentences must be lists of non-empty strings"):
             ingest_corpus(record)
     else:
         expected = [["x"], sentence] if sentence else [["x"]]  # an empty sentence is dropped

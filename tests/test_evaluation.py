@@ -21,7 +21,7 @@ from dictsieve import (
     select_candidates,
     select_pseudorels,
 )
-from dictsieve import evaluation
+from dictsieve import evaluation, retrieval
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.evaluation import (
     DEFAULT_ALPHAS,
@@ -150,6 +150,37 @@ class TestGenerateSweep:
             generate_sweep(planted_target, d_tm, d_tfidf, cf_tm, cf_tm)
 
 
+def test_the_sweep_scores_each_document_once_per_system(
+    planted_target, planted_dictionaries, planted_filtered, monkeypatch
+):
+    """The traced benchmark (bench/spans.py) counts and times the sweep's
+    calls of ``retrieval.score_context`` and ``evaluation.rank_collection``
+    as scoring.calls and retrieval.rankings."""
+    calls = {"score_context": 0, "rank_collection": 0}
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            if name == "score_context":
+                assert type(result) is float
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(retrieval, "score_context")
+    count_calls(evaluation, "rank_collection")
+    alphas = (0.0, 2.0, 4.0)
+    systems = generate_sweep(planted_target, *planted_dictionaries, *planted_filtered, alphas=alphas, k=50)
+    assert len(systems.systems) == 2 * (len(alphas) + 1)
+    assert calls == {
+        "score_context": len(systems.systems) * len(planted_target.documents),
+        "rank_collection": len(systems.systems),
+    }
+
+
 def _random_docs(rng, vocab, n_docs, prefix):
     weights = [1.0 / (i + 1) for i in range(len(vocab))]
     return [
@@ -191,7 +222,7 @@ def test_every_swept_system_equals_a_standalone_ranking(seed):
         Document(id="long", sentences=[[anchor] + rng.choices(vocab, k=rng.randint(1, 6)) for _ in range(10)])
     )
     target = Corpus(documents=docs, role="target")
-    assert max(sentence_features(docs[-1], matrices[0]).lengths) >= 8
+    assert max(sentence_features([docs[-1]], matrices[0]).lengths) >= 8
 
     alphas = (0.0, 0.5, 2.0, 30.0)
     swept = generate_sweep(target, *dictionaries, *matrices, alphas=alphas, k=40)
