@@ -19,7 +19,7 @@ from operator import add, itemgetter, mul
 
 import numpy as np
 
-from .corpus import Corpus, open_text
+from .corpus import Corpus, FloatText, open_text
 from .dictionary import Dictionary, read_header
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -203,8 +203,10 @@ def save_cooc(matrix: CoocMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={len(matrix.terms)}\n")
         out.write("#terms\t" + "\t".join(matrix.terms) + "\n")
-        for a, b in sorted(matrix.values):
-            out.write(f"{a}\t{b}\t{matrix.values[(a, b)]!r}\n")
+        text = FloatText()
+        values = matrix.values
+        for a, b in sorted(values):
+            out.write(f"{a}\t{b}\t{text[values[a, b]]}\n")
 
 
 def load_cooc(path) -> CoocMatrix:

@@ -31,6 +31,12 @@ _SENTENCE_RE = re.compile(r"[.!?](?:\s+|$)")
 # CR or LF would split the field or the line.
 _FIELD_BREAK_RE = re.compile(r"[\t\r\n]")
 
+# JSON can escape a lone surrogate ("\ud800"), which UTF-8 cannot encode, so
+# every artifact write would fail on it.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+_MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace/punctuation, keeping digits."""
@@ -120,12 +126,22 @@ def term_stats(corpus: Corpus) -> TermStats:
 
 
 class _SharedTokens(dict):
-    """token -> the one ``str`` kept for it.  A token is checked the first
-    time it is looked up, so each distinct token is checked once."""
+    """token -> the one ``str`` kept for it.
+
+    A token is checked the first time it is looked up, so each distinct
+    token is checked once: it must be a non-empty ``str`` without a tab, CR,
+    LF or lone surrogate.  An unhashable token (a JSON list or object) fails
+    in the lookup itself; ``_parse_jsonl_record`` reports that as the same
+    malformed sentence.
+    """
 
     def __missing__(self, token: str) -> str:
+        if type(token) is not str or not token:
+            raise ValueError(_MALFORMED_SENTENCES)
         if _FIELD_BREAK_RE.search(token):
             raise ValueError(f"token {token!r} contains a tab, CR or LF")
+        if _SURROGATE_RE.search(token):
+            raise ValueError(f"token {token!r} contains a lone surrogate, which UTF-8 cannot encode")
         self[token] = token
         return token
 
@@ -135,6 +151,8 @@ def _check_doc_id(doc_id: str, where: str) -> None:
     each line and skips blank lines and lines starting with '#'."""
     if _FIELD_BREAK_RE.search(doc_id):
         raise ValueError(f"{where}: document id {doc_id!r} contains a tab, CR or LF")
+    if _SURROGATE_RE.search(doc_id):
+        raise ValueError(f"{where}: document id {doc_id!r} contains a lone surrogate, which UTF-8 cannot encode")
     if doc_id.startswith("#"):
         raise ValueError(f"{where}: document id {doc_id!r} starts with '#'")
     if not doc_id or doc_id != doc_id.strip():
@@ -154,18 +172,15 @@ def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
     if not isinstance(doc_id, str) or not isinstance(sentences, list):
         raise ValueError(f"{where}: 'id' must be a string and 'sentences' a list")
     _check_doc_id(doc_id, where)
-    cleaned: list[list[str]] = []
-    # position of each kept sentence among the kept ones, by its index in the record
-    kept_at: dict[int, int] = {}
-    for position, sentence in enumerate(sentences):
-        if type(sentence) is not list or not {str}.issuperset(map(type, sentence)) or "" in sentence:
-            raise ValueError(f"{where}: sentences must be lists of non-empty strings")
-        if sentence:
-            kept_at[position] = len(cleaned)
-            try:
-                cleaned.append(list(map(memo.__getitem__, sentence)))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+    if not {list}.issuperset(map(type, sentences)):
+        raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
+    intern = memo.__getitem__
+    try:
+        cleaned = [list(map(intern, sentence)) for sentence in sentences if sentence]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    except TypeError:  # an unhashable token
+        raise ValueError(f"{where}: {_MALFORMED_SENTENCES}") from None
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
         if not isinstance(paragraphs, list) or any(
@@ -179,7 +194,10 @@ def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
                     raise ValueError(
                         f"{where}: paragraph sentence index {i} is out of range for {len(sentences)} sentences"
                     )
-        # empty sentences were dropped above, so renumber onto the kept ones
+        # empty sentences were dropped above, so renumber onto the kept ones:
+        # the position of each kept sentence by its index in the record
+        kept = (i for i, sentence in enumerate(sentences) if sentence)
+        kept_at = {i: position for position, i in enumerate(kept)}
         paragraphs = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
     return Document(id=doc_id, sentences=cleaned, paragraphs=paragraphs)
 
@@ -188,10 +206,14 @@ def _ingest_jsonl(stream: io.TextIOBase, role: str, name) -> Corpus:
     """Errors name the record as ``name:line``, lines counted from 1."""
     documents = []
     memo = _SharedTokens()
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        documents.append(_parse_jsonl_record(line, f"{name}:{lineno}", memo))
+        doc = _parse_jsonl_record(line, f"{name}:{lineno}", memo)
+        if first_line.setdefault(doc.id, lineno) != lineno:
+            raise ValueError(f"{name}:{lineno}: duplicate document id {doc.id!r} (first on line {first_line[doc.id]})")
+        documents.append(doc)
     if not documents:
         raise ValueError("zero documents after parsing")
     return Corpus(documents=documents, role=role)
@@ -209,6 +231,19 @@ def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     if not documents:
         raise ValueError(f"zero documents found under {directory}")
     return Corpus(documents=documents, role=role)
+
+
+class FloatText(dict):
+    """float -> ``repr(float)``, so a writer formats each distinct value once.
+
+    A zero is never kept: ``0.0`` and ``-0.0`` are one key with two texts.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
 
 
 @contextmanager
@@ -237,12 +272,16 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
 
     ``source`` is a file path (either format) or an open text stream (JSONL
     only); a JSONL error names the file and line, ``<stream>`` standing for
-    a stream without a ``name``.  ``format`` is ``jsonl`` or ``plaintext-dir``.  Empty sentences are
-    dropped; a corpus with zero documents, a doc id or token holding a tab,
-    CR or LF, and a doc id that is empty, starts with '#' or has leading or
-    trailing whitespace are errors.  Equal tokens share one ``str`` object
-    across the corpus, so memory grows with the vocabulary rather than with
-    each token's own copy.
+    a stream without a ``name``.  ``format`` is ``jsonl`` or ``plaintext-dir``.
+
+    Empty sentences are dropped.  These are errors: a corpus with zero
+    documents; a JSONL sentence that is not a list; a token that is not a
+    string, is empty, or holds a tab, CR, LF or lone surrogate; a doc id
+    that holds a tab, CR, LF or lone surrogate, is empty, starts with '#',
+    has leading or trailing whitespace, or repeats an earlier record's id.
+    Each distinct token is checked once.  Equal tokens share one ``str``
+    object across the corpus, so memory grows with the vocabulary rather
+    than with each token's own copy.
     """
     if format == "jsonl":
         if hasattr(source, "read"):
@@ -259,9 +298,12 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
 
 def export_corpus(corpus: Corpus, path) -> None:
     """Write a corpus as canonical JSONL; round-trips through ingest_corpus."""
+    # one encoder per file: json.dumps builds a new one per call when given
+    # a non-default option
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as out:
         for doc in corpus.documents:
             record: dict = {"id": doc.id, "sentences": doc.sentences}
             if doc.paragraphs is not None:
                 record["paragraphs"] = doc.paragraphs
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            out.write(encode(record) + "\n")

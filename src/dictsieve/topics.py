@@ -27,7 +27,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import Corpus, open_text
+from .corpus import Corpus, FloatText, open_text
 
 
 @dataclass
@@ -260,9 +260,13 @@ def save_model(model: TopicModelResult, path) -> None:
         out.write(f"seed\t{model.seed}\n")
         out.write("excluded\t" + ",".join(str(k) for k in sorted(model.excluded)) + "\n")
         out.write("vocab\t" + "\t".join(model.vocab) + "\n")
-        out.write("topic_weight\t" + "\t".join(repr(float(x)) for x in model.topic_weight) + "\n")
+        # each distinct value formatted once; tolist() gives Python floats,
+        # since on numpy 2 the repr of an np.float64 is "np.float64(...)"
+        text = FloatText().__getitem__
+        out.write("topic_weight\t" + "\t".join(map(text, np.asarray(model.topic_weight, float).tolist())) + "\n")
+        phi = np.asarray(model.phi, float)
         for k in range(model.n_topics):
-            out.write(f"phi\t{k + 1}\t" + "\t".join(repr(float(x)) for x in model.phi[k]) + "\n")
+            out.write(f"phi\t{k + 1}\t" + "\t".join(map(text, phi[k].tolist())) + "\n")
 
 
 def load_model(path) -> TopicModelResult:

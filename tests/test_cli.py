@@ -602,6 +602,21 @@ class TestNotUtf8:
         assert f"[ingest] {source}:2: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"id": "b", "sentences": [["caf\ud800"]]}, "token 'caf\\ud800' contains a lone surrogate"),
+            ({"id": "b\udfff", "sentences": [["tea"]]}, "document id 'b\\udfff' contains a lone surrogate"),
+        ],
+    )
+    def test_ingest_of_a_lone_surrogate_exits_2_and_writes_nothing(self, tmp_path, capsys, record, message):
+        source = tmp_path / "escaped.jsonl"
+        source.write_text(json.dumps({"id": "a", "sentences": [["tea"]]}) + "\n" + json.dumps(record) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--input", str(source), "--out", str(out)]) == EXIT_DATA
+        assert f"[ingest] {source}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineArtifacts:
     EXPECTED = (

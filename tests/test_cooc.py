@@ -382,6 +382,44 @@ class TestFilter:
         assert filter_cooc(ref, gen_one).values == filter_cooc(ref, gen_two).values
 
 
+def frozen_save_cooc(matrix: CoocMatrix, path) -> None:
+    """Frozen reference: ``save_cooc`` as it was before it formatted each
+    distinct value once, verbatim."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={len(matrix.terms)}\n")
+        out.write("#terms\t" + "\t".join(matrix.terms) + "\n")
+        for a, b in sorted(matrix.values):
+            out.write(f"{a}\t{b}\t{matrix.values[(a, b)]!r}\n")
+
+
+class TestWriterMatchesFrozenWriter:
+    def assert_same_bytes(self, matrix, tmp_path):
+        save_cooc(matrix, tmp_path / "cooc.tsv")
+        frozen_save_cooc(matrix, tmp_path / "frozen.tsv")
+        assert (tmp_path / "cooc.tsv").read_bytes() == (tmp_path / "frozen.tsv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_random_matrices(self, tmp_path, seed):
+        rng = random.Random(seed)
+        terms = tuple(sorted({f"t{rng.randrange(200)}" for _ in range(rng.randint(2, 40))}))
+        # a small pool, so values repeat; the writer does not check the range
+        pool = [1.0, 5e-324, 0.1 + 0.2, 1 / 3, 0.0, -0.0, 2 / 3] + [rng.random() for _ in range(5)]
+        values = {
+            pair: rng.choice(pool) if rng.random() < 0.7 else rng.random()
+            for pair in combinations(terms, 2)
+            if rng.random() < 0.6
+        }
+        self.assert_same_bytes(CoocMatrix(terms=terms, values=values, provenance=PROVENANCES[seed % 3]), tmp_path)
+
+    def test_a_built_and_a_filtered_matrix(self, tmp_path):
+        rng = random.Random(3)
+        dictionary = make_dictionary(*ORACLE_TERMS)
+        reference = build_cooc(random_corpus(rng, "reference", 30), dictionary)
+        generic = build_cooc(random_corpus(rng, "generic", 30), dictionary)
+        for matrix in (reference, generic, filter_cooc(reference, generic)):
+            self.assert_same_bytes(matrix, tmp_path)
+
+
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = random.Random(5)

@@ -18,6 +18,7 @@ from dictsieve import (
     term_stats,
     tokenize,
 )
+from dictsieve.corpus import FloatText
 
 
 class TestTokenize:
@@ -210,6 +211,44 @@ class TestIngest:
         with pytest.raises(ValueError, match=re.escape(message)):
             ingest_corpus(io.StringIO(payload))
 
+    @pytest.mark.parametrize("field", ["token", "id"])
+    def test_lone_surrogates_are_rejected_where_they_are_read(self, tmp_path, field):
+        bad = "b\ud800"
+        records = [{"id": "d0", "sentences": [["a"]]}, {"id": "d1", "sentences": [["a", "b"]]}]
+        if field == "token":
+            records[1]["sentences"][0][1] = bad
+            message = f":2: token {bad!r} contains a lone surrogate, which UTF-8 cannot encode"
+        else:
+            records[1]["id"] = bad
+            message = f":2: document id {bad!r} contains a lone surrogate, which UTF-8 cannot encode"
+        # json.dumps escapes the surrogate as \ud800, so the file is plain ASCII
+        payload = "".join(json.dumps(record) + "\n" for record in records)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(payload, encoding="ascii")
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            ingest_corpus(path)
+        with pytest.raises(ValueError, match=re.escape(f"<stream>{message}")):
+            ingest_corpus(io.StringIO(payload))
+
+    def test_a_file_name_that_is_not_utf_8_is_rejected_as_a_doc_id(self, tmp_path):
+        # the file system hands the 0xff byte back as the surrogate \udcff
+        path = tmp_path / "d\udcff.txt"
+        path.write_text("A b.")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: document id 'd\\udcff' contains a lone surrogate")):
+            ingest_corpus(tmp_path, format="plaintext-dir")
+
+    def test_duplicate_document_id_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            "".join(json.dumps({"id": i, "sentences": [["a"]]}) + "\n" for i in ("d1", "d2", "d3")) + "\n"
+            + json.dumps({"id": "d2", "sentences": [["b"]]}) + "\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: duplicate document id 'd2' (first on line 2)")):
+            ingest_corpus(path)
+        payload = "".join(json.dumps({"id": "d1", "sentences": [[t]]}) + "\n" for t in ("a", "b"))
+        with pytest.raises(ValueError, match=re.escape("<stream>:2: duplicate document id 'd1' (first on line 1)")):
+            ingest_corpus(io.StringIO(payload))
+
     def test_plaintext_dir(self, tmp_path):
         (tmp_path / "b.txt").write_text("Second file here.")
         (tmp_path / "a.txt").write_text("First sentence. And ANOTHER one!")
@@ -288,6 +327,49 @@ def test_sentence_check_accepts_what_the_per_token_check_accepts(sentence, malfo
     else:
         expected = [["x"], sentence] if sentence else [["x"]]  # an empty sentence is dropped
         assert ingest_corpus(record).documents[0].sentences == expected
+
+
+@pytest.mark.parametrize(
+    "sentences",
+    [
+        pytest.param([["a", ["b"]]], id="list"),
+        pytest.param([["a", {"t": "b"}]], id="object"),
+        pytest.param([["a", True]], id="true"),
+        pytest.param([["a", False]], id="false"),
+        pytest.param([["a", None]], id="null"),
+        pytest.param([["a", 1]], id="int"),
+        pytest.param([["a", float("nan")]], id="nan"),
+        pytest.param([["a", ""]], id="empty-string"),
+        pytest.param([["a"], "b"], id="string-sentence-after-a-valid-one"),
+        pytest.param([["a"], 1], id="int-sentence-after-a-valid-one"),
+        pytest.param([["a"], {"s": ["b"]}], id="object-sentence-after-a-valid-one"),
+    ],
+)
+def test_malformed_tokens_are_rejected_after_equal_strings_were_kept(sentences):
+    """Each distinct token is checked once, so a token the memo does not hold
+    as a string must fail even when its text was kept before."""
+    kept = json.dumps({"id": "d0", "sentences": [["a", "b", "1", "true", "false", "null", "nan", "NaN"]]})
+    payload = kept + "\n" + json.dumps({"id": "d1", "sentences": sentences}) + "\n"
+    with pytest.raises(ValueError, match="^<stream>:2: sentences must be lists of non-empty strings$"):
+        ingest_corpus(io.StringIO(payload))
+
+
+class TestFloatText:
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_each_zero_keeps_its_own_text(self, first, second):
+        text = FloatText()
+        assert [text[first], text[second], text[first]] == [repr(first), repr(second), repr(first)]
+        assert not text
+
+    def test_equal_values_are_formatted_once(self):
+        text = FloatText()
+        assert [text[v] for v in (0.1 + 0.2, 1 / 3, 0.1 + 0.2, 5e-324)] == [
+            "0.30000000000000004",
+            "0.3333333333333333",
+            "0.30000000000000004",
+            "5e-324",
+        ]
+        assert list(text) == [0.1 + 0.2, 1 / 3, 5e-324]
 
 
 class TestExport:

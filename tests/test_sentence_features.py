@@ -6,6 +6,8 @@ import math
 import random
 from array import array
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from dictsieve.scoring import sentence_features
 
 # ---------------------------------------------------------------------------
 # frozen reference: the per-document sentence loop that computed the
-# features before the numpy pass.  It adds each dot product with Python's
-# ``sum``, which is plain left-to-right addition up to Python 3.11 and
-# compensated from 3.12 on.
+# features before the numpy pass.  It adds each dot product left to right
+# with ``reduce(add, ..., 0.0)``, as the scorer does: Python's ``sum`` does
+# the same up to 3.11 but compensates from 3.12 on.
 
 
 def _oracle_sentence_features(d, cooc_filtered):
@@ -31,7 +33,7 @@ def _oracle_sentence_features(d, cooc_filtered):
         s_norm = math.sqrt(len(present))
         for term, count in present.items():
             profile = profiles[term]
-            dot = sum(profile.get(other, 0.0) for other in present)
+            dot = reduce(add, (profile.get(other, 0.0) for other in present), 0.0)
             col_norm = profile_norms[term]
             cos = dot / (s_norm * col_norm) if dot != 0.0 and col_norm != 0.0 else 0.0
             rows.setdefault(term, []).append((count, cos))

@@ -273,6 +273,62 @@ class TestSamplerMatchesNumpyOracle:
         )
 
 
+def frozen_save_model(model: TopicModelResult, path) -> None:
+    """Frozen reference: ``save_model`` as it was before it formatted each
+    distinct value once, verbatim."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("#dictsieve-topic-model\tv1\n")
+        out.write(f"n_topics\t{model.n_topics}\n")
+        out.write(f"n_vocab\t{len(model.vocab)}\n")
+        out.write(f"alpha\t{model.alpha!r}\n")
+        out.write(f"beta\t{model.beta!r}\n")
+        out.write(f"iterations\t{model.iterations}\n")
+        out.write(f"seed\t{model.seed}\n")
+        out.write("excluded\t" + ",".join(str(k) for k in sorted(model.excluded)) + "\n")
+        out.write("vocab\t" + "\t".join(model.vocab) + "\n")
+        out.write("topic_weight\t" + "\t".join(repr(float(x)) for x in model.topic_weight) + "\n")
+        for k in range(model.n_topics):
+            out.write(f"phi\t{k + 1}\t" + "\t".join(repr(float(x)) for x in model.phi[k]) + "\n")
+
+
+# values a writer must format exactly: the smallest subnormal, values whose
+# shortest text has 16 or 17 digits, and both zeros
+EDGE_VALUES = (1.0, 5e-324, 0.1 + 0.2, 1 / 3, 0.0, -0.0, 1e-300, 0.5)
+
+
+class TestWriterMatchesFrozenWriter:
+    def assert_same_bytes(self, model, tmp_path):
+        save_model(model, tmp_path / "model.tsv")
+        frozen_save_model(model, tmp_path / "frozen.tsv")
+        assert (tmp_path / "model.tsv").read_bytes() == (tmp_path / "frozen.tsv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_random_models(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_topics, n_vocab = int(rng.integers(1, 7)), int(rng.integers(1, 60))
+        # a small pool, so values repeat within and across rows
+        pool = np.concatenate([EDGE_VALUES, rng.random(6), rng.random(3) * 1e-8])
+        phi = rng.choice(pool, size=(n_topics, n_vocab))
+        phi[rng.random(phi.shape) < 0.3] = rng.random()
+        topic_weight = rng.choice(pool, size=n_topics)
+        topic_weight[0] = 0.0
+        model = TopicModelResult(
+            n_topics=n_topics,
+            vocab=tuple(f"w{i}" for i in range(n_vocab)),
+            phi=phi,
+            topic_weight=topic_weight,
+            excluded=frozenset({1}) if seed % 2 else frozenset(),
+            seed=seed,
+            alpha=0.1 + 0.2,
+            beta=0.01,
+            iterations=3,
+        )
+        self.assert_same_bytes(model, tmp_path)
+
+    def test_a_fitted_model(self, tmp_path):
+        self.assert_same_bytes(exclude_topics(fit_lda(two_vocab_corpus(), 3, iterations=15, seed=2), {3}), tmp_path)
+
+
 class TestFitValidation:
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty corpus"):
