@@ -228,8 +228,12 @@ def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         if flag_value is not None:
             merged[key] = flag_value
     config = PipelineConfig(**{k: _coerce(k, v) for k, v in merged.items()})
-    if config.reference is None or config.target is None:
+    # an empty path counts as a missing one: ingest would skip the role, and
+    # an empty out_dir would put every artifact in the working directory
+    if not config.reference or not config.target:
         raise UsageError("reference and target corpora are required")
+    if not config.out_dir:
+        raise UsageError("out_dir must not be empty")
     if config.n_topics is None:
         raise UsageError("n_topics is required")
     if config.format not in FORMATS:
@@ -335,12 +339,6 @@ def _load_systems(systems_dir: Path, biased_override: str | None) -> SystemSet:
 # passes on what the stage before returned.  The library is called through
 # the names imported here, which the traced benchmark rebinds.
 
-def ingest_stage(source, format: str, role: str, out) -> Corpus:
-    corpus = ingest_corpus(source, format=format, role=role)
-    export_corpus(corpus, out)
-    return corpus
-
-
 def fit_topics_stage(
     corpus: Corpus, n_topics: int, alpha: float | None, beta: float, iterations: int, seed: int, out
 ) -> TopicModelResult:
@@ -416,7 +414,8 @@ def fuse_stage(systems: SystemSet, top_m: int, fraction: float, out_dir: Path) -
 # subcommands
 
 def cmd_ingest(args) -> None:
-    corpus = ingest_stage(args.input, args.format, args.role, args.out)
+    corpus = ingest_corpus(args.input, format=args.format, role=args.role)
+    export_corpus(corpus, args.out)
     print(f"ingested {len(corpus)} documents (role={corpus.role}) -> {args.out}")
 
 
@@ -531,14 +530,17 @@ def run_pipeline(config: PipelineConfig) -> Path:
         sweep_configs(alphas, config.slope)
     with _stage("fuse"):
         check_fusion_settings(config.top_m, config.fraction)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     with _stage("ingest"):
+        # every corpus is read and checked before the first one is written
         corpora = {
-            role: ingest_stage(getattr(config, role), config.format, role, out_dir / f"corpus_{role}.jsonl")
+            role: ingest_corpus(getattr(config, role), format=config.format, role=role)
             for role in ROLES
             if getattr(config, role)
         }
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for role, corpus in corpora.items():
+            export_corpus(corpus, out_dir / f"corpus_{role}.jsonl")
         reference, generic, target = map(corpora.get, ROLES)
         print("[ingest] " + " ".join(f"{role}={len(corpora.get(role, ()))}" for role in ROLES))
 

@@ -246,6 +246,15 @@ class FloatText(dict):
         return text
 
 
+class TextFloat(dict):
+    """text -> ``float(text)``, so a reader converts each distinct number
+    text once.  A text that is not a number raises ``ValueError``."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 @contextmanager
 def open_text(path):
     """Open ``path`` for reading as UTF-8 text.

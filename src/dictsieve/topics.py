@@ -11,8 +11,8 @@ modeling documents; otherwise whole documents are the modeling unit.
 The Gibbs sampler is a loop over plain Python lists: each token-visit builds
 the K cumulative weights of its full conditional with ``map`` and
 ``accumulate`` and draws a topic by bisection, with no per-topic bytecode.
-It yields a snapshot of the counts after every sweep; the model is computed
-from the last one.
+It yields its live counts after every sweep; the model is computed from the
+counts after the last one, converted to arrays once.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, open_text
+from .corpus import Corpus, FloatText, TextFloat, open_text
 
 
 @dataclass
@@ -84,19 +84,24 @@ def _modeling_units(corpus: Corpus) -> list[list[str]]:
 
 
 def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations, rng):
-    """Run the collapsed Gibbs sweep, yielding count snapshots after each pass.
+    """Run the collapsed Gibbs sweep, yielding the live counts after each pass.
 
     ``word_ids`` and ``unit_ids`` give each token's vocabulary index and
-    modeling unit, in corpus order.  Yields (n_kw, n_k) after every sweep as
-    new float arrays (K x V in C order, and K), never views of sampler
-    state, so a consumer may keep them.
+    modeling unit, in corpus order.  Yields (n_wk, n_k) after every sweep:
+    the sampler's own count lists, V lists of K ints and K ints, the same
+    objects every sweep.  They change when the generator resumes, so a
+    consumer that keeps a sweep's counts converts or copies them first.
 
     The sampler runs on plain lists: int counts per word, unit and topic,
     and beside each count its smoothed term of the full conditional
     (n_wk + beta, n_dk + alpha, n_k + V beta), recomputed from the count
     whenever the count changes, never stepped by 1.0, so each weight has the
     bits of the float64 arithmetic of the numpy oracle in
-    ``tests/test_topics.py``.  A sweep's uniforms come from one
+    ``tests/test_topics.py``.  ``c + beta`` and ``c + alpha`` come from
+    tables built once, up to the largest word frequency and the longest
+    unit, so equal counts share one float.  The sweep walks the runs of
+    equal unit ids, looks up the unit's rows once per run, and writes the
+    run's drawn topics back in one slice.  A sweep's uniforms come from one
     ``rng.random(n_tokens)`` call, the same stream as one ``rng.random()``
     per token.
     """
@@ -111,41 +116,57 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
         n_k[k] += 1
 
     v_beta = n_vocab * beta
-    wb = [[c + beta for c in row] for row in n_wk]
-    da = [[c + alpha for c in row] for row in n_dk]
+    # a word's count in a topic is at most its frequency and a unit's at most
+    # its length; kb is computed per update, since n_k goes up to n_tokens
+    plus_beta = [c + beta for c in range(max(map(sum, n_wk), default=0) + 1)]
+    plus_alpha = [c + alpha for c in range(max(map(sum, n_dk), default=0) + 1)]
+    wb = [[plus_beta[c] for c in row] for row in n_wk]
+    da = [[plus_alpha[c] for c in row] for row in n_dk]
     kb = [c + v_beta for c in n_k]
+    # per token, the (count row, smoothed row) pair of its word, cut into
+    # runs of equal unit id, each with its unit's two rows
+    word_rows = list(zip(n_wk, wb))
+    runs = []
+    start = 0
+    for d, group in groupby(unit_ids):
+        stop = start + sum(1 for _ in group)
+        runs.append((start, stop, n_dk[d], da[d], [word_rows[w] for w in word_ids[start:stop]]))
+        start = stop
     last = n_topics - 1
     for _ in range(iterations):
         uniforms = rng.random(n_tokens).tolist()
-        for i, (w, d, u) in enumerate(zip(word_ids, unit_ids, uniforms)):
-            k = assignments[i]
-            word, word_b, unit, unit_a = n_wk[w], wb[w], n_dk[d], da[d]
-            c = word[k] = word[k] - 1
-            word_b[k] = c + beta
-            c = n_k[k] = n_k[k] - 1
-            kb[k] = c + v_beta
-            c = unit[k] = unit[k] - 1
-            unit_a[k] = c + alpha
+        for start, stop, unit, unit_a, rows in runs:
+            drawn = []
+            draw = drawn.append
+            for (word, word_b), k, u in zip(rows, assignments[start:stop], uniforms[start:stop]):
+                c = word[k] = word[k] - 1
+                word_b[k] = plus_beta[c]
+                c = n_k[k] = n_k[k] - 1
+                kb[k] = c + v_beta
+                c = unit[k] = unit[k] - 1
+                unit_a[k] = plus_alpha[c]
 
-            # full conditional over topics, (n_wk + beta) / (n_k + V beta) *
-            # (n_dk + alpha) in the oracle's operation order; the per-unit
-            # denominator is constant across k and cancels.  The total
-            # cum[-1] is a sequential sum where the oracle's sum() is pairwise:
-            # the two may differ in the last ulp, which moves a draw only if
-            # u * total falls within an ulp of a cumulative boundary.
-            cum = list(accumulate(map(mul, map(truediv, word_b, kb), unit_a)))
-            k = bisect_right(cum, u * cum[-1])
-            if k > last:  # guard against u landing on the top edge
-                k = last
+                # full conditional over topics, (n_wk + beta) / (n_k + V beta)
+                # * (n_dk + alpha) in the oracle's operation order; the
+                # per-unit denominator is constant across k and cancels.  The
+                # total cum[-1] is a sequential sum where the oracle's sum()
+                # is pairwise: the two may differ in the last ulp, which moves
+                # a draw only if u * total falls within an ulp of a
+                # cumulative boundary.
+                cum = list(accumulate(map(mul, map(truediv, word_b, kb), unit_a)))
+                k = bisect_right(cum, u * cum[-1])
+                if k > last:  # guard against u landing on the top edge
+                    k = last
 
-            assignments[i] = k
-            c = word[k] = word[k] + 1
-            word_b[k] = c + beta
-            c = n_k[k] = n_k[k] + 1
-            kb[k] = c + v_beta
-            c = unit[k] = unit[k] + 1
-            unit_a[k] = c + alpha
-        yield np.array(n_wk, dtype=np.float64).T.copy(), np.array(n_k, dtype=np.float64)
+                draw(k)
+                c = word[k] = word[k] + 1
+                word_b[k] = plus_beta[c]
+                c = n_k[k] = n_k[k] + 1
+                kb[k] = c + v_beta
+                c = unit[k] = unit[k] + 1
+                unit_a[k] = plus_alpha[c]
+            assignments[start:stop] = drawn
+        yield n_wk, n_k
 
 
 def check_fit_settings(n_topics: int, alpha: float | None, beta: float, iterations: int) -> float:
@@ -176,8 +197,10 @@ def fit_lda(
     ``alpha`` defaults to 50/K; ``alpha`` and ``beta`` must be finite and
     positive.  The fit is single-threaded and fully deterministic for a
     fixed seed: the sweep visits tokens in corpus order and the vocabulary
-    is ordered lexicographically.  ``phi`` and ``topic_weight`` come from
-    the count snapshot of the last sweep.
+    is ordered lexicographically.  Each modeling unit's tokens are laid out
+    consecutively, which the sampler walks one unit at a time.  ``phi`` and
+    ``topic_weight`` come from the sampler's counts after the last sweep,
+    converted to arrays once.
     """
     if not corpus.documents:
         raise ValueError("cannot fit a topic model on an empty corpus")
@@ -198,9 +221,10 @@ def fit_lda(
     unit_ids = [d for d, unit in enumerate(units) for _ in unit]
 
     rng = np.random.default_rng(seed)
-    n_kw = n_k = None
-    for n_kw, n_k in _gibbs_states(word_ids, unit_ids, n_topics, len(vocab), alpha, beta, iterations, rng):
+    for n_wk, n_k in _gibbs_states(word_ids, unit_ids, n_topics, len(vocab), alpha, beta, iterations, rng):
         pass
+    n_kw = np.array(n_wk, dtype=np.float64).T.copy()
+    n_k = np.array(n_k, dtype=np.float64)
 
     phi = (n_kw + beta) / (n_k[:, None] + len(vocab) * beta)
     topic_weight = n_k / len(word_ids)
@@ -288,8 +312,12 @@ def load_model(path) -> TopicModelResult:
         def fail(message):
             raise ValueError(f"{path}:{lineno}: {message}")
 
+        # each distinct number text is converted once per file
+        number = TextFloat().__getitem__
+
         def read(*head, convert=None, count=None):
-            """The values of the next line after its leading fields ``head``."""
+            """The values of the next line after its leading fields
+            ``head``, converted by ``int`` or ``number`` if given."""
             nonlocal lineno
             lineno += 1
             values = stream.readline().rstrip("\n").split("\t")
@@ -302,18 +330,18 @@ def load_model(path) -> TopicModelResult:
             if convert is None:
                 return values
             try:
-                return [convert(v) for v in values]
+                return list(map(convert, values))
             except ValueError:
-                fail(f"{name} holds a value that is not {convert.__name__}")
+                fail(f"{name} holds a value that is not {'int' if convert is int else 'float'}")
 
         n_topics, = read("n_topics", convert=int, count=1)
         if n_topics < 1:
             fail(f"n_topics must be >= 1, got {n_topics}")
         n_vocab, = read("n_vocab", convert=int, count=1)
-        alpha, = read("alpha", convert=float, count=1)
+        alpha, = read("alpha", convert=number, count=1)
         if not (math.isfinite(alpha) and alpha > 0):
             fail(f"alpha must be finite and > 0, got {alpha!r}")
-        beta, = read("beta", convert=float, count=1)
+        beta, = read("beta", convert=number, count=1)
         if not (math.isfinite(beta) and beta > 0):
             fail(f"beta must be finite and > 0, got {beta!r}")
         iterations, = read("iterations", convert=int, count=1)
@@ -330,13 +358,13 @@ def load_model(path) -> TopicModelResult:
         vocab = tuple(read("vocab"))
         if len(vocab) != n_vocab or len(set(vocab)) != n_vocab:
             fail(f"vocab must hold {n_vocab} distinct terms")
-        topic_weight = np.array(read("topic_weight", convert=float, count=n_topics))
+        topic_weight = np.array(read("topic_weight", convert=number, count=n_topics))
         if not np.isfinite(topic_weight).all():
             fail("topic_weight values must be finite")
         phi = np.empty((n_topics, n_vocab))
         for k in range(1, n_topics + 1):
             row = phi[k - 1]
-            row[:] = read("phi", str(k), convert=float, count=n_vocab)
+            row[:] = read("phi", str(k), convert=number, count=n_vocab)
             if not (np.isfinite(row).all() and (row >= 0.0).all()):
                 fail(f"phi row {k} must hold finite, non-negative values")
             total = float(row.sum())

@@ -281,6 +281,22 @@ class TestExitCodes:
         assert "[ingest]" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("role", ["generic", "target"])
+    def test_a_bad_later_corpus_leaves_no_corpus_behind(self, corpora_dir, tmp_path, capsys, role):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps({"id": "d1", "sentences": [[t]]}) + "\n" for t in ("a", "b")))
+        options = {
+            "--reference": str(corpora_dir / "reference.jsonl"),
+            "--generic": str(corpora_dir / "generic.jsonl"),
+            "--target": str(corpora_dir / "target.jsonl"),
+            "--out-dir": str(tmp_path / "out"),
+            "--n-topics": "2",
+            f"--{role}": str(bad),
+        }
+        assert main(["run", *(item for option in options.items() for item in option)]) == EXIT_DATA
+        assert f"[ingest] {bad}:2: duplicate document id 'd1' (first on line 1)" in capsys.readouterr().err
+        assert list(tmp_path.rglob("corpus_*.jsonl")) == []
+
 
 class TestSubcommands:
     def test_ingest_writes_canonical_jsonl(self, corpora_dir, tmp_path, capsys):
@@ -965,6 +981,44 @@ class TestRunFlags:
         assert main(args) == EXIT_USAGE
         assert "format must be one of jsonl, plaintext-dir, got 'bogus'" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("reference", "reference and target corpora are required"),
+            ("target", "reference and target corpora are required"),
+            ("out_dir", "out_dir must not be empty"),
+        ],
+    )
+    def test_an_empty_path_is_a_usage_error_before_anything_is_written(
+        self, key, message, source, corpora_dir, tmp_path, monkeypatch, capsys
+    ):
+        # an empty out_dir would put the artifacts in the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        values = {
+            "reference": str(corpora_dir / "reference.jsonl"),
+            "generic": str(corpora_dir / "generic.jsonl"),
+            "target": str(corpora_dir / "target.jsonl"),
+            "out_dir": str(tmp_path / "out"),
+            "n_topics": "2",
+            "iterations": "2",
+            "alphas": "0",
+            key: "",
+        }
+        if source == "flag":
+            args = ["run", *(f"--{name.replace('_', '-')}={value}" for name, value in values.items())]
+        else:
+            config_path = tmp_path / "run.conf"
+            config_path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+            args = ["run", "--config", str(config_path)]
+        assert main(args) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_the_traced_benchmark_finds_every_name_it_wraps(self):
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import re
 
@@ -18,7 +19,7 @@ from dictsieve import (
     term_stats,
     tokenize,
 )
-from dictsieve.corpus import FloatText
+from dictsieve.corpus import FloatText, TextFloat
 
 
 class TestTokenize:
@@ -453,3 +454,17 @@ class TestTermStats:
         assert stats.tf == {}
         with pytest.raises(ValueError, match="empty corpus"):
             term_stats(Corpus(documents=[], role="target"))
+
+
+class TestTextFloat:
+    def test_each_distinct_text_is_converted_once(self):
+        number = TextFloat()
+        assert [number[t] for t in ("0.5", "-0.0", "0.5", "0.0", "1e-320")] == [0.5, -0.0, 0.5, 0.0, 1e-320]
+        assert list(number) == ["0.5", "-0.0", "0.0", "1e-320"]
+        assert math.copysign(1.0, number["-0.0"]) == -1.0
+
+    def test_a_text_that_is_not_a_number_raises_value_error(self):
+        number = TextFloat()
+        with pytest.raises(ValueError):
+            number["many"]
+        assert not number

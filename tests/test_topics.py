@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
@@ -80,7 +81,10 @@ def assert_same_chain(corpus, n_topics, alpha, beta, sweeps, make_rng):
         (n_kw.copy(), n_k.copy())
         for n_kw, n_k in numpy_gibbs_states(np.array(word_ids), np.array(unit_ids), *args, make_rng())
     ]
-    got = list(_gibbs_states(word_ids, unit_ids, *args, make_rng()))
+    got = [
+        (np.array(n_wk, dtype=np.float64).T, np.array(n_k, dtype=np.float64))
+        for n_wk, n_k in _gibbs_states(word_ids, unit_ids, *args, make_rng())
+    ]
     assert len(got) == len(expected) == sweeps
     for sweep, ((n_kw, n_k), (want_kw, want_k)) in enumerate(zip(got, expected), 1):
         np.testing.assert_array_equal(n_kw, want_kw, err_msg=f"n_kw after sweep {sweep}")
@@ -203,19 +207,28 @@ class TestFitProperties:
         rng = np.random.default_rng(42)
         tf_vector = np.array([stats.tf[w] for w in vocab])
         sweeps = 0
-        for n_kw, n_k in _gibbs_states(word_ids, unit_ids, 4, len(vocab), 0.5, 0.01, 10, rng):
+        for n_wk, n_k in _gibbs_states(word_ids, unit_ids, 4, len(vocab), 0.5, 0.01, 10, rng):
+            n_kw, n_k = np.array(n_wk).T, np.array(n_k)
             np.testing.assert_array_equal(n_kw.sum(axis=0), tf_vector)
             np.testing.assert_array_equal(n_kw.sum(axis=1), n_k)
             assert n_k.sum() == len(word_ids)
             sweeps += 1
         assert sweeps == 10
 
-    def test_snapshots_are_not_views_of_sampler_state(self):
+    def test_every_sweep_yields_the_live_counts(self):
         word_ids, unit_ids, n_vocab = sampler_inputs(two_vocab_corpus(seed=3))
         rng = np.random.default_rng(42)
-        states = list(_gibbs_states(word_ids, unit_ids, 4, n_vocab, 0.5, 0.01, 3, rng))
-        assert not np.array_equal(states[0][0], states[-1][0])
-        assert all(n_kw.flags.c_contiguous for n_kw, _ in states)
+        states = _gibbs_states(word_ids, unit_ids, 4, n_vocab, 0.5, 0.01, 4, rng)
+        n_wk, n_k = next(states)
+        rows = list(n_wk)
+        assert len(rows) == n_vocab and all(len(row) == 4 for row in rows)
+        seen = [copy.deepcopy((n_wk, n_k))]
+        for later_wk, later_k in states:
+            assert later_wk is n_wk and later_k is n_k
+            assert all(a is b for a, b in zip(later_wk, rows))
+            seen.append(copy.deepcopy((n_wk, n_k)))
+        assert len(seen) == 4
+        assert all(a[0] != b[0] for a, b in zip(seen, seen[1:]))
 
     def test_paragraph_groups_change_the_modeling_units(self):
         doc = Document(
@@ -262,6 +275,33 @@ class TestSamplerMatchesNumpyOracle:
         # even split of the other tokens gives topics equal weights
         corpus = Corpus(documents=[Document(id="d", sentences=[["a"] * 7])], role="reference")
         assert_same_chain(corpus, n_topics, 1.0, 0.5, 20, lambda: QuarterUniforms(4))
+
+    def test_one_token_units(self):
+        docs = [
+            Document(id="a", sentences=[["x"]]),
+            Document(id="b", sentences=[["x", "y"], ["z"], ["y"]], paragraphs=[[0], [1], [2]]),
+            Document(id="c", sentences=[["y", "z", "x", "x"]]),
+            Document(id="d", sentences=[["z"]]),
+        ]
+        corpus = Corpus(documents=docs, role="reference")
+        assert [len(unit) for unit in _modeling_units(corpus)] == [1, 2, 1, 1, 4, 1]
+        assert_same_chain(corpus, 3, 0.5, 0.01, 8, lambda: np.random.default_rng(5))
+
+    @pytest.mark.parametrize("n_topics", [1, 3])
+    def test_counts_reach_the_top_of_both_tables(self, n_topics):
+        # one word repeated in one unit: the largest word frequency and the
+        # longest unit are both 9, and a topic holds all 9 tokens once the
+        # urn concentrates (always, with one topic)
+        corpus = Corpus(documents=[Document(id="d", sentences=[["a"] * 9])], role="reference")
+        assert_same_chain(corpus, n_topics, 0.05, 0.01, 30, lambda: np.random.default_rng(8))
+        word_ids, unit_ids, n_vocab = sampler_inputs(corpus)
+        states = _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, 0.05, 0.01, 30, np.random.default_rng(8))
+        assert any(max(n_wk[0]) == 9 for n_wk, _ in states)
+
+    def test_more_topics_than_terms(self):
+        corpus = tiny_corpus()
+        assert len(corpus.vocabulary) == 3
+        assert_same_chain(corpus, 5, 10.0, 0.01, 12, lambda: np.random.default_rng(6))
 
     def test_planted_model_bytes_are_pinned(self, planted_reference, tmp_path):
         """sha256 of the model file written from the numpy sampler's chain."""
