@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import typing
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -384,11 +384,19 @@ def sweep_stage(
     out_dir: Path,
 ) -> SystemSet:
     """Writes one ranked list per system under ``out_dir/systems``, then the
-    index ``out_dir/systems.tsv`` that ``_read_system_index`` reads."""
+    index ``out_dir/systems.tsv`` that ``_read_system_index`` reads, after it
+    removes each list of a parsed previous index that it does not write and
+    whose file is exactly ``systems/`` + its id's ``system_filename``."""
     systems = generate_sweep(target, dict_tm, dict_tfidf, cooc_tm, cooc_tfidf, alphas=alphas, k=k, slope=slope)
     fnames = [system_filename(ranked.system_id) for ranked in systems.systems]
     if len(set(fnames)) != len(fnames):
         raise ValueError("system filename collision")
+    stale = set()
+    with suppress(OSError, ValueError):
+        rows = _read_system_index(out_dir / "systems.tsv")
+        stale = {fname for system_id, fname, _ in rows if fname == f"systems/{system_filename(system_id)}"}
+    for fname in stale.difference(f"systems/{fname}" for fname in fnames):
+        (out_dir / fname).unlink(missing_ok=True)
     (out_dir / "systems").mkdir(parents=True, exist_ok=True)
     for ranked, fname in zip(systems.systems, fnames):
         save_ranked_list(ranked, out_dir / "systems" / fname)

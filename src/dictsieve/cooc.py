@@ -7,15 +7,19 @@ regularities; the filtered matrix max(C - D, 0) keeps only the surplus
 specific to the reference collection.  Values live in [0, 1] so matrices
 from different corpora are directly comparable, which is what makes the
 subtraction meaningful.
+
+A matrix is two arrays, the sorted keys ``a * n + b`` of its pairs over the
+lexicographic ranks a < b of their terms (the order ``save_cooc`` writes)
+and their values; lookups, filtering, norms and scoring all read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, count, repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,26 +38,55 @@ def dice(n_a: int, n_b: int, n_ab: int) -> float:
     return 2.0 * n_ab / (n_a + n_b)
 
 
-@dataclass
+def position_major(lengths: np.ndarray):
+    """Yield (p, the indices of the runs longer than p) for p = 0, 1, ...: a run
+    summed by adding its p-th term at step p adds left to right, unlike numpy."""
+    alive = np.arange(len(lengths))
+    for p in count():
+        alive = alive[lengths[alive] > p]
+        if not alive.size:
+            return
+        yield p, alive
+
+
+@dataclass(eq=False)
 class CoocMatrix:
     """Sparse symmetric matrix of Dice values over the dictionary terms.
 
-    ``values`` is the stored form: keys are term pairs ordered
-    lexicographically; the diagonal is defined as 0 and never stored, so a
-    term's context profile excludes itself.  Per-term profiles and their
-    norms are derived from it on first use, walking the pairs in sorted
-    order, so ``values``' own order carries no meaning.
+    ``terms`` is in dictionary order, ``lexicon`` sorted: a term's index
+    there is its rank.  ``keys`` (int64, ascending) codes each stored pair
+    as ``a * n + b`` over the ranks a < b of its terms, and ``values``
+    (float64) holds their Dice values.  The diagonal is 0 and never stored.
     """
 
     terms: tuple[str, ...]
-    values: dict[tuple[str, str], float]
+    keys: np.ndarray
+    values: np.ndarray
     provenance: str
+    lexicon: tuple[str, ...] = field(init=False, repr=False)
     _term_pos: dict[str, int] = field(init=False, repr=False)
+    _rank: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         self._term_pos = {t: i for i, t in enumerate(self.terms)}
+        self.lexicon = tuple(sorted(self.terms))
+        self._rank = {t: r for r, t in enumerate(self.lexicon)}
+
+    @classmethod
+    def from_pairs(cls, terms, values: dict[tuple[str, str], float], provenance: str) -> CoocMatrix:
+        """The matrix of ``values``, pairs (a, b) of ``terms``, a < b, in any order."""
+        rank = {t: r for r, t in enumerate(sorted(terms))}
+        a, b = (np.fromiter(map(rank.get, map(itemgetter(i), values), repeat(-1)), np.int64, len(values)) for i in (0, 1))
+        if (bad := np.flatnonzero((a < 0) | (b <= a))).size:
+            raise ValueError(f"pair {list(values)[bad[0]]!r} is not two terms of the term list in lexicographic order")
+        keys = a * len(terms) + b
+        order = np.argsort(keys)
+        return cls(tuple(terms), keys[order], np.fromiter(values.values(), np.float64, len(values))[order], provenance)
+
+    def __len__(self) -> int:
+        return len(self.values)
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_pos
@@ -62,49 +95,38 @@ class CoocMatrix:
         """Index of ``term`` in ``terms``."""
         return self._term_pos[term]
 
-    def get(self, a: str, b: str) -> float:
-        if a == b:
-            return 0.0
-        return self.values.get((a, b) if a < b else (b, a), 0.0)
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The value stored under each of ``keys``, 0.0 where none is."""
+        if not len(self):
+            return np.zeros(len(keys))
+        hit = np.searchsorted(self.keys, keys).clip(max=len(self) - 1)
+        return np.where(self.keys[hit] == keys, self.values[hit], 0.0)
 
-    @cached_property
-    def profiles(self) -> dict[str, dict[str, float]]:
-        """term -> {partner: Dice} for every term, nonzero partners only,
-        each profile in lexicographic partner order."""
-        profiles: dict[str, dict[str, float]] = {t: {} for t in self.terms}
-        values = self.values
-        # the keys are sorted, not the items, so no tuple is built per pair
-        for pair in sorted(values):
-            a, b = pair
-            profiles[a][b] = profiles[b][a] = values[pair]
-        return profiles
+    def get(self, a: str, b: str) -> float:
+        """0.0 on the diagonal, for an unstored pair and for a term outside ``terms``."""
+        ra, rb = sorted((self._rank.get(a, -1), self._rank.get(b, -1)))
+        return 0.0 if ra < 0 or ra == rb else float(self.lookup(np.array([ra * len(self.terms) + rb]))[0])
+
+    def pairs(self):
+        """Yield ((a, b), value) for every stored pair, in lexicographic order."""
+        a, b = (map(self.lexicon.__getitem__, ranks.tolist()) for ranks in np.divmod(self.keys, len(self.terms)))
+        return zip(zip(a, b), self.values.tolist())
 
     @cached_property
     def norms(self) -> dict[str, float]:
-        """term -> Euclidean norm of its profile, its squares added left to
-        right (``sum`` compensates float rounding from Python 3.12 on)."""
-        return {
-            t: math.sqrt(reduce(add, map(mul, p.values(), p.values()), 0.0))
-            for t, p in self.profiles.items()
-        }
-
-    @cached_property
-    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted keys ``i * n + j``, i < j, over the term positions of the
-        stored pairs, and their values; a last key ``n * n``, above every
-        pair, holds 0.0, so a lookup never runs past the end."""
+        """term -> Euclidean norm of its profile, in ``terms`` order, its squares
+        added left to right in lexicographic partner order (not by ``sum``)."""
         n = len(self.terms)
-        position = self._term_pos.__getitem__
-        n_pairs = len(self.values)
-        a = np.fromiter(map(position, map(itemgetter(0), self.values)), dtype=np.int64, count=n_pairs)
-        b = np.fromiter(map(position, map(itemgetter(1), self.values)), dtype=np.int64, count=n_pairs)
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
-        del a, b
-        # the keys are distinct: a stable sort only shares its code with the
-        # sentence pass's, which keeps the pages of one sort routine resident
-        order = np.argsort(keys, kind="stable")
-        values = np.fromiter(self.values.values(), dtype=np.float64, count=n_pairs)
-        return np.append(keys[order], n * n), np.append(values[order], 0.0)
+        a, b = np.divmod(self.keys, n)
+        # the pairs (x, t), x < t, ascending, then (t, y), t < y: the stable
+        # sort lists every term's partners in lexicographic order
+        squares = np.tile(self.values * self.values, 2)[np.argsort(np.concatenate((b, a)), kind="stable")]
+        n_partners = np.bincount(np.concatenate((a, b)), minlength=n)
+        start = np.cumsum(n_partners) - n_partners
+        totals = np.zeros(n)
+        for p, alive in position_major(n_partners):
+            totals[alive] += squares[start[alive] + p]
+        return {t: math.sqrt(totals[self._rank[t]]) for t in self.terms}
 
 
 def check_key_range(n_terms: int, n_sentences: int) -> None:
@@ -129,9 +151,8 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     """Count sentence co-occurrences of dictionary terms and apply Dice.
 
     n_x counts sentences containing x at least once; pairs never seen in a
-    common sentence are omitted from sparse storage.  ``values`` holds the
-    pairs in lexicographic order, as ``save_cooc`` writes them; that order
-    carries no meaning.
+    common sentence are not stored.  Tokens are coded by lexicographic rank,
+    so the sorted pair keys of the count are the matrix's ``keys``.
     """
     n = len(dictionary)
     if n == 0:
@@ -173,12 +194,11 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     # a pair occurs at most once per sentence, so its group's length is its count
     head = np.flatnonzero(np.diff(pair, prepend=-1))
     n_ab = np.diff(head, append=len(pair))
-    a, b = np.divmod(pair[head], n)
+    pair = pair[head]
+    a, b = np.divmod(pair, n)
     # the operations of ``dice`` on exact integer counts, so the same bits
     dice_values = 2.0 * n_ab / (n_single[a] + n_single[b])
-    keys_ab = zip(map(lexicon.__getitem__, a.tolist()), map(lexicon.__getitem__, b.tolist()))
-    values = dict(zip(keys_ab, dice_values.tolist()))
-    return CoocMatrix(terms=dictionary.terms, values=values, provenance=corpus.role)
+    return CoocMatrix(terms=dictionary.terms, keys=pair, values=dice_values, provenance=corpus.role)
 
 
 def filter_cooc(reference: CoocMatrix, generic: CoocMatrix) -> CoocMatrix:
@@ -190,12 +210,9 @@ def filter_cooc(reference: CoocMatrix, generic: CoocMatrix) -> CoocMatrix:
         raise ValueError(f"expected a generic matrix, got provenance {generic.provenance!r}")
     if reference.terms != generic.terms:
         raise ValueError("term lists of the two matrices do not match")
-    values = {}
-    for pair, c_value in reference.values.items():
-        filtered = c_value - generic.values.get(pair, 0.0)
-        if filtered > 0.0:
-            values[pair] = filtered
-    return CoocMatrix(terms=reference.terms, values=values, provenance="filtered")
+    filtered = reference.values - generic.lookup(reference.keys)
+    kept = filtered > 0.0
+    return CoocMatrix(terms=reference.terms, keys=reference.keys[kept], values=filtered[kept], provenance="filtered")
 
 
 def save_cooc(matrix: CoocMatrix, path) -> None:
@@ -204,9 +221,8 @@ def save_cooc(matrix: CoocMatrix, path) -> None:
         out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={len(matrix.terms)}\n")
         out.write("#terms\t" + "\t".join(matrix.terms) + "\n")
         text = FloatText()
-        values = matrix.values
-        for a, b in sorted(values):
-            out.write(f"{a}\t{b}\t{text[values[a, b]]}\n")
+        for (a, b), value in matrix.pairs():
+            out.write(f"{a}\t{b}\t{text[value]}\n")
 
 
 def load_cooc(path) -> CoocMatrix:
@@ -251,4 +267,4 @@ def load_cooc(path) -> CoocMatrix:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number in (0, 1]")
             values[(a, b)] = value
-    return CoocMatrix(terms=terms, values=values, provenance=provenance)
+    return CoocMatrix.from_pairs(terms, values, provenance)

@@ -66,11 +66,6 @@ class Dictionary:
         return self._index[term]
 
     @property
-    def index(self) -> dict[str, DictionaryEntry]:
-        """term -> entry; read-only by convention."""
-        return self._index
-
-    @property
     def terms(self) -> tuple[str, ...]:
         return tuple(e.term for e in self.entries)
 

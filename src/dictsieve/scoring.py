@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
-from .cooc import CoocMatrix, check_key_range, encode_sentences
+from .cooc import CoocMatrix, check_key_range, encode_sentences, position_major
 from .corpus import Corpus, Document, TermStats
 from .dictionary import Dictionary
 
@@ -137,34 +136,21 @@ class SentenceFeatures:
     cosines: np.ndarray
 
 
-def _position_major(lengths: np.ndarray):
-    """Yield (p, the indices of the runs longer than p) for p = 0, 1, ...
-
-    A run's sum that adds its p-th term at step p adds its terms one by one,
-    left to right, as a Python loop over the run would; numpy's own
-    reductions may associate them differently.
-    """
-    alive = np.arange(len(lengths))
-    for p in count():
-        alive = alive[lengths[alive] > p]
-        if not alive.size:
-            return
-        yield p, alive
-
-
 def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> SentenceFeatures:
     """One pass over every sentence of ``documents``: the (count, cosine) row
     of every matrix term in every sentence that contains it.
 
-    A term's dot product with a sentence adds the term's Dice value with each
-    distinct matrix term of the sentence, left to right in order of first
-    occurrence, as the per-sentence loop that it replaces did.
+    Tokens are coded by lexicographic rank, so pairs of sentence terms are
+    looked up by the matrix's own keys.  A term's dot product with a sentence
+    adds its Dice value with each distinct matrix term of the sentence, left
+    to right in order of first occurrence, as the replaced loop did.
     """
     n = len(cooc_filtered.terms)
     sentences = [sentence for doc in documents for sentence in doc.sentences]
     n_sentences = len(sentences)
     check_key_range(n, n_sentences)
-    lengths, codes = encode_sentences(sentences, cooc_filtered.terms)
+    lexicon = cooc_filtered.lexicon
+    lengths, codes = encode_sentences(sentences, lexicon)
     present = np.flatnonzero(codes >= 0)
     # key sentence * n + term of every matrix-term token, in token order
     keys = np.searchsorted(np.cumsum(lengths), present, side="right") * n + codes[present]
@@ -179,8 +165,8 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     token_count = np.zeros(len(keys), dtype=np.int64)
     token_count[order[head]] = np.diff(head, append=len(keys))
     del order, head
-    # entries (sentence, term): in sentence order, then in first-occurrence order
-    entry_sentence, entry_term = np.divmod(keys[first], n)
+    # entries (sentence, term rank): in sentence order, then in first-occurrence order
+    entry_sentence, entry_rank = np.divmod(keys[first], n)
     entry_count = token_count[first]
     del keys, first, token_count
 
@@ -188,22 +174,19 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     width = n_present[entry_sentence]
     start = (np.cumsum(n_present) - n_present)[entry_sentence]
     # step p adds the Dice value of the sentence's p-th distinct term
-    table_keys, table_values = cooc_filtered.pair_table
-    dot = np.zeros(len(entry_term))
-    for p, alive in _position_major(width):
-        term, other = entry_term[alive], entry_term[start[alive] + p]
-        pair_keys = np.minimum(term, other) * n + np.maximum(term, other)
-        hit = np.searchsorted(table_keys, pair_keys)
-        dot[alive] += np.where(table_keys[hit] == pair_keys, table_values[hit], 0.0)
-    col_norm = np.fromiter(map(cooc_filtered.norms.__getitem__, cooc_filtered.terms), dtype=np.float64, count=n)
-    col_norm = col_norm[entry_term]
+    dot = np.zeros(len(entry_rank))
+    for p, alive in position_major(width):
+        term, other = entry_rank[alive], entry_rank[start[alive] + p]
+        dot[alive] += cooc_filtered.lookup(np.minimum(term, other) * n + np.maximum(term, other))
+    col_norm = np.fromiter(map(cooc_filtered.norms.__getitem__, lexicon), dtype=np.float64, count=n)[entry_rank]
     defined = np.flatnonzero((dot != 0.0) & (col_norm != 0.0))
     cosines = np.zeros(len(dot))
     cosines[defined] = dot[defined] / (np.sqrt(width[defined]) * col_norm[defined])
     del n_present, width, start, dot, col_norm, defined
 
-    # rows by (document, term position, sentence); lexsort is stable and the
-    # entries are in sentence order
+    # rows by (document, term position, sentence), the ranks mapped back to
+    # positions; lexsort is stable and the entries are in sentence order
+    entry_term = np.fromiter(map(cooc_filtered.position, lexicon), dtype=np.int64, count=n)[entry_rank]
     n_documents = len(documents)
     document_ends = np.cumsum(np.fromiter(map(len, (doc.sentences for doc in documents)), np.int64, n_documents))
     entry_document = np.searchsorted(document_ends, entry_sentence, side="right")
@@ -233,7 +216,7 @@ def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> list[float]
     lengths = features.lengths
     start = np.cumsum(lengths) - lengths
     totals = np.zeros(len(lengths))
-    for p, alive in _position_major(lengths):
+    for p, alive in position_major(lengths):
         totals[alive] += values[start[alive] + p]
     return totals.tolist()
 

@@ -22,6 +22,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, groupby
 from operator import mul, truediv
 
@@ -55,13 +56,9 @@ class TopicModelResult:
             bad = sorted(set(self.excluded) - set(range(1, self.n_topics + 1)))
             raise ValueError(f"excluded topic ids out of range 1..{self.n_topics}: {bad}")
 
-    @property
+    @cached_property
     def vocab_index(self) -> dict[str, int]:
-        cached = getattr(self, "_vocab_index", None)
-        if cached is None:
-            cached = {w: i for i, w in enumerate(self.vocab)}
-            self._vocab_index = cached
-        return cached
+        return {w: i for i, w in enumerate(self.vocab)}
 
     def retained_topics(self) -> list[int]:
         return [k for k in range(1, self.n_topics + 1) if k not in self.excluded]

@@ -171,7 +171,7 @@ def test_criterion_01_formula_oracles():
         assert _term_contribution(1.0, 0.0, boost(1), 0.31) == approx(0.31)
         assert _term_contribution(math.e, 0.0, boost(4), 0.31) == approx(0.31)
 
-        worked = CoocMatrix(
+        worked = CoocMatrix.from_pairs(
             terms=("a", "b", "w"),
             values={("a", "w"): 0.4, ("b", "w"): 0.3},
             provenance="filtered",
@@ -188,25 +188,25 @@ def test_criterion_01_formula_oracles():
         matrix = build_cooc(cooc_corpus, make_dictionary("a", "b", "c"))
         assert matrix.get("a", "b") == approx(0.5)
         assert matrix.get("b", "c") == approx(2.0 / 3.0)
-        assert ("a", "c") not in matrix.values and matrix.get("a", "c") == 0.0
+        assert ("a", "c") not in dict(matrix.pairs()) and matrix.get("a", "c") == 0.0
         binary = build_cooc(
             Corpus(documents=[Document(id="d", sentences=[["a", "a", "b"]])], role="reference"),
             make_dictionary("a", "b"),
         )
         assert binary.get("a", "b") == approx(1.0)
 
-        ref = CoocMatrix(
+        ref = CoocMatrix.from_pairs(
             terms=("a", "b", "c"),
             values={("a", "b"): 0.3, ("a", "c"): 0.6, ("b", "c"): 0.25},
             provenance="reference",
         )
-        gen = CoocMatrix(
+        gen = CoocMatrix.from_pairs(
             terms=("a", "b", "c"),
             values={("a", "b"): 0.5, ("a", "c"): 0.2},
             provenance="generic",
         )
         filtered = filter_cooc(ref, gen)
-        assert filtered.get("a", "b") == 0.0 and ("a", "b") not in filtered.values
+        assert filtered.get("a", "b") == 0.0 and ("a", "b") not in dict(filtered.pairs())
         assert filtered.get("a", "c") == approx(0.4)
         assert filtered.get("b", "c") == approx(0.25)
 
@@ -293,7 +293,7 @@ def test_criterion_03_cooccurrence_recounts():
                     assert matrix.get(a, b) == approx(2.0 * n_ab / (n_a + n_b))
                 else:
                     assert matrix.get(a, b) == 0.0
-                    assert (a, b) not in matrix.values
+                    assert (a, b) not in dict(matrix.pairs())
                 assert matrix.get(a, b) == matrix.get(b, a)
                 assert 0.0 <= matrix.get(a, b) <= 1.0
             for term in dict_terms:
@@ -337,7 +337,7 @@ def test_criterion_03_cooccurrence_recounts():
                 if expected > 0.0:
                     assert filtered.get(a, b) == approx(expected)
                 else:
-                    assert (a, b) not in filtered.values
+                    assert (a, b) not in dict(filtered.pairs())
                 assert filtered.get(a, b) <= c_ref.get(a, b) + 1e-15
 
             # a generic corpus with no co-occurring pairs changes nothing
@@ -346,7 +346,7 @@ def test_criterion_03_cooccurrence_recounts():
                 role="generic",
             )
             identity = filter_cooc(c_ref, build_cooc(lonely, q))
-            assert identity.values == c_ref.values
+            assert dict(identity.pairs()) == dict(c_ref.pairs())
 
 
 def oracle_condorcet(pool, biased_lists, all_lists):

@@ -819,6 +819,69 @@ class TestPipelineArtifacts:
         assert len(lines) >= 2
 
 
+def listed_systems(out_dir: Path) -> set[str]:
+    """The ranked-list files that ``out_dir/systems.tsv`` names."""
+    return {line.split("\t")[1] for line in (out_dir / "systems.tsv").read_text().splitlines()[1:]}
+
+
+def system_files(out_dir: Path) -> set[str]:
+    return {f"systems/{path.name}" for path in (out_dir / "systems").iterdir()}
+
+
+class TestRerunIntoTheSameDirectory:
+    """A sweep into a directory that holds an earlier sweep leaves only its
+    own ranked lists, plus files that the earlier index does not name."""
+
+    def sweep(self, pipeline_dir, out_dir, alphas, *methods):
+        argv = ["sweep", "--target", str(pipeline_dir / "corpus_target.jsonl"), "--alphas", alphas, "--k", "50"]
+        for method in methods:
+            argv += [f"--dict-{method}", str(pipeline_dir / f"dict_{method}.tsv")]
+            argv += [f"--cooc-{method}", str(pipeline_dir / f"cooc_filtered_{method}.tsv")]
+        assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+
+    def test_a_smaller_run_removes_the_lists_it_no_longer_writes(self, corpora_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        run = [
+            "run", *(item for role in ("reference", "generic", "target")
+                     for item in (f"--{role}", str(corpora_dir / f"{role}.jsonl"))),
+            "--out-dir", str(out_dir), "--n-topics", "2", "--iterations", "10", "--n-terms", "16", "--k", "50",
+        ]
+        assert main(run) == EXIT_OK
+        assert len(system_files(out_dir)) == 34
+        assert main([*run, "--alphas", "0"]) == EXIT_OK
+        assert system_files(out_dir) == listed_systems(out_dir)
+        assert len(listed_systems(out_dir)) == 4
+
+    def test_a_smaller_sweep_keeps_only_its_own_lists_and_foreign_files(self, pipeline_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        self.sweep(pipeline_dir, out_dir, "0:30:2", "tm", "tfidf")
+        assert len(system_files(out_dir)) == 34
+        (out_dir / "systems" / "notes.tsv").write_text("kept\n")
+        self.sweep(pipeline_dir, out_dir, "0,1", "tm")
+        assert len(listed_systems(out_dir)) == 3
+        assert system_files(out_dir) == listed_systems(out_dir) | {"systems/notes.tsv"}
+
+    @pytest.mark.parametrize(
+        "entry, survives",
+        [
+            ("w\tsystems/../x.tsv\t0", "x.tsv"),
+            ("w\tsystems/y.tsv\t0", "systems/y.tsv"),
+            ("x.tsv\tsystems/x.tsv.tsv\t0\nbad line", "systems/x.tsv.tsv"),
+        ],
+        ids=["outside-systems", "not-the-ids-file", "unparsed-index"],
+    )
+    def test_only_an_exact_entry_of_a_parsed_index_is_removed(self, pipeline_dir, tmp_path, capsys, entry, survives):
+        out_dir = tmp_path / "out"
+        (out_dir / "systems").mkdir(parents=True)
+        for name in ("x.tsv", "systems/x.tsv", "systems/y.tsv", "systems/x.tsv.tsv"):
+            (out_dir / name).write_text("foreign\n")
+        (out_dir / "systems.tsv").write_text(f"system_id\tfile\tbiased\n{entry}\nx\tsystems/x.tsv\t0\n")
+        self.sweep(pipeline_dir, out_dir, "0", "tm")
+        assert (out_dir / survives).read_text() == "foreign\n"
+        # the index's one exact entry of another id goes, unless the index did not parse
+        assert (out_dir / "systems" / "x.tsv").exists() == (survives == "systems/x.tsv.tsv")
+
+
 class TestPrecedence:
     def test_flags_override_config_values(self, corpora_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"

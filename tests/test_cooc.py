@@ -66,7 +66,7 @@ class TestBuildCooc:
         assert matrix.get("a", "b") == pytest.approx(0.5, rel=1e-12)
         assert matrix.get("b", "c") == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert matrix.get("a", "c") == 0.0
-        assert ("a", "c") not in matrix.values
+        assert ("a", "c") not in dict(matrix.pairs())
 
     def test_counts_are_binary_per_sentence(self):
         matrix = build_cooc(
@@ -154,7 +154,7 @@ def oracle_norms(matrix: CoocMatrix) -> dict[str, float]:
     """The second pass over ``values`` that ``CoocMatrix.norms`` made before
     it read the profiles, verbatim."""
     sums = dict.fromkeys(matrix.terms, 0.0)
-    for (a, b), value in matrix.values.items():
+    for (a, b), value in dict(matrix.pairs()).items():
         sums[a] += value * value
         sums[b] += value * value
     return {t: math.sqrt(total) for t, total in sums.items()}
@@ -188,7 +188,7 @@ def random_corpus(rng: random.Random, role: str, n_docs: int) -> Corpus:
 def assert_matches_oracles(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     matrix = build_cooc(corpus, dictionary)
     oracle = oracle_cooc_values(corpus, dictionary)
-    assert list(matrix.values.items()) == [(pair, oracle[pair]) for pair in sorted(oracle)]
+    assert list(matrix.pairs()) == [(pair, oracle[pair]) for pair in sorted(oracle)]
     assert list(matrix.norms.items()) == list(oracle_norms(matrix).items())
     return matrix
 
@@ -211,7 +211,7 @@ class TestFrozenOracles:
         corpus = one_doc_corpus([["noise"], ["a", "a"], ["t", "m", "a", "a", "e", "k", "x", "t"], ["b"]])
         matrix = assert_matches_oracles(corpus, make_dictionary(*ORACLE_TERMS))
         assert matrix.norms["q"] == matrix.norms["r"] == 0.0
-        assert matrix.profiles["b"] == {}
+        assert all("b" not in pair for pair, _ in matrix.pairs())
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -253,13 +253,13 @@ class TestFrozenOracles:
         matrix = assert_matches_oracles(
             one_doc_corpus([["noise", "zz"], [], ["aa"]]), make_dictionary(*ORACLE_TERMS)
         )
-        assert matrix.values == {}
+        assert dict(matrix.pairs()) == {}
         assert set(matrix.norms.values()) == {0.0}
 
     def test_one_term_per_sentence(self):
         sentences = [[term, "noise", term] for term in ORACLE_TERMS[:8] * 3]
         matrix = assert_matches_oracles(one_doc_corpus(sentences), make_dictionary(*ORACLE_TERMS))
-        assert matrix.values == {}
+        assert dict(matrix.pairs()) == {}
         assert set(matrix.norms.values()) == {0.0}
 
     def test_large_dictionary_over_a_small_corpus(self):
@@ -296,7 +296,7 @@ class TestMatrixAccess:
         corpus = one_doc_corpus([["a", "b"], ["b", "c"], ["a", "c"], ["a"]])
         matrix = build_cooc(corpus, make_dictionary("a", "b", "c"))
         for term in matrix.terms:
-            profile = np.array(list(matrix.profiles[term].values()))
+            profile = np.array([value for pair, value in matrix.pairs() if term in pair])
             assert matrix.norms[term] == pytest.approx(float(np.linalg.norm(profile)), rel=1e-12)
 
     def test_unknown_term_is_not_in_the_matrix(self):
@@ -307,8 +307,63 @@ class TestMatrixAccess:
     def test_profiles_skip_zero_partners(self):
         corpus = one_doc_corpus([["a", "b"], ["c"]])
         matrix = build_cooc(corpus, make_dictionary("a", "b", "c"))
-        assert matrix.profiles == {"a": {"b": 1.0}, "b": {"a": 1.0}, "c": {}}
+        assert dict(matrix.pairs()) == {("a", "b"): 1.0}
         assert matrix.norms == {"a": 1.0, "b": 1.0, "c": 0.0}
+
+
+class TestArrayStorage:
+    def built(self, role="reference") -> CoocMatrix:
+        rng = random.Random(11)
+        return build_cooc(random_corpus(rng, role, 40), make_dictionary(*ORACLE_TERMS))
+
+    def test_from_pairs_in_any_order_equals_build_cooc(self):
+        matrix = self.built()
+        pairs = list(matrix.pairs())
+        random.Random(2).shuffle(pairs)
+        rebuilt = CoocMatrix.from_pairs(matrix.terms, dict(pairs), matrix.provenance)
+        assert rebuilt.terms == matrix.terms
+        assert rebuilt.keys.dtype == np.int64 and rebuilt.values.dtype == np.float64
+        assert rebuilt.keys.tolist() == matrix.keys.tolist()
+        assert rebuilt.values.tolist() == matrix.values.tolist()
+        assert np.all(np.diff(matrix.keys) > 0)
+
+    @pytest.mark.parametrize("pair", [("b", "a"), ("a", "a"), ("a", "zz"), ("zz", "a")])
+    def test_from_pairs_rejects_a_reversed_pair_and_an_unknown_term(self, pair):
+        with pytest.raises(ValueError, match="not two terms of the term list in lexicographic order"):
+            CoocMatrix.from_pairs(("b", "a", "c"), {("a", "c"): 0.5, pair: 0.5}, "generic")
+
+    def test_get_at_the_edges(self):
+        empty = CoocMatrix.from_pairs(("a", "b"), {}, "filtered")
+        assert empty.get("a", "b") == empty.get("a", "zz") == 0.0
+        matrix = CoocMatrix.from_pairs(("c", "a", "b"), {("b", "c"): 0.75, ("a", "b"): 0.5}, "filtered")
+        # ("b", "c") has the largest key a matrix over three terms can hold
+        assert matrix.keys.tolist() == [1, 5]
+        assert matrix.get("c", "b") == matrix.get("b", "c") == 0.75
+        assert matrix.get("c", "c") == matrix.get("a", "c") == 0.0
+        assert matrix.get("zz", "a") == matrix.get("b", "zz") == matrix.get("zz", "zz") == 0.0
+
+    def test_filter_with_an_empty_generic_or_reference_matrix(self):
+        reference, generic = self.built("reference"), self.built("generic")
+        empty_generic = CoocMatrix.from_pairs(reference.terms, {}, "generic")
+        passed = filter_cooc(reference, empty_generic)
+        assert passed.keys.tolist() == reference.keys.tolist()
+        assert passed.values.tolist() == reference.values.tolist()
+        empty = filter_cooc(CoocMatrix.from_pairs(generic.terms, {}, "reference"), generic)
+        assert len(empty) == 0 and empty.norms == dict.fromkeys(generic.terms, 0.0)
+
+    def test_len_counts_the_stored_pairs(self):
+        matrix = self.built()
+        assert len(matrix) == len(matrix.values) == len(list(matrix.pairs())) > 0
+
+    def test_shuffled_file_lines_load_to_the_same_arrays(self, tmp_path):
+        matrix = self.built()
+        save_cooc(matrix, tmp_path / "sorted.tsv")
+        header, terms_line, *lines = (tmp_path / "sorted.tsv").read_text().splitlines(keepends=True)
+        random.Random(4).shuffle(lines)
+        (tmp_path / "shuffled.tsv").write_text("".join([header, terms_line, *lines]))
+        loaded = load_cooc(tmp_path / "shuffled.tsv")
+        assert loaded.keys.tolist() == matrix.keys.tolist()
+        assert loaded.values.tolist() == matrix.values.tolist()
 
 
 class TestFilter:
@@ -319,13 +374,13 @@ class TestFilter:
         return ref, gen
 
     def test_subtraction_with_floor_at_zero(self):
-        ref = CoocMatrix(terms=("a", "b"), values={("a", "b"): 0.3}, provenance="reference")
-        gen = CoocMatrix(terms=("a", "b"), values={("a", "b"): 0.5}, provenance="generic")
+        ref = CoocMatrix.from_pairs(terms=("a", "b"), values={("a", "b"): 0.3}, provenance="reference")
+        gen = CoocMatrix.from_pairs(terms=("a", "b"), values={("a", "b"): 0.5}, provenance="generic")
         assert filter_cooc(ref, gen).get("a", "b") == 0.0
 
     def test_partial_subtraction(self):
-        ref = CoocMatrix(terms=("a", "b"), values={("a", "b"): 0.6}, provenance="reference")
-        gen = CoocMatrix(terms=("a", "b"), values={("a", "b"): 0.2}, provenance="generic")
+        ref = CoocMatrix.from_pairs(terms=("a", "b"), values={("a", "b"): 0.6}, provenance="reference")
+        gen = CoocMatrix.from_pairs(terms=("a", "b"), values={("a", "b"): 0.2}, provenance="generic")
         assert filter_cooc(ref, gen).get("a", "b") == pytest.approx(0.4, rel=1e-12)
 
     def test_pairs_absent_from_generic_pass_through(self):
@@ -337,10 +392,10 @@ class TestFilter:
         assert filtered.get("b", "c") == ref.get("b", "c")
 
     def test_zeroed_pairs_are_dropped_from_storage(self):
-        ref = CoocMatrix(terms=("a", "b"), values={("a", "b"): 0.3}, provenance="reference")
-        gen = CoocMatrix(terms=("a", "b"), values={("a", "b"): 0.3}, provenance="generic")
+        ref = CoocMatrix.from_pairs(terms=("a", "b"), values={("a", "b"): 0.3}, provenance="reference")
+        gen = CoocMatrix.from_pairs(terms=("a", "b"), values={("a", "b"): 0.3}, provenance="generic")
         filtered = filter_cooc(ref, gen)
-        assert ("a", "b") not in filtered.values
+        assert ("a", "b") not in dict(filtered.pairs())
         assert filtered.get("a", "b") == 0.0
 
     def test_provenance_and_bounds(self):
@@ -351,7 +406,7 @@ class TestFilter:
         )
         filtered = filter_cooc(ref, gen)
         assert filtered.provenance == "filtered"
-        for (a, b), value in filtered.values.items():
+        for (a, b), value in filtered.pairs():
             assert 0.0 < value <= ref.get(a, b)
 
     def test_wrong_provenance_rejected(self):
@@ -379,7 +434,7 @@ class TestFilter:
         )
         gen_one = build_cooc(Corpus(documents=[gen_doc], role="generic"), d)
         gen_two = build_cooc(Corpus(documents=[gen_doc, gen_twice], role="generic"), d)
-        assert filter_cooc(ref, gen_one).values == filter_cooc(ref, gen_two).values
+        assert dict(filter_cooc(ref, gen_one).pairs()) == dict(filter_cooc(ref, gen_two).pairs())
 
 
 def frozen_save_cooc(matrix: CoocMatrix, path) -> None:
@@ -388,8 +443,9 @@ def frozen_save_cooc(matrix: CoocMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={len(matrix.terms)}\n")
         out.write("#terms\t" + "\t".join(matrix.terms) + "\n")
-        for a, b in sorted(matrix.values):
-            out.write(f"{a}\t{b}\t{matrix.values[(a, b)]!r}\n")
+        values = dict(matrix.pairs())
+        for a, b in sorted(values):
+            out.write(f"{a}\t{b}\t{values[(a, b)]!r}\n")
 
 
 class TestWriterMatchesFrozenWriter:
@@ -409,7 +465,7 @@ class TestWriterMatchesFrozenWriter:
             for pair in combinations(terms, 2)
             if rng.random() < 0.6
         }
-        self.assert_same_bytes(CoocMatrix(terms=terms, values=values, provenance=PROVENANCES[seed % 3]), tmp_path)
+        self.assert_same_bytes(CoocMatrix.from_pairs(terms=terms, values=values, provenance=PROVENANCES[seed % 3]), tmp_path)
 
     def test_a_built_and_a_filtered_matrix(self, tmp_path):
         rng = random.Random(3)
@@ -433,7 +489,7 @@ class TestPersistence:
         loaded = load_cooc(path)
         assert loaded.terms == matrix.terms
         assert loaded.provenance == matrix.provenance
-        assert loaded.values == matrix.values
+        assert dict(loaded.pairs()) == dict(matrix.pairs())
         assert loaded.norms == matrix.norms
 
     def test_rejects_foreign_files(self, tmp_path):
@@ -510,10 +566,10 @@ class TestPersistence:
         unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
         values = {pair: data.draw(unit) for pair in chosen}
         provenance = data.draw(st.sampled_from(PROVENANCES))
-        matrix = CoocMatrix(terms=terms, values=values, provenance=provenance)
+        matrix = CoocMatrix.from_pairs(terms=terms, values=values, provenance=provenance)
         path = tmp_path_factory.mktemp("cooc") / "cooc.tsv"
         save_cooc(matrix, path)
         loaded = load_cooc(path)
         assert (loaded.terms, loaded.provenance) == (terms, provenance)
-        assert loaded.values == values
+        assert dict(loaded.pairs()) == values
         assert loaded.norms == matrix.norms

@@ -132,7 +132,7 @@ class TestRankCollection:
     def test_matrix_for_another_dictionary_is_rejected(self):
         target = random_corpus(5, seed=1)
         q = make_dictionary("w0", "w1")
-        other = CoocMatrix(terms=("w0", "w2"), values={("w0", "w2"): 0.5}, provenance="filtered")
+        other = CoocMatrix.from_pairs(terms=("w0", "w2"), values={("w0", "w2"): 0.5}, provenance="filtered")
         for mode in ("context", "context-only"):
             with pytest.raises(ValueError, match="do not match the dictionary"):
                 rank_collection(target, q, other, ScoringConfig(alpha=2.0, mode=mode), k=5)

@@ -166,7 +166,7 @@ class TestScoreDict:
 
 class TestTfsim:
     def worked_matrix(self) -> CoocMatrix:
-        return CoocMatrix(
+        return CoocMatrix.from_pairs(
             terms=("a", "b", "w"),
             values={("a", "w"): 0.4, ("b", "w"): 0.3},
             provenance="filtered",
@@ -187,7 +187,7 @@ class TestTfsim:
         assert value == pytest.approx(2.6165807537309522, rel=1e-12)
 
     def test_zero_column_falls_back_to_frequency(self):
-        matrix = CoocMatrix(terms=("a", "w"), values={}, provenance="filtered")
+        matrix = CoocMatrix.from_pairs(terms=("a", "w"), values={}, provenance="filtered")
         doc = Document(id="d", sentences=[["w", "a"], ["w"]])
         config = ScoringConfig(alpha=5.0, mode="context")
         assert tfsim("w", doc, matrix, config) == 2.0
@@ -211,7 +211,7 @@ class TestTfsim:
 
 class TestScoreContext:
     def pair_matrix(self) -> CoocMatrix:
-        return CoocMatrix(
+        return CoocMatrix.from_pairs(
             terms=("a", "b", "c"),
             values={("a", "b"): 0.8, ("a", "c"): 0.2},
             provenance="filtered",
@@ -283,7 +283,7 @@ class TestScoreContext:
             )
 
     def test_context_only_clamps_tiny_similarities_to_zero(self):
-        matrix = CoocMatrix(
+        matrix = CoocMatrix.from_pairs(
             terms=("a", "b", "c"),
             values={("a", "b"): 0.001, ("a", "c"): 0.9},
             provenance="filtered",
@@ -431,9 +431,9 @@ def test_scores_equal_the_frozen_pair_dict_loop_bit_for_bit(seed):
     configs.append(ScoringConfig(mode="context-only"))
     for config in configs:
         for doc in target.documents:
-            expected = _oracle_score_context(q, doc, matrix.terms, matrix.values, norms, config)
+            expected = _oracle_score_context(q, doc, matrix.terms, dict(matrix.pairs()), norms, config)
             assert score_context(q, doc, matrix, norms, config) == expected
-            sim = _oracle_tfsim(doc, matrix.terms, matrix.values, config)
+            sim = _oracle_tfsim(doc, matrix.terms, dict(matrix.pairs()), config)
             for term in q.terms:
                 assert tfsim(term, doc, matrix, config) == sim.get(term, 0.0)
 
@@ -461,5 +461,5 @@ def test_long_documents_equal_the_frozen_pair_dict_loop_bit_for_bit(seed):
     configs.append(ScoringConfig(mode="context-only"))
     for config in configs:
         for doc in docs:
-            expected = _oracle_score_context(q, doc, matrix.terms, matrix.values, norms, config)
+            expected = _oracle_score_context(q, doc, matrix.terms, dict(matrix.pairs()), norms, config)
             assert score_context(q, doc, matrix, norms, config) == expected

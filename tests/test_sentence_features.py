@@ -24,8 +24,17 @@ from dictsieve.scoring import sentence_features
 # the same up to 3.11 but compensates from 3.12 on.
 
 
+def _profiles(matrix):
+    """term -> {partner: Dice} for every term of ``matrix``, each profile in
+    lexicographic partner order."""
+    profiles = {t: {} for t in matrix.terms}
+    for (a, b), value in matrix.pairs():
+        profiles[a][b] = profiles[b][a] = value
+    return profiles
+
+
 def _oracle_sentence_features(d, cooc_filtered):
-    profiles = cooc_filtered.profiles
+    profiles = _profiles(cooc_filtered)
     profile_norms = cooc_filtered.norms
     rows: dict[str, list[tuple[int, float]]] = {}
     for sentence in d.sentences:
@@ -101,7 +110,7 @@ def test_seeded_random_targets_equal_the_frozen_loop(seed):
     # their profiles are empty
     q = make_dictionary(*rng.sample(vocab[:30], 13), vocab[30], vocab[31])
     matrix = _random_matrix(rng, vocab, q)
-    assert any(not profile for profile in matrix.profiles.values())
+    assert any(not profile for profile in _profiles(matrix).values())
     documents = _random_docs(rng, vocab, 60, "d", max_sentences=20)
     features = assert_matches_oracle(documents, matrix)
     assert features.lengths.max() >= 10
@@ -118,7 +127,7 @@ class TestEdgeCases:
             if rng.random() < 0.6
         }
         # matrix order is not lexicographic order
-        return CoocMatrix(terms=tuple(reversed(terms)), values=values, provenance="filtered")
+        return CoocMatrix.from_pairs(terms=tuple(reversed(terms)), values=values, provenance="filtered")
 
     def test_a_term_repeated_within_a_sentence(self):
         matrix = self.matrix()
@@ -127,13 +136,13 @@ class TestEdgeCases:
         assert sorted(features.counts.tolist()) == [1.0, 2.0, 3.0]
 
     def test_terms_with_empty_profiles(self):
-        matrix = CoocMatrix(terms=("a", "b", "c", "z"), values={("a", "b"): 0.5}, provenance="filtered")
+        matrix = CoocMatrix.from_pairs(terms=("a", "b", "c", "z"), values={("a", "b"): 0.5}, provenance="filtered")
         doc = Document(id="d", sentences=[["c", "z", "a"], ["z", "b", "a", "c"]])
         features = assert_matches_oracle([doc], matrix)
         empty = {matrix.position("c"), matrix.position("z")}
         runs = np.repeat(features.terms, features.lengths)
         assert not features.cosines[np.isin(runs, list(empty))].any()
-        assert_matches_oracle([doc], CoocMatrix(terms=("a", "c"), values={}, provenance="filtered"))
+        assert_matches_oracle([doc], CoocMatrix.from_pairs(terms=("a", "c"), values={}, provenance="filtered"))
 
     def test_a_sentence_with_one_dictionary_term(self):
         features = assert_matches_oracle([Document(id="d", sentences=[["x", "k02", "y"]])], self.matrix())
