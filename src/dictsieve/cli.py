@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .cooc import CoocMatrix, build_cooc, filter_cooc, load_cooc, save_cooc
-from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, open_text, term_stats
+from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, open_text, read_rows, term_stats
 from .dictionary import (
     Dictionary,
     extract_dictionary_tfidf,
@@ -145,7 +145,7 @@ def parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     for part in text.split(","):
         part = part.strip()
         match = re.fullmatch(r"(\d+)-(\d+)", part)
-        if not match:
+        if not match or not 1 <= int(match.group(1)) <= int(match.group(2)):
             raise UsageError(f"bad rank range {part!r}, expected lo-hi")
         ranges.append((int(match.group(1)), int(match.group(2))))
     return tuple(ranges)
@@ -202,6 +202,8 @@ def read_config_file(path) -> dict[str, str]:
             key = key.strip()
             if key not in _CONFIG_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            if "\0" in value:
+                raise UsageError(f"{path}:{lineno}: value of {key} contains a NUL byte")
             values[key] = value.strip()
     return values
 
@@ -299,13 +301,9 @@ def _read_system_index(path) -> list[tuple[str, str, bool]]:
         header = stream.readline().rstrip("\n")
         if header != "system_id\tfile\tbiased":
             raise ValueError(f"not a system index: {path}")
-        for lineno, line in enumerate(stream, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            system_id, fname, biased = fields
+        for lineno, (system_id, fname, biased) in read_rows(stream, path, 3, 2):
+            if "\0" in fname:
+                raise ValueError(f"{path}:{lineno}: file {fname!r} contains a NUL byte")
             if biased not in ("0", "1"):
                 raise ValueError(f"{path}:{lineno}: biased must be 0 or 1, got {biased!r}")
             if system_id in seen:
@@ -444,9 +442,9 @@ def cmd_inspect_topics(args) -> None:
 
 
 def cmd_extract_dict(args) -> None:
-    corpus = ingest_corpus(args.corpus, role="reference")
     if args.method == "tm" and args.model is None:
         raise UsageError("--model is required for --method tm")
+    corpus = ingest_corpus(args.corpus, role="reference")
     model = load_model(args.model) if args.method == "tm" else None
     dictionary = extract_dict_stage(args.method, corpus, model, parse_topic_ids(args.exclude), args.n, args.out)
     print(f"extracted {len(dictionary)} terms ({dictionary.method}) -> {args.out}")
@@ -458,15 +456,28 @@ def cmd_build_cooc(args) -> None:
     print(f"{len(matrix.values)} nonzero pairs over {len(matrix.terms)} terms -> {args.out}")
 
 
+def _load_cooc_for(path, dictionary: Dictionary | None, dictionary_path) -> CoocMatrix | None:
+    """The matrix at ``path``, if one is given; a matrix whose terms are not
+    those of ``dictionary`` is reported with both files."""
+    matrix = load_cooc(path) if path else None
+    if matrix is not None and dictionary is not None and matrix.terms != dictionary.terms:
+        raise ValueError(f"{path}: co-occurrence matrix terms do not match the dictionary terms of {dictionary_path}")
+    return matrix
+
+
 def cmd_filter_cooc(args) -> None:
-    filtered = filter_cooc_stage(load_cooc(args.reference), load_cooc(args.generic), args.out)
+    reference, generic = load_cooc(args.reference), load_cooc(args.generic)
+    try:
+        filtered = filter_cooc_stage(reference, generic, args.out)
+    except ValueError as err:  # the two matrices do not fit together
+        raise ValueError(f"{args.reference}, {args.generic}: {err}") from None
     print(f"{len(filtered.values)} pairs survive filtering -> {args.out}")
 
 
 def cmd_rank(args) -> None:
     target = ingest_corpus(args.target, role="target")
     dictionary = load_dictionary(args.dict)
-    cooc = load_cooc(args.cooc) if args.cooc else None
+    cooc = _load_cooc_for(args.cooc, dictionary, args.dict)
     config = ScoringConfig(slope=args.slope, alpha=args.alpha, mode=args.mode)
     ranked = rank_collection(target, dictionary, cooc, config, args.k)
     save_ranked_list(ranked, args.out)
@@ -477,8 +488,8 @@ def cmd_sweep(args) -> None:
     target = ingest_corpus(args.target, role="target")
     dict_tm = load_dictionary(args.dict_tm) if args.dict_tm else None
     dict_tfidf = load_dictionary(args.dict_tfidf) if args.dict_tfidf else None
-    cooc_tm = load_cooc(args.cooc_tm) if args.cooc_tm else None
-    cooc_tfidf = load_cooc(args.cooc_tfidf) if args.cooc_tfidf else None
+    cooc_tm = _load_cooc_for(args.cooc_tm, dict_tm, args.dict_tm)
+    cooc_tfidf = _load_cooc_for(args.cooc_tfidf, dict_tfidf, args.dict_tfidf)
     out_dir = Path(args.out_dir)
     systems = sweep_stage(
         target, dict_tm, dict_tfidf, cooc_tm, cooc_tfidf, parse_alphas(args.alphas), args.k, args.slope, out_dir
@@ -505,7 +516,10 @@ def cmd_p_at_k(args) -> None:
     ranked = load_ranked_list(args.ranked)
     judgments = read_judgments(args.judgments)
     ranges = parse_ranges(args.ranges) if args.ranges else DEFAULT_RANGES
-    table = precision_at_ranges(ranked, judgments, ranges)
+    try:
+        table = precision_at_ranges(ranked, judgments, ranges)
+    except ValueError as err:  # the ranges are valid, so a judgment is missing
+        raise ValueError(f"{args.judgments}: {err}") from None
     for (low, high), precision in sorted(table.items()):
         print(f"{low}-{high}\t{precision!r}")
     if args.out:

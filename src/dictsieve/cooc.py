@@ -23,8 +23,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, open_text
-from .dictionary import Dictionary, read_header
+from .corpus import Corpus, FloatText, open_text, read_header, read_rows
+from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
 
@@ -240,31 +240,30 @@ def load_cooc(path) -> CoocMatrix:
         if terms_line[0] != "#terms":
             raise ValueError(f"missing term list in {path}")
         terms = tuple(terms_line[1:])
-        known = set(terms)
-        if len(known) != len(terms):
+        rank = {t: r for r, t in enumerate(sorted(terms))}
+        if len(rank) != len(terms):
             raise ValueError(f"{path}:2: duplicate term in the term list")
         if len(terms) != n:
             raise ValueError(f"{path}:1: header says n={n} but the term list has {len(terms)} terms")
-        values = {}
-        for lineno, line in enumerate(stream, start=3):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            a, b, text = fields
-            if a not in known or b not in known:
-                unknown = a if a not in known else b
-                raise ValueError(f"{path}:{lineno}: term {unknown!r} is not in the term list")
-            if not a < b:
+        keys, values, seen = [], [], set()
+        for lineno, (a, b, text) in read_rows(stream, path, 3, 3):
+            ra, rb = rank.get(a, -1), rank.get(b, -1)
+            if ra < 0 or rb < 0:
+                raise ValueError(f"{path}:{lineno}: term {a if ra < 0 else b!r} is not in the term list")
+            if ra >= rb:
                 raise ValueError(f"{path}:{lineno}: pair ({a!r}, {b!r}) is not in lexicographic order")
-            if (a, b) in values:
+            key = ra * n + rb
+            if key in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate pair ({a!r}, {b!r})")
+            seen.add(key)
             try:
                 value = float(text)
             except ValueError:
                 value = math.nan
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number in (0, 1]")
-            values[(a, b)] = value
-    return CoocMatrix.from_pairs(terms, values, provenance)
+            keys.append(key)
+            values.append(value)
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys)
+    return CoocMatrix(terms, keys[order], np.array(values, dtype=np.float64)[order], provenance)

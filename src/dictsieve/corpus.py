@@ -215,7 +215,7 @@ def _ingest_jsonl(stream: io.TextIOBase, role: str, name) -> Corpus:
             raise ValueError(f"{name}:{lineno}: duplicate document id {doc.id!r} (first on line {first_line[doc.id]})")
         documents.append(doc)
     if not documents:
-        raise ValueError("zero documents after parsing")
+        raise ValueError(f"{name}: zero documents after parsing")
     return Corpus(documents=documents, role=role)
 
 
@@ -274,6 +274,43 @@ def open_text(path):
                 except UnicodeDecodeError:
                     raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
             raise
+
+
+def read_header(stream, path, magic: str, kind: str, key: str) -> tuple[str, int]:
+    """Read the first line of an artifact file, ``magic<TAB>key=value<TAB>n=count``.
+
+    Returns the value of ``key`` and the count ``n``; a missing or
+    malformed field is reported as ``path:1``.
+    """
+    fields = stream.readline().rstrip("\n").split("\t")
+    if fields[0] != magic:
+        raise ValueError(f"not a {kind} file: {path}")
+    values = {}
+    for text in fields[1:]:
+        name, sep, value = text.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:1: header field {text!r} is not name=value")
+        values[name] = value
+    for name in (key, "n"):
+        if name not in values:
+            raise ValueError(f"{path}:1: header has no {name}= field")
+    n_text = values["n"]
+    if not n_text.isdecimal():
+        raise ValueError(f"{path}:1: n={n_text!r} is not a count")
+    return values[key], int(n_text)
+
+
+def read_rows(stream, path, width: int, start: int):
+    """Yield (line number, fields) for each non-blank line of ``stream``,
+    its first line numbered ``start``; a line without exactly ``width``
+    tab-separated fields is reported as ``path:line``."""
+    for lineno, line in enumerate(stream, start=start):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}")
+        yield lineno, fields
 
 
 def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus:

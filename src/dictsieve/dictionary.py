@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TermStats, open_text, term_stats
+from .corpus import Corpus, TermStats, open_text, read_header, read_rows, term_stats
 from .topics import TopicModelResult
 
 METHOD_TOPIC_MODEL = "topic-model"
@@ -127,30 +127,6 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
             out.write(f"{e.rank}\t{e.term}\t{e.weight!r}\t{e.boost!r}\n")
 
 
-def read_header(stream, path, magic: str, kind: str, key: str) -> tuple[str, int]:
-    """Read the first line of an artifact file, ``magic<TAB>key=value<TAB>n=count``.
-
-    Returns the value of ``key`` and the count ``n``; a missing or
-    malformed field is reported as ``path:1``.
-    """
-    fields = stream.readline().rstrip("\n").split("\t")
-    if fields[0] != magic:
-        raise ValueError(f"not a {kind} file: {path}")
-    values = {}
-    for text in fields[1:]:
-        name, sep, value = text.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:1: header field {text!r} is not name=value")
-        values[name] = value
-    for name in (key, "n"):
-        if name not in values:
-            raise ValueError(f"{path}:1: header has no {name}= field")
-    n_text = values["n"]
-    if not n_text.isdecimal():
-        raise ValueError(f"{path}:1: n={n_text!r} is not a count")
-    return values[key], int(n_text)
-
-
 def load_dictionary(path) -> Dictionary:
     """Read a dictionary written by ``save_dictionary``.
 
@@ -165,13 +141,7 @@ def load_dictionary(path) -> Dictionary:
             raise ValueError(f"{path}:1: unknown dictionary method {method!r}")
         entries = []
         seen = set()
-        for lineno, line in enumerate(stream, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            rank_text, term, weight_text, boost_text = fields
+        for lineno, (rank_text, term, weight_text, boost_text) in read_rows(stream, path, 4, 2):
             try:
                 rank, weight, boost_value = int(rank_text), float(weight_text), float(boost_text)
             except ValueError:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, TermStats, open_text, term_stats
+from .corpus import Corpus, TermStats, open_text, read_rows, term_stats
 from .dictionary import Dictionary
 from .scoring import (
     CollectionNorms,
@@ -16,7 +16,6 @@ from .scoring import (
     SentenceFeatures,
     compute_norms,
     score_context,
-    score_dict,
     sentence_features,
     tfsim_runs,
 )
@@ -96,9 +95,9 @@ def rank_collection(
     m reflects actual matches.  Ties break by doc id, which makes ranking
     idempotent and gives shorter runs the k-prefix property.  ``stats``,
     ``norms`` and the target's ``sentence_features`` may be passed in to
-    share work across systems of a sweep.  A context mode takes every
-    document's tfsim from one pass over the features, then scores each
-    document from its slice of them.
+    share work across systems of a sweep.  Every mode scores each document
+    from its slice of one tfsim pass over the features; unigram mode
+    ignores ``features`` and runs the pass over a matrix without pairs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -109,19 +108,19 @@ def rank_collection(
         norms = compute_norms(target, stats, config)
 
     if config.mode == "unigram":
-        scores = [score_dict(dictionary, doc, stats, norms) for doc in target.documents]
-    else:
-        if features is None:
-            features = sentence_features(target.documents, cooc_filtered)
-        tf = tfsim_runs(features, config)
-        # the matrix terms are the dictionary terms, so a run's term position
-        # is its dictionary entry's index
-        boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms].tolist()
-        bounds = features.offsets.tolist()
-        scores = [
-            score_context(dictionary, doc, cooc_filtered, norms, config, zip(boosts[a:b], tf[a:b]))
-            for doc, a, b in zip(target.documents, bounds, bounds[1:])
-        ]
+        # no pairs: every cosine is 0.0, so a run's tfsim is its raw count
+        cooc_filtered, features = CoocMatrix(dictionary.terms, np.empty(0, np.int64), np.empty(0), "filtered"), None
+    if features is None:
+        features = sentence_features(target.documents, cooc_filtered)
+    tf = tfsim_runs(features, config)
+    # the matrix terms are the dictionary terms, so a run's term position
+    # is its dictionary entry's index
+    boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms].tolist()
+    bounds = features.offsets.tolist()
+    scores = [
+        score_context(dictionary, doc, cooc_filtered, norms, config, zip(boosts[a:b], tf[a:b]))
+        for doc, a, b in zip(target.documents, bounds, bounds[1:])
+    ]
     scored = [(score, doc.id) for doc, score in zip(target.documents, scores) if score > 0.0]
     scored.sort(key=lambda item: (-item[0], item[1]))
     entries = [
@@ -153,13 +152,7 @@ def load_ranked_list(path) -> RankedList:
         system_id = header[len("# system_id=") :]
         entries: list[RankedEntry] = []
         seen = set()
-        for lineno, line in enumerate(stream, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            rank_text, doc_id, score_text = fields
+        for lineno, (rank_text, doc_id, score_text) in read_rows(stream, path, 3, 2):
             try:
                 rank, score = int(rank_text), float(score_text)
             except ValueError:

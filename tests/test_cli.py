@@ -126,6 +126,11 @@ class TestParsers:
         with pytest.raises(cli.UsageError):
             parse_ranges("10")
 
+    @pytest.mark.parametrize("text", ["0-5", "5-2"])
+    def test_ranges_start_at_one_and_run_forward(self, text):
+        with pytest.raises(cli.UsageError, match=f"bad rank range '{text}'"):
+            parse_ranges(text)
+
     def test_system_filename_strips_awkward_characters(self):
         assert system_filename("tm:context:alpha=2.5") == "tm_context_alpha_2.5.tsv"
 
@@ -148,6 +153,13 @@ class TestConfigFile:
         path.write_text("just words\n")
         with pytest.raises(cli.UsageError, match="expected key=value"):
             read_config_file(path)
+
+    def test_a_nul_byte_in_a_value_is_a_usage_error_with_location(self, tmp_path, capsys):
+        path = tmp_path / "a.conf"
+        path.write_text("n_topics = 2\nreference=/ro\0ot\ntarget = t.jsonl\n")
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+        assert f"[run] {path}:2: value of reference contains a NUL byte" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
@@ -362,6 +374,11 @@ class TestSubcommands:
         )
         assert code == EXIT_USAGE
 
+    def test_extract_tm_without_model_fails_before_reading_the_corpus(self, tmp_path, capsys):
+        argv = ["extract-dict", "--method", "tm", "--corpus", str(tmp_path / "missing.jsonl")]
+        assert main(argv + ["--out", str(tmp_path / "d.tsv")]) == EXIT_USAGE
+        assert "[extract-dict] --model is required for --method tm" in capsys.readouterr().err
+
     def test_rank_smoke(self, pipeline_dir, corpora_dir, tmp_path):
         out = tmp_path / "ranked.tsv"
         code = main(
@@ -461,6 +478,37 @@ class TestSubcommands:
         assert code == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("mode", ["context", "unigram"])
+    def test_rank_names_a_matrix_and_a_dictionary_that_do_not_fit(
+        self, pipeline_dir, corpora_dir, tmp_path, capsys, mode
+    ):
+        dictionary, matrix = pipeline_dir / "dict_tm.tsv", pipeline_dir / "cooc_filtered_tfidf.tsv"
+        argv = ["rank", "--target", str(corpora_dir / "target.jsonl"), "--dict", str(dictionary)]
+        argv += ["--cooc", str(matrix), "--mode", mode, "--out", str(tmp_path / "r.tsv")]
+        assert main(argv) == EXIT_DATA
+        message = f"[rank] {matrix}: co-occurrence matrix terms do not match the dictionary terms of {dictionary}"
+        assert message in capsys.readouterr().err
+
+    def test_filter_names_two_matrices_that_do_not_fit(self, pipeline_dir, tmp_path, capsys):
+        generic, reference = pipeline_dir / "cooc_generic_tm.tsv", pipeline_dir / "cooc_reference_tfidf.tsv"
+        for paths, message in [
+            ((generic, reference), "expected a reference matrix, got provenance 'generic'"),
+            ((reference, generic), "term lists of the two matrices do not match"),
+        ]:
+            argv = ["filter-cooc", "--reference", str(paths[0]), "--generic", str(paths[1])]
+            assert main(argv + ["--out", str(tmp_path / "f.tsv")]) == EXIT_DATA
+            assert f"[filter-cooc] {paths[0]}, {paths[1]}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "f.tsv").exists()
+
+    def test_p_at_k_names_the_judgments_that_miss_a_ranked_document(self, pipeline_dir, tmp_path, capsys):
+        ranked = pipeline_dir / "systems" / "tm_context_alpha_0.tsv"
+        first, *rest = load_ranked_list(ranked).doc_ids()
+        judgments = tmp_path / "judgments.tsv"
+        judgments.write_text("".join(f"{doc_id}\t1\n" for doc_id in rest))
+        argv = ["p-at-k", "--ranked", str(ranked), "--judgments", str(judgments), "--ranges", "1-10"]
+        assert main(argv) == EXIT_DATA
+        assert f"[p-at-k] {judgments}: missing judgments for: {first}" in capsys.readouterr().err
 
     def test_rank_rejects_a_dictionary_with_a_nan_boost(self, corpora_dir, tmp_path, capsys):
         dictionary = tmp_path / "dict.tsv"
@@ -563,6 +611,7 @@ class TestSubcommands:
             (["a\tsystems/a.tsv"], 2, "expected 3 tab-separated fields, got 2"),
             (["a\tsystems/a.tsv\tyes"], 2, "biased must be 0 or 1, got 'yes'"),
             (["a\tsystems/a.tsv\t1", "", "a\tsystems/b.tsv\t0"], 4, "duplicate system id 'a'"),
+            (["a\tsystems/a\0.tsv\t1"], 2, "file 'systems/a\\x00.tsv' contains a NUL byte"),
         ],
     )
     def test_fuse_rejects_a_malformed_system_index(self, tmp_path, capsys, rows, lineno, message):
@@ -1092,3 +1141,147 @@ class TestRunFlags:
         for module, name, *_ in spans.WRAPPED:
             namespace = importlib.import_module(f"dictsieve.{module}")
             assert callable(getattr(namespace, name, None)), f"{module}.{name}"
+
+
+# ---------------------------------------------------------------------------
+# seeded mutation guard: each reader gets a damaged copy of its file through
+# the subcommand that reads it
+
+FIELD_VALUES = ("", "nan", "inf", "-0.0", "1e309", "1e-320", "null", "[]")
+
+
+def mutations(data: bytes, separator: bytes, rng: random.Random):
+    """Yield (label, damaged copy of ``data``), one copy per kind of damage,
+    each at a position drawn from ``rng``: a line deleted, duplicated or
+    swapped; a field set to each of FIELD_VALUES; a NUL, CR, TAB or 0xff
+    byte inserted; the file truncated; a field added or dropped."""
+    lines = data.splitlines(keepends=True)
+
+    def edit(label, i, line):
+        return label, b"".join(lines[:i] + [line] + lines[i + 1 :])
+
+    def fields(i):
+        return lines[i].rstrip(b"\n").split(separator)
+
+    i = rng.randrange(len(lines))
+    yield edit("delete", i, b"")
+    yield edit("duplicate", i, lines[i] * 2)
+    i, j = sorted(rng.sample(range(len(lines)), 2))
+    yield "swap", b"".join(lines[:i] + [lines[j]] + lines[i + 1 : j] + [lines[i]] + lines[j + 1 :])
+    for value in FIELD_VALUES:
+        i = rng.randrange(len(lines))
+        parts = fields(i)
+        parts[rng.randrange(len(parts))] = value.encode()
+        yield edit(f"field={value!r}", i, separator.join(parts) + b"\n")
+    for byte in (b"\0", b"\r", b"\t", b"\xff"):
+        at = rng.randrange(len(data) + 1)
+        yield f"insert {byte!r}", data[:at] + byte + data[at:]
+    yield "truncate", data[: rng.randrange(len(data))]
+    i = rng.randrange(len(lines))
+    yield edit("add a field", i, separator.join(fields(i) + [b"x"]) + b"\n")
+    i = rng.randrange(len(lines))
+    yield edit("drop a field", i, separator.join(fields(i)[:-1]) + b"\n")
+
+
+class TestMutatedInputs:
+    """Every damaged input exits 0, 1 or 2, and an exit 2 names the file."""
+
+    def check(self, capsys, path: Path, data: bytes, separator: bytes, argv, names=None):
+        """Two rounds of ``mutations`` of ``data`` written to ``path``, each
+        run as ``argv``; ``names(damaged)`` lists what an exit 2 may name."""
+        rng = random.Random(path.name)
+        for _ in range(2):
+            for label, damaged in mutations(data, separator, rng):
+                path.write_bytes(damaged)
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (label, damaged, err)
+                if code == EXIT_DATA and names is not None:
+                    assert any(name in err for name in names(damaged)), (label, damaged, err)
+        path.write_bytes(data)
+
+    def copy(self, source: Path, path: Path) -> bytes:
+        data = source.read_bytes()
+        path.write_bytes(data)
+        return data
+
+    @pytest.mark.parametrize(
+        "artifact, argv",
+        [
+            ("model.tsv", ["inspect-topics", "--model", "{path}"]),
+            (
+                "dict_tm.tsv",
+                ["build-cooc", "--corpus", "{dir}/corpus_reference.jsonl", "--dict", "{path}", "--out", "{out}"],
+            ),
+            (
+                "cooc_reference_tfidf.tsv",
+                ["filter-cooc", "--reference", "{path}", "--generic", "{dir}/cooc_generic_tfidf.tsv", "--out", "{out}"],
+            ),
+            (
+                "cooc_filtered_tm.tsv",
+                [
+                    "rank", "--mode", "context", "--alpha", "2", "--target", "{dir}/corpus_target.jsonl",
+                    "--dict", "{dir}/dict_tm.tsv", "--cooc", "{path}", "--out", "{out}",
+                ],
+            ),
+            ("corpus_target.jsonl", ["rank", "--target", "{path}", "--dict", "{dir}/dict_tfidf.tsv", "--out", "{out}"]),
+            ("pseudorels.txt", ["map", "--ranked", "{dir}/systems/tm_context_alpha_0.tsv", "--rels", "{path}"]),
+        ],
+    )
+    def test_each_artifact_reader(self, pipeline_dir, tmp_path, capsys, artifact, argv):
+        path = tmp_path / artifact
+        data = self.copy(pipeline_dir / artifact, path)
+        argv = [arg.format(path=path, dir=pipeline_dir, out=tmp_path / "out.tsv") for arg in argv]
+        separator = b", " if artifact.endswith(".jsonl") else b"\t"
+        self.check(capsys, path, data, separator, argv, lambda damaged: [str(path)])
+
+    def test_a_ranked_list_and_its_judgments(self, pipeline_dir, tmp_path, capsys):
+        ranked = tmp_path / "tfidf_context_alpha_2.tsv"
+        data = self.copy(pipeline_dir / "systems" / ranked.name, ranked)
+        rels = pipeline_dir / "pseudorels.txt"
+        self.check(capsys, ranked, data, b"\t", ["map", "--ranked", str(ranked), "--rels", str(rels)],
+                   lambda damaged: [str(ranked)])
+        judgments = tmp_path / "judgments.tsv"
+        relevant = frozenset(rels.read_text().split())
+        doc_ids = [entry.doc_id for entry in load_ranked_list(ranked)]
+        judged = "".join(f"{doc_id}\t{int(doc_id in relevant)}\n" for doc_id in doc_ids).encode()
+        argv = ["p-at-k", "--ranked", str(ranked), "--judgments", str(judgments), "--ranges", "1-5,6-10"]
+        self.check(capsys, judgments, judged, b"\t", argv, lambda damaged: [str(judgments)])
+
+    def test_a_system_index(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "systems").symlink_to(pipeline_dir / "systems")
+        index = tmp_path / "systems.tsv"
+        data = self.copy(pipeline_dir / "systems.tsv", index)
+
+        def names(damaged):
+            # a row's file is named by the index or by its own path
+            rows = [line.split("\t") for line in damaged.decode("utf-8", "replace").splitlines()]
+            files = [row[1] for row in rows if len(row) > 1]
+            return [str(index), *(str(tmp_path / f) for f in files), *filter(None, files)]
+
+        argv = ["fuse", "--systems-dir", str(tmp_path), "--out-dir", str(tmp_path / "fused")]
+        self.check(capsys, index, data, b"\t", argv, names)
+
+    def test_a_run_config(self, corpora_dir, tmp_path, capsys, monkeypatch):
+        # only the exit code is checked: a deleted generic= line exits 2 as
+        # "[build-cooc] generic corpus required ...", which names no file.
+        # Every relative path, the output directory's included, lands in
+        # tmp_path
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        config = tmp_path / "run.conf"
+        data = "".join(
+            f"{key} = {value}\n"
+            for key, value in [
+                ("reference", corpora_dir / "reference.jsonl"),
+                ("generic", corpora_dir / "generic.jsonl"),
+                ("target", corpora_dir / "target.jsonl"),
+                ("out_dir", "out"),
+                ("n_topics", 2),
+                ("n_terms", 8),
+                ("iterations", 10),
+                ("alphas", "0,2"),
+                ("k", 20),
+            ]
+        ).encode()
+        self.check(capsys, config, data, b"=", ["run", "--config", str(config)])

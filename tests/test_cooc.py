@@ -365,6 +365,20 @@ class TestArrayStorage:
         assert loaded.keys.tolist() == matrix.keys.tolist()
         assert loaded.values.tolist() == matrix.values.tolist()
 
+    def test_a_repeated_pair_in_a_shuffled_file_is_reported_at_its_later_line(self, tmp_path):
+        matrix = self.built()
+        save_cooc(matrix, tmp_path / "sorted.tsv")
+        header, terms_line, *lines = (tmp_path / "sorted.tsv").read_text().splitlines(keepends=True)
+        repeated = lines[len(lines) // 2]
+        lines.append(repeated)
+        random.Random(4).shuffle(lines)
+        later = 3 + max(i for i, line in enumerate(lines) if line == repeated)
+        path = tmp_path / "shuffled.tsv"
+        path.write_text("".join([header, terms_line, *lines]))
+        a, b, _ = repeated.split("\t")
+        with pytest.raises(ValueError, match=f"^{path}:{later}: duplicate pair \\({a!r}, {b!r}\\)$"):
+            load_cooc(path)
+
 
 class TestFilter:
     def build_pair(self, ref_sentences, gen_sentences, terms):

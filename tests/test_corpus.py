@@ -156,6 +156,12 @@ class TestIngest:
         with pytest.raises(ValueError, match="zero documents"):
             ingest_corpus(io.StringIO(""))
 
+    def test_zero_documents_names_the_file(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n \n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: zero documents after parsing$"):
+            ingest_corpus(path)
+
     def test_malformed_record_reports_index(self):
         payload = json.dumps({"id": "ok", "sentences": [["a"]]}) + "\nnot json\n"
         with pytest.raises(ValueError, match="<stream>:2: invalid JSON"):

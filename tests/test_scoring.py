@@ -16,6 +16,7 @@ from dictsieve import (
     build_cooc,
     compute_norms,
     filter_cooc,
+    rank_collection,
     score_context,
     score_dict,
     term_stats,
@@ -23,7 +24,7 @@ from dictsieve import (
 )
 from dictsieve.cooc import CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
-from dictsieve.scoring import ScoringConfig, _term_contribution
+from dictsieve.scoring import ScoringConfig, _term_contribution, sentence_features
 
 
 def make_dictionary(*terms: str) -> Dictionary:
@@ -463,3 +464,30 @@ def test_long_documents_equal_the_frozen_pair_dict_loop_bit_for_bit(seed):
         for doc in docs:
             expected = _oracle_score_context(q, doc, matrix.terms, dict(matrix.pairs()), norms, config)
             assert score_context(q, doc, matrix, norms, config) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unigram_ranking_equals_score_dict_bit_for_bit(seed):
+    # the targets of the frozen-loop test above, plus an empty document and
+    # one without dictionary terms; two dictionary terms have empty profiles
+    rng = random.Random(seed)
+    vocab = [f"t{i:02d}" for i in range(40)]
+    q = make_dictionary(*rng.sample(vocab[:30], 13), vocab[30], vocab[31])
+    reference = Corpus(documents=_random_docs(rng, vocab[:30], 40, "r"), role="reference")
+    generic = Corpus(documents=_random_docs(rng, vocab, 40, "g"), role="generic")
+    matrix = filter_cooc(build_cooc(reference, q), build_cooc(generic, q))
+    outside = [term for term in vocab if term not in q]
+    extra = [Document(id="empty", sentences=[]), Document(id="outside", sentences=[outside[:5], outside[3:6]])]
+    target = corpus_of(*_random_docs(rng, vocab, 60, "d"), *extra)
+    stats = term_stats(target)
+    norms = compute_norms(target, stats, ScoringConfig())
+    expected = {doc.id: score_dict(q, doc, stats, norms) for doc in target.documents}
+    expected = {doc_id: score for doc_id, score in expected.items() if score > 0.0}
+    # a real matrix's features hold non-zero cosines, which alpha would add
+    # to tf if unigram mode used them
+    features = sentence_features(target.documents, matrix)
+    assert features.cosines.any()
+    for config in (ScoringConfig(), ScoringConfig(alpha=2.0)):
+        for kwargs in ({}, {"stats": stats, "norms": norms, "features": features}):
+            ranked = rank_collection(target, q, matrix, config, len(target), **kwargs)
+            assert {entry.doc_id: entry.score for entry in ranked} == expected
