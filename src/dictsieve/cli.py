@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .cooc import CoocMatrix, build_cooc, filter_cooc, load_cooc, save_cooc
-from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, open_text, read_rows, term_stats
+from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, open_text, read_blocks, term_stats
 from .dictionary import (
     Dictionary,
     extract_dictionary_tfidf,
@@ -293,23 +293,27 @@ def system_filename(system_id: str) -> str:
 
 
 def _read_system_index(path) -> list[tuple[str, str, bool]]:
-    """Rows of ``system_id<TAB>file<TAB>0|1`` with distinct system ids; a
-    malformed line is reported as ``path:line``."""
+    """Rows of ``system_id<TAB>file<TAB>0|1`` with distinct system ids and
+    non-empty file fields; a malformed line is reported as ``path:line``."""
     rows = []
     seen = set()
     with open_text(path) as stream:
         header = stream.readline().rstrip("\n")
         if header != "system_id\tfile\tbiased":
             raise ValueError(f"not a system index: {path}")
-        for lineno, (system_id, fname, biased) in read_rows(stream, path, 3, 2):
-            if "\0" in fname:
-                raise ValueError(f"{path}:{lineno}: file {fname!r} contains a NUL byte")
-            if biased not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: biased must be 0 or 1, got {biased!r}")
-            if system_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate system id {system_id!r}")
-            seen.add(system_id)
-            rows.append((system_id, fname, biased == "1"))
+        for numbers, columns in read_blocks(stream, path, 3, 2):
+            for lineno, system_id, fname, biased in zip(numbers.tolist(), *columns):
+                # an empty file field would name the systems directory itself
+                if not fname:
+                    raise ValueError(f"{path}:{lineno}: file field is empty")
+                if "\0" in fname:
+                    raise ValueError(f"{path}:{lineno}: file {fname!r} contains a NUL byte")
+                if biased not in ("0", "1"):
+                    raise ValueError(f"{path}:{lineno}: biased must be 0 or 1, got {biased!r}")
+                if system_id in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate system id {system_id!r}")
+                seen.add(system_id)
+                rows.append((system_id, fname, biased == "1"))
     if not rows:
         raise ValueError(f"empty system index: {path}")
     return rows

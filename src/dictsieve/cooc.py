@@ -23,10 +23,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, open_text, read_header, read_rows
+from .corpus import Corpus, FloatText, TextFloat, open_text, read_blocks, read_header
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
+
+# ``save_cooc`` formats and writes this many pair lines at a time, so the
+# text it holds stays bounded
+_PAIRS_PER_WRITE = 1 << 13
 
 
 def dice(n_a: int, n_b: int, n_ab: int) -> float:
@@ -217,12 +221,44 @@ def filter_cooc(reference: CoocMatrix, generic: CoocMatrix) -> CoocMatrix:
 
 def save_cooc(matrix: CoocMatrix, path) -> None:
     """TSV triplets `term_a<TAB>term_b<TAB>value`, term_a < term_b."""
+    n = len(matrix.terms)
+    # each term with the tab after it: a pair line is four strings, joined
+    # with every other line of a chunk in one ``join``
+    head = [term + "\t" for term in matrix.lexicon].__getitem__
+    text = FloatText().__getitem__
     with open(path, "w", encoding="utf-8") as out:
-        out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={len(matrix.terms)}\n")
+        out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={n}\n")
         out.write("#terms\t" + "\t".join(matrix.terms) + "\n")
-        text = FloatText()
-        for (a, b), value in matrix.pairs():
-            out.write(f"{a}\t{b}\t{text[value]}\n")
+        for start in range(0, len(matrix), _PAIRS_PER_WRITE):
+            a, b = (ranks.tolist() for ranks in np.divmod(matrix.keys[start : start + _PAIRS_PER_WRITE], n))
+            parts = ["\n"] * (4 * len(a))
+            parts[0::4] = map(head, a)
+            parts[1::4] = map(head, b)
+            parts[2::4] = map(text, matrix.values[start : start + _PAIRS_PER_WRITE].tolist())
+            out.write("".join(parts))
+
+
+def _key_order(path, lexicon: tuple[str, ...], keys: np.ndarray, linenos: np.ndarray) -> np.ndarray:
+    """The stable order that sorts ``keys``, the pair keys read from lines
+    ``linenos`` of a file in file order; the first line that repeats an
+    earlier line's pair is reported as ``path:line``."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # equal keys keep their file order, so every one after the first repeats it
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        first = repeats.min()
+        a, b = divmod(int(keys[first]), len(lexicon))
+        raise ValueError(f"{path}:{linenos[first]}: duplicate pair ({lexicon[a]!r}, {lexicon[b]!r})")
+    return order
+
+
+def _number_or_nan(number, text: str) -> float:
+    """``number(text)``, or NaN for a text that is not a number."""
+    try:
+        return number(text)
+    except ValueError:
+        return math.nan
 
 
 def load_cooc(path) -> CoocMatrix:
@@ -230,7 +266,9 @@ def load_cooc(path) -> CoocMatrix:
 
     The header's n must count the listed terms, and every pair line must
     name two listed terms in lexicographic order, at most once, with a
-    finite value in (0, 1]; a violation is reported as ``path:line``.
+    finite value in (0, 1]; a violation is reported as ``path:line``, the
+    first in file order.  Pair lines are checked a block at a time as
+    arrays, and each distinct value text is converted once.
     """
     with open_text(path) as stream:
         provenance, n = read_header(stream, path, "#dictsieve-cooc", "co-occurrence matrix", "provenance")
@@ -240,30 +278,45 @@ def load_cooc(path) -> CoocMatrix:
         if terms_line[0] != "#terms":
             raise ValueError(f"missing term list in {path}")
         terms = tuple(terms_line[1:])
-        rank = {t: r for r, t in enumerate(sorted(terms))}
+        lexicon = tuple(sorted(terms))
+        rank = {t: r for r, t in enumerate(lexicon)}
         if len(rank) != len(terms):
             raise ValueError(f"{path}:2: duplicate term in the term list")
         if len(terms) != n:
             raise ValueError(f"{path}:1: header says n={n} but the term list has {len(terms)} terms")
-        keys, values, seen = [], [], set()
-        for lineno, (a, b, text) in read_rows(stream, path, 3, 3):
-            ra, rb = rank.get(a, -1), rank.get(b, -1)
-            if ra < 0 or rb < 0:
-                raise ValueError(f"{path}:{lineno}: term {a if ra < 0 else b!r} is not in the term list")
-            if ra >= rb:
-                raise ValueError(f"{path}:{lineno}: pair ({a!r}, {b!r}) is not in lexicographic order")
-            key = ra * n + rb
-            if key in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate pair ({a!r}, {b!r})")
-            seen.add(key)
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number in (0, 1]")
-            keys.append(key)
-            values.append(value)
-    keys = np.array(keys, dtype=np.int64)
-    order = np.argsort(keys)
-    return CoocMatrix(terms, keys[order], np.array(values, dtype=np.float64)[order], provenance)
+        number = TextFloat().__getitem__
+        keys, values, linenos = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
+        try:
+            for numbers, (a, b, texts) in read_blocks(stream, path, 3, 3):
+                ra, rb = (np.fromiter(map(rank.get, names, repeat(-1)), np.int64, len(names)) for names in (a, b))
+                try:
+                    value = np.fromiter(map(number, texts), np.float64, len(texts))
+                except ValueError:  # a text that is not a number, which fails the range check
+                    value = np.array([_number_or_nan(number, text) for text in texts])
+                bad_pair = (ra < 0) | (rb <= ra)
+                bad = np.flatnonzero(bad_pair | ~((0.0 < value) & (value <= 1.0)))
+                if bad.size:
+                    # the pairs before the bad line, and its own if only its
+                    # value is bad, are checked for repeats first
+                    i = bad[0]
+                    kept = i + (not bad_pair[i])
+                    keys.append(ra[:kept] * n + rb[:kept])
+                    linenos.append(numbers[:kept])
+                    if ra[i] < 0 or rb[i] < 0:
+                        message = f"term {a[i] if ra[i] < 0 else b[i]!r} is not in the term list"
+                    elif bad_pair[i]:
+                        message = f"pair ({a[i]!r}, {b[i]!r}) is not in lexicographic order"
+                    else:
+                        message = f"value {texts[i]!r} is not a finite number in (0, 1]"
+                    raise ValueError(f"{path}:{numbers[i]}: {message}")
+                keys.append(ra * n + rb)
+                values.append(value)
+                linenos.append(numbers)
+        except ValueError:
+            # a pair repeated before the first bad line is the first error
+            _key_order(path, lexicon, np.concatenate(keys), np.concatenate(linenos))
+            raise
+    keys = np.concatenate(keys)
+    order = _key_order(path, lexicon, keys, np.concatenate(linenos))
+    return CoocMatrix(terms, keys[order], np.concatenate(values)[order], provenance)
+

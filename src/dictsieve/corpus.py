@@ -16,7 +16,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 ROLES = ("reference", "generic", "target")
 FORMATS = ("jsonl", "plaintext-dir")
@@ -36,6 +39,15 @@ _FIELD_BREAK_RE = re.compile(r"[\t\r\n]")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 _MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
+
+# ``read_blocks`` reads about this many characters of whole lines at a time:
+# enough lines that its per-block array work is cheap per line, few enough
+# that a reader's memory does not grow with the file.
+_BLOCK_CHARS = 1 << 16
+
+# every byte but TAB and LF, which ``bytes.translate`` deletes to leave the
+# field and line separators of a block
+_NOT_TAB_OR_LF = bytes(sorted(set(range(256)) - {9, 10}))
 
 
 def tokenize(text: str) -> list[str]:
@@ -300,17 +312,34 @@ def read_header(stream, path, magic: str, kind: str, key: str) -> tuple[str, int
     return values[key], int(n_text)
 
 
-def read_rows(stream, path, width: int, start: int):
-    """Yield (line number, fields) for each non-blank line of ``stream``,
-    its first line numbered ``start``; a line without exactly ``width``
-    tab-separated fields is reported as ``path:line``."""
-    for lineno, line in enumerate(stream, start=start):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}")
-        yield lineno, fields
+def read_blocks(stream, path, width: int, start: int):
+    """Yield (line numbers, columns) for the non-blank lines of the rest of
+    ``stream``, its first line numbered ``start``, a block of whole lines at
+    a time: ``columns`` holds ``width`` lists, the i-th field of every line
+    in the i-th.  A line without exactly ``width`` tab-separated fields is
+    reported as ``path:line`` once the lines before it have been yielded,
+    so a caller meets every bad line in file order."""
+    separators = b"\t" * (width - 1) + b"\n"
+    while lines := stream.readlines(_BLOCK_CHARS):
+        if not lines[-1].endswith("\n"):  # the file's last line
+            lines[-1] += "\n"
+        numbers = np.arange(start, start + len(lines), dtype=np.int64)
+        start += len(lines)
+        blank = np.fromiter(map(str.isspace, lines), bool, len(lines))
+        if blank.any():
+            lines = list(compress(lines, ~blank))
+            numbers = numbers[~blank]
+        block = "".join(lines)
+        good = len(lines)
+        marks = block.encode().translate(None, _NOT_TAB_OR_LF)
+        if marks != separators * good:
+            counts = [len(tabs) + 1 for tabs in marks.split(b"\n")]
+            good = next(i for i, count in enumerate(counts) if count != width)
+        if good:  # the fields of the lines before a bad one split in step
+            fields = block.replace("\n", "\t").split("\t")
+            yield numbers[:good], [fields[i : good * width : width] for i in range(width)]
+        if good < len(lines):
+            raise ValueError(f"{path}:{numbers[good]}: expected {width} tab-separated fields, got {counts[good]}")
 
 
 def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus:

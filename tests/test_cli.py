@@ -612,6 +612,7 @@ class TestSubcommands:
             (["a\tsystems/a.tsv\tyes"], 2, "biased must be 0 or 1, got 'yes'"),
             (["a\tsystems/a.tsv\t1", "", "a\tsystems/b.tsv\t0"], 4, "duplicate system id 'a'"),
             (["a\tsystems/a\0.tsv\t1"], 2, "file 'systems/a\\x00.tsv' contains a NUL byte"),
+            (["a\tsystems/a.tsv\t1", "x\t\t1"], 3, "file field is empty"),
         ],
     )
     def test_fuse_rejects_a_malformed_system_index(self, tmp_path, capsys, rows, lineno, message):

@@ -21,6 +21,7 @@ from dictsieve import (
     save_cooc,
 )
 from dictsieve.cooc import PROVENANCES, CoocMatrix
+from dictsieve.corpus import open_text, read_header
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 
 
@@ -488,6 +489,177 @@ class TestWriterMatchesFrozenWriter:
         generic = build_cooc(random_corpus(rng, "generic", 30), dictionary)
         for matrix in (reference, generic, filter_cooc(reference, generic)):
             self.assert_same_bytes(matrix, tmp_path)
+
+
+def frozen_load_cooc(path) -> CoocMatrix:
+    """Frozen reference: ``load_cooc`` as it was before it read its pair
+    lines a block at a time, verbatim but for its row reader, inlined."""
+    with open_text(path) as stream:
+        provenance, n = read_header(stream, path, "#dictsieve-cooc", "co-occurrence matrix", "provenance")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"{path}:1: unknown provenance {provenance!r}")
+        terms_line = stream.readline().rstrip("\n").split("\t")
+        if terms_line[0] != "#terms":
+            raise ValueError(f"missing term list in {path}")
+        terms = tuple(terms_line[1:])
+        rank = {t: r for r, t in enumerate(sorted(terms))}
+        if len(rank) != len(terms):
+            raise ValueError(f"{path}:2: duplicate term in the term list")
+        if len(terms) != n:
+            raise ValueError(f"{path}:1: header says n={n} but the term list has {len(terms)} terms")
+        keys, values, seen = [], [], set()
+        for lineno, line in enumerate(stream, start=3):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            a, b, text = fields
+            ra, rb = rank.get(a, -1), rank.get(b, -1)
+            if ra < 0 or rb < 0:
+                raise ValueError(f"{path}:{lineno}: term {a if ra < 0 else b!r} is not in the term list")
+            if ra >= rb:
+                raise ValueError(f"{path}:{lineno}: pair ({a!r}, {b!r}) is not in lexicographic order")
+            key = ra * n + rb
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate pair ({a!r}, {b!r})")
+            seen.add(key)
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number in (0, 1]")
+            keys.append(key)
+            values.append(value)
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys)
+    return CoocMatrix(terms, keys[order], np.array(values, dtype=np.float64)[order], provenance)
+
+
+ODD_FIELDS = ("", "nan", "inf", "-0.0", "1e309", "1e-320", "0", "1.5", "zz", "0.5", "t1", " ")
+BLANK_LINES = ("\n", " \n", "\t\n", " \t \n", "\x0c\n", "\t\t\n")
+
+
+def mutate(lines: list[str], rng: random.Random, low: int) -> list[str]:
+    """``lines`` of a matrix file, each ending in a newline, after one
+    seeded mutation at or after line index ``low``."""
+    lines = list(lines)
+    low = min(low, len(lines) - 1)
+    i, j = rng.randrange(low, len(lines)), rng.randrange(low, len(lines) + 1)
+    fields = lines[i].rstrip("\n").split("\t")
+    kind = rng.randrange(11)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(j, lines[i])
+    elif kind == 2:
+        j = min(j, len(lines) - 1)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 3:
+        fields[:2] = fields[1::-1]
+    elif kind == 4:
+        fields[rng.randrange(len(fields))] = rng.choice(ODD_FIELDS)
+    elif kind == 5:
+        lines.insert(j, rng.choice(BLANK_LINES))
+    elif kind == 6:
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(ODD_FIELDS))
+    elif kind == 7:
+        del fields[rng.randrange(len(fields))]
+    elif kind == 8:
+        lines[i] = lines[i].replace("\n", "\r\n")
+    elif kind == 9:
+        lines[-1] = lines[-1].rstrip("\n")
+    else:
+        del lines[max(low, 2) :]
+    if 3 <= kind <= 7 and kind != 5:
+        lines[i] = "\t".join(fields) + "\n"
+    return lines
+
+
+class TestReaderMatchesFrozenReader:
+    """``load_cooc`` reads every mutated file to the arrays of the frozen
+    row loop, bit for bit, or fails with its message: the first bad line in
+    file order, wherever the block boundaries fall."""
+
+    def assert_same_outcome(self, path):
+        outcomes = []
+        for load in (load_cooc, frozen_load_cooc):
+            try:
+                matrix = load(path)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((matrix.terms, matrix.provenance, matrix.keys.dtype, matrix.values.dtype,
+                                 matrix.keys.tobytes(), matrix.values.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    def matrix_lines(self, tmp_path, rng, n_terms, density) -> list[str]:
+        terms = tuple(f"t{i}" for i in rng.sample(range(10 * n_terms), n_terms))
+        pool = [1.0, 5e-324, 0.5, 1 / 3, 2 / 3] + [rng.random() or 1.0 for _ in range(5)]
+        values = {
+            pair: rng.choice(pool) if rng.random() < 0.5 else rng.random() or 1.0
+            for pair in combinations(sorted(terms), 2)
+            if rng.random() < density
+        }
+        save_cooc(CoocMatrix.from_pairs(terms, values, rng.choice(PROVENANCES)), tmp_path / "base.tsv")
+        return (tmp_path / "base.tsv").read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_mutations_of_a_small_matrix(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "mutated.tsv"
+        for _ in range(200):
+            lines = self.matrix_lines(tmp_path, rng, rng.randint(2, 12), 0.6)
+            for _ in range(rng.randint(1, 3)):
+                lines = mutate(lines, rng, low=2)
+            path.write_bytes("".join(lines).encode())
+            self.assert_same_outcome(path)
+
+    def test_a_matrix_without_pairs_and_an_unmutated_one(self, tmp_path):
+        rng = random.Random(7)
+        path = tmp_path / "plain.tsv"
+        for n_terms, density in ((2, 0.0), (6, 0.0), (6, 0.5), (40, 1.0)):
+            path.write_text("".join(self.matrix_lines(tmp_path, rng, n_terms, density)))
+            self.assert_same_outcome(path)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mutations_in_a_later_block_of_a_long_matrix(self, tmp_path, seed):
+        rng = random.Random(100 + seed)
+        base = self.matrix_lines(tmp_path, rng, 160, 0.4)
+        assert len("".join(base)) > 2 * 2**16  # so the last third is in a later block
+        path = tmp_path / "mutated.tsv"
+        for _ in range(8):
+            # mutations in the last third of the file, some on top of one
+            # in the first two thirds
+            lines = base
+            if rng.random() < 0.5:
+                lines = mutate(lines, rng, low=2)
+            lines = mutate(lines, rng, low=2 * len(lines) // 3)
+            path.write_bytes("".join(lines).encode())
+            self.assert_same_outcome(path)
+
+    def test_the_first_bad_line_across_blocks(self, tmp_path):
+        base = self.matrix_lines(tmp_path, random.Random(9), 160, 0.4)
+        path = tmp_path / "mutated.tsv"
+        early, late = 100, 3 * len(base) // 4
+        bad_value = base[late + 50].rsplit("\t", 1)[0] + "\tnan\n"
+        for lines, message in (
+            (base[:late] + [base[early]] + base[late:], f":{late + 1}: duplicate pair"),
+            (base[:late] + [base[early]] + base[late : late + 50] + [bad_value] + base[late + 51 :], "duplicate pair"),
+            (base[:early] + [bad_value] + base[early + 1 : late] + [base[early + 5]] + base[late:], "value 'nan'"),
+            (base[:late] + [base[late].rstrip("\n")] + base[late:], f":{late + 1}: expected 3"),
+            # the later pair in pair order repeats first in file order
+            (base[:late] + [base[late - 5]] + base[late : late + 50] + [base[early]] + base[late + 50 :],
+             f":{late + 1}: duplicate pair"),
+        ):
+            path.write_text("".join(lines))
+            with pytest.raises(ValueError) as frozen:
+                frozen_load_cooc(path)
+            with pytest.raises(ValueError) as blocks:
+                load_cooc(path)
+            assert str(blocks.value) == str(frozen.value)
+            assert message in str(blocks.value)
 
 
 class TestPersistence:

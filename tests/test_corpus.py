@@ -8,6 +8,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from dictsieve import (
@@ -19,7 +20,7 @@ from dictsieve import (
     term_stats,
     tokenize,
 )
-from dictsieve.corpus import FloatText, TextFloat
+from dictsieve.corpus import FloatText, TextFloat, open_text, read_blocks
 
 
 class TestTokenize:
@@ -474,3 +475,54 @@ class TestTextFloat:
         with pytest.raises(ValueError):
             number["many"]
         assert not number
+
+
+def frozen_read_rows(stream, path, width: int, start: int):
+    """Frozen reference: the row reader that came before ``read_blocks``,
+    one line at a time, verbatim."""
+    for lineno, line in enumerate(stream, start=start):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}")
+        yield lineno, fields
+
+
+class TestReadBlocks:
+    """``read_blocks`` yields the rows of the line loop it replaced, and
+    fails at the same line with the same message, across block boundaries."""
+
+    @staticmethod
+    def outcome(path, read):
+        rows = []
+        with open_text(path) as stream:
+            stream.readline()
+            try:
+                rows.extend(read(stream, path))
+            except ValueError as exc:
+                return rows, str(exc)
+        return rows, None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_and_errors_equal_the_line_loop(self, tmp_path, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 4)
+        lines = ["\t".join(f"f{i}.{j}" for j in range(width)) + "\n" for i in range(rng.choice((0, 3, 15000)))]
+        # one valid line longer than a block, then blank, CRLF, non-ASCII and bad lines
+        lines.insert(rng.randrange(len(lines) + 1), "\t".join(["x" * 70000] + ["y"] * (width - 1)) + "\n")
+        for _ in range(rng.randint(0, 8)):
+            at = rng.randrange(len(lines) + 1)
+            lines.insert(at, rng.choice(("\n", " \n", "\t\n", "\r\n", "a\tb\n", "\ta\t\n", "é\t€\n")))
+        if lines and rng.random() < 0.5:
+            lines[-1] = lines[-1].rstrip("\n")
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(("header\n" + "".join(lines)).encode())
+
+        def blocks(stream, path):
+            for numbers, columns in read_blocks(stream, path, width, 2):
+                assert numbers.dtype == np.int64 and all(len(column) == len(numbers) for column in columns)
+                yield from ((lineno, list(fields)) for lineno, *fields in zip(numbers.tolist(), *columns))
+
+        frozen = self.outcome(path, lambda stream, path: frozen_read_rows(stream, path, width, 2))
+        assert self.outcome(path, blocks) == frozen

@@ -171,6 +171,9 @@ class TestPersistence:
             ("two\td1\t0.5", "rank and score must be numbers"),
             ("2\td1\tnan", "score 'nan' is not finite"),
             ("2\td1\t-inf", "score '-inf' is not finite"),
+            ("2\td1\t0.0", "score '0.0' is not positive"),
+            ("2\td1\t-0.0", "score '-0.0' is not positive"),
+            ("2\td1\t-0.5", "score '-0.5' is not positive"),
             ("2\td1\t1.5", "score 1.5 is above the score of rank 1"),
             ("2\td0\t0.5", "duplicate doc id 'd0'"),
         ],
