@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -115,6 +116,9 @@ def parse_alphas(text: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise UsageError(f"alpha range must be start:stop:step, got {text!r}")
             start, stop, step = (float(p) for p in parts)
+            # an infinite bound would loop without end, and a NaN compares false
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise UsageError(f"alpha range bounds and step must be finite, got {text!r}")
             if step <= 0:
                 raise UsageError("alpha step must be positive")
             values = []
@@ -546,7 +550,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
     excluded = parse_topic_ids(config.exclude)
     # every stage's settings are checked before the first artifact is written
     with _stage("fit-topics"):
-        check_fit_settings(config.n_topics, config.lda_alpha, config.beta, config.iterations)
+        check_fit_settings(config.n_topics, config.lda_alpha, config.beta, config.iterations, config.seed)
     with _stage("extract-dict"):
         check_topic_ids(config.n_topics, excluded)
     with _stage("build-cooc"):

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, TextFloat, open_text, read_blocks, read_header
+from .corpus import Corpus, FloatText, open_text, read_blocks, read_header
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -140,22 +140,42 @@ def check_key_range(n_terms: int, n_sentences: int) -> None:
         raise ValueError(f"{n_terms} terms over {n_sentences} sentences overflow the int64 pair keys")
 
 
-def encode_sentences(sentences: list[list[str]], terms) -> tuple[np.ndarray, np.ndarray]:
-    """Each sentence's length, and the index in ``terms`` of every token,
-    sentence after sentence; -1 codes a token that is not among ``terms``."""
-    code = {term: i for i, term in enumerate(terms)}
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    codes = np.fromiter(
-        map(code.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.int32, count=int(lengths.sum())
-    )
-    return lengths, codes
+def sentence_terms(documents, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each sentence's distinct ``terms``: four int64 arrays with one entry
+    per (sentence, term), ordered by sentence, then by the term's rank.
+
+    The arrays hold the sentence's index, counting the sentences of
+    ``documents`` one after another; the term's lexicographic rank among
+    ``terms``; the term's count in the sentence; and the index of its first
+    occurrence among all tokens of ``documents``, counted the same way.  The
+    caller checks the (sentence, term) keys with ``check_key_range``.
+    """
+    lexicon = sorted(terms)
+    n = len(lexicon)
+    rank = {term: r for r, term in enumerate(lexicon)}
+    sentences = [sentence for doc in documents for sentence in doc.sentences]
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    codes = np.fromiter(map(rank.get, chain.from_iterable(sentences), repeat(-1)), np.int32, int(lengths.sum()))
+    del sentences
+    token = np.flatnonzero(codes >= 0)
+    # key sentence * n + rank of every token of ``terms``, in token order
+    keys = np.repeat(np.arange(len(lengths)), lengths)[token] * n + codes[token]
+    del lengths, codes
+    # the stable sort groups each sentence's tokens by term: a group's head
+    # is the term's first occurrence and its length the term's count
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.flatnonzero(np.diff(keys, prepend=-1))
+    sentence, term = np.divmod(keys[head], n)
+    del keys
+    return sentence, term, np.diff(head, append=len(order)), token[order[head]]
 
 
 def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     """Count sentence co-occurrences of dictionary terms and apply Dice.
 
     n_x counts sentences containing x at least once; pairs never seen in a
-    common sentence are not stored.  Tokens are coded by lexicographic rank,
+    common sentence are not stored.  Terms are coded by lexicographic rank,
     so the sorted pair keys of the count are the matrix's ``keys``.
     """
     n = len(dictionary)
@@ -163,25 +183,10 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
         raise ValueError("dictionary is empty")
     if not corpus.documents:
         raise ValueError("corpus is empty")
-    sentences = [sentence for doc in corpus.documents for sentence in doc.sentences]
-    n_sentences = len(sentences)
-    check_key_range(n, n_sentences)
-    # terms coded by lexicographic rank: a sentence's codes in ascending
-    # order are its terms sorted, and every pair (a, b) has a < b
-    lexicon = sorted(dictionary.terms)
-    lengths, codes = encode_sentences(sentences, lexicon)
-    sentence_dtype = np.int32 if n_sentences < 2**31 else np.int64
-    sentence_ids = np.repeat(np.arange(n_sentences, dtype=sentence_dtype), lengths)
-    present = codes >= 0
-    # (sentence, term) keys sorted and deduplicated: each sentence's distinct
-    # terms, ascending, sentence after sentence
-    keys = sentence_ids[present].astype(np.int64) * n + codes[present]
-    del codes, sentence_ids, present, lengths
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    sentence = (keys // n).astype(sentence_dtype)
-    term = (keys % n).astype(np.int32)
-    del keys
+    check_key_range(n, sum(len(doc.sentences) for doc in corpus.documents))
+    # each sentence's distinct terms in ascending rank, so every pair (a, b)
+    # of one sentence has a < b
+    sentence, term = sentence_terms(corpus.documents, dictionary.terms)[:2]
     n_single = np.bincount(term, minlength=n)
 
     # one key a*n + b per pair occurrence: the pairs are the entries d apart
@@ -193,8 +198,11 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
         first = first[sentence[first + d] == sentence[first]]
         if not first.size:
             break
-        occurrences.append(term[first].astype(np.int64) * n + term[first + d])
-    pair = np.sort(np.concatenate(occurrences))
+        occurrences.append(term[first] * n + term[first + d])
+    del sentence, term, first
+    pair = np.concatenate(occurrences)
+    del occurrences
+    pair.sort()
     # a pair occurs at most once per sentence, so its group's length is its count
     head = np.flatnonzero(np.diff(pair, prepend=-1))
     n_ab = np.diff(head, append=len(pair))
@@ -253,10 +261,10 @@ def _key_order(path, lexicon: tuple[str, ...], keys: np.ndarray, linenos: np.nda
     return order
 
 
-def _number_or_nan(number, text: str) -> float:
-    """``number(text)``, or NaN for a text that is not a number."""
+def _number_or_nan(text: str) -> float:
+    """``float(text)``, or NaN for a text that is not a number."""
     try:
-        return number(text)
+        return float(text)
     except ValueError:
         return math.nan
 
@@ -268,7 +276,7 @@ def load_cooc(path) -> CoocMatrix:
     name two listed terms in lexicographic order, at most once, with a
     finite value in (0, 1]; a violation is reported as ``path:line``, the
     first in file order.  Pair lines are checked a block at a time as
-    arrays, and each distinct value text is converted once.
+    arrays.
     """
     with open_text(path) as stream:
         provenance, n = read_header(stream, path, "#dictsieve-cooc", "co-occurrence matrix", "provenance")
@@ -284,15 +292,14 @@ def load_cooc(path) -> CoocMatrix:
             raise ValueError(f"{path}:2: duplicate term in the term list")
         if len(terms) != n:
             raise ValueError(f"{path}:1: header says n={n} but the term list has {len(terms)} terms")
-        number = TextFloat().__getitem__
         keys, values, linenos = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
         try:
             for numbers, (a, b, texts) in read_blocks(stream, path, 3, 3):
                 ra, rb = (np.fromiter(map(rank.get, names, repeat(-1)), np.int64, len(names)) for names in (a, b))
                 try:
-                    value = np.fromiter(map(number, texts), np.float64, len(texts))
+                    value = np.fromiter(map(float, texts), np.float64, len(texts))
                 except ValueError:  # a text that is not a number, which fails the range check
-                    value = np.array([_number_or_nan(number, text) for text in texts])
+                    value = np.array([_number_or_nan(text) for text in texts])
                 bad_pair = (ra < 0) | (rb <= ra)
                 bad = np.flatnonzero(bad_pair | ~((0.0 < value) & (value <= 1.0)))
                 if bad.size:

@@ -175,7 +175,8 @@ def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
     """One JSONL line as a document; ``where`` is its ``file:line``."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    # RecursionError: arrays or objects nested deeper than the recursion limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(record, dict) or "id" not in record or "sentences" not in record:
         raise ValueError(f"{where}: expected object with 'id' and 'sentences'")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import CoocMatrix, check_key_range, encode_sentences, position_major
+from .cooc import CoocMatrix, check_key_range, position_major, sentence_terms
 from .corpus import Corpus, Document, TermStats
 from .dictionary import Dictionary
 
@@ -146,31 +146,18 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     to right in order of first occurrence, as the replaced loop did.
     """
     n = len(cooc_filtered.terms)
-    sentences = [sentence for doc in documents for sentence in doc.sentences]
-    n_sentences = len(sentences)
-    check_key_range(n, n_sentences)
+    n_documents = len(documents)
+    n_doc_sentences = np.fromiter(map(len, (doc.sentences for doc in documents)), np.int64, n_documents)
+    check_key_range(n, int(n_doc_sentences.sum()))
     lexicon = cooc_filtered.lexicon
-    lengths, codes = encode_sentences(sentences, lexicon)
-    present = np.flatnonzero(codes >= 0)
-    # key sentence * n + term of every matrix-term token, in token order
-    keys = np.searchsorted(np.cumsum(lengths), present, side="right") * n + codes[present]
-    del sentences, lengths, codes, present
+    # entries (sentence, term rank, count): in sentence order, then in
+    # first-occurrence order
+    entry_sentence, entry_rank, entry_count, first = sentence_terms(documents, lexicon)
+    order = np.argsort(first)
+    entry_sentence, entry_rank, entry_count = entry_sentence[order], entry_rank[order], entry_count[order]
+    del first, order
 
-    # one stable sort groups each sentence's tokens by term; the head of a
-    # group is the term's first occurrence and its length the term's count
-    order = np.argsort(keys, kind="stable")
-    head = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    first = np.zeros(len(keys), dtype=bool)
-    first[order[head]] = True
-    token_count = np.zeros(len(keys), dtype=np.int64)
-    token_count[order[head]] = np.diff(head, append=len(keys))
-    del order, head
-    # entries (sentence, term rank): in sentence order, then in first-occurrence order
-    entry_sentence, entry_rank = np.divmod(keys[first], n)
-    entry_count = token_count[first]
-    del keys, first, token_count
-
-    n_present = np.bincount(entry_sentence, minlength=n_sentences)
+    n_present = np.bincount(entry_sentence)
     width = n_present[entry_sentence]
     start = (np.cumsum(n_present) - n_present)[entry_sentence]
     # step p adds the Dice value of the sentence's p-th distinct term
@@ -187,9 +174,7 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     # rows by (document, term position, sentence), the ranks mapped back to
     # positions; lexsort is stable and the entries are in sentence order
     entry_term = np.fromiter(map(cooc_filtered.position, lexicon), dtype=np.int64, count=n)[entry_rank]
-    n_documents = len(documents)
-    document_ends = np.cumsum(np.fromiter(map(len, (doc.sentences for doc in documents)), np.int64, n_documents))
-    entry_document = np.searchsorted(document_ends, entry_sentence, side="right")
+    entry_document = np.searchsorted(np.cumsum(n_doc_sentences), entry_sentence, side="right")
     order = np.lexsort((entry_term, entry_document))
     row_term = entry_term[order]
     row_document = entry_document[order]

@@ -166,13 +166,15 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
         yield n_wk, n_k
 
 
-def check_fit_settings(n_topics: int, alpha: float | None, beta: float, iterations: int) -> float:
+def check_fit_settings(n_topics: int, alpha: float | None, beta: float, iterations: int, seed: int) -> float:
     """Reject settings ``fit_lda`` cannot sample with; return ``alpha``,
     which defaults to 50/K."""
     if n_topics < 1:
         raise ValueError("n_topics must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if alpha is None:
         alpha = 50.0 / n_topics
     for name, prior in (("alpha", alpha), ("beta", beta)):
@@ -201,7 +203,7 @@ def fit_lda(
     """
     if not corpus.documents:
         raise ValueError("cannot fit a topic model on an empty corpus")
-    alpha = check_fit_settings(n_topics, alpha, beta, iterations)
+    alpha = check_fit_settings(n_topics, alpha, beta, iterations, seed)
 
     vocab = tuple(sorted(corpus.vocabulary))
     vocab_index = {w: i for i, w in enumerate(vocab)}

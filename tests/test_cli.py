@@ -115,6 +115,22 @@ class TestParsers:
             with pytest.raises(cli.UsageError):
                 parse_alphas(bad)
 
+    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:nan", "nan:1:1", "0:1:inf"])
+    def test_alpha_range_must_be_finite(self, spec, corpora_dir, tmp_path, capsys):
+        """An infinite bound would append values until memory runs out."""
+        with pytest.raises(cli.UsageError, match="alpha range bounds and step must be finite"):
+            parse_alphas(spec)
+        run = [
+            "run",
+            "--reference", str(corpora_dir / "reference.jsonl"),
+            "--target", str(corpora_dir / "target.jsonl"),
+            "--out-dir", str(tmp_path / "out"),
+            "--n-topics", "2",
+        ]
+        assert main(run + [f"--alphas={spec}"]) == EXIT_USAGE
+        assert f"alpha range bounds and step must be finite, got {spec!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_topic_ids(self):
         assert parse_topic_ids("") == frozenset()
         assert parse_topic_ids("3,1") == frozenset({1, 3})
@@ -242,6 +258,7 @@ class TestExitCodes:
             ("--iterations", "0", "[fit-topics] iterations must be >= 1"),
             ("--lda-alpha", "0", "[fit-topics] alpha must be finite and > 0, got 0.0"),
             ("--beta", "0", "[fit-topics] beta must be finite and > 0, got 0.0"),
+            ("--seed", "-1", "[fit-topics] seed must be >= 0, got -1"),
             ("--slope", "2", "[sweep] slope must be in [0, 1], got 2.0"),
             ("--alphas", "1,nan", "[sweep] alpha must be >= 0 and finite, got nan"),
             ("--alphas", "2,2", "[sweep] alpha 2 is repeated"),
@@ -325,6 +342,14 @@ class TestSubcommands:
         assert out.exists()
         first = json.loads(out.read_text().splitlines()[0])
         assert set(first) >= {"id", "sentences"}
+
+    def test_ingest_reports_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(json.dumps({"id": "ok", "sentences": [["a"]]}) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        out = tmp_path / "canonical.jsonl"
+        assert main(["ingest", "--input", str(path), "--role", "reference", "--out", str(out)]) == EXIT_DATA
+        assert f"[ingest] {path}:2: invalid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_inspect_and_extract(self, corpora_dir, tmp_path, capsys):
         model_path = tmp_path / "model.tsv"

@@ -20,7 +20,7 @@ from dictsieve import (
     load_cooc,
     save_cooc,
 )
-from dictsieve.cooc import PROVENANCES, CoocMatrix
+from dictsieve.cooc import PROVENANCES, CoocMatrix, sentence_terms
 from dictsieve.corpus import open_text, read_header
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 
@@ -284,6 +284,68 @@ class TestFrozenOracles:
 
         with pytest.raises(ValueError, match="4294967296 terms over 1 sentences overflow the int64 pair keys"):
             build_cooc(one_doc_corpus([["a", "b"]]), HugeDictionary())
+
+
+def oracle_sentence_terms(documents, terms) -> list[tuple[int, int, int, int]]:
+    """The entries of ``sentence_terms`` by a loop over every token:
+    (sentence, rank, count, first token) per distinct term of a sentence."""
+    rank = {term: r for r, term in enumerate(sorted(terms))}
+    sentences = [sentence for doc in documents for sentence in doc.sentences]
+    entries = []
+    token = 0
+    for i, sentence in enumerate(sentences):
+        found: dict[str, list[int]] = {}
+        for word in sentence:
+            if word in rank:
+                found.setdefault(word, [0, token])[0] += 1
+            token += 1
+        entries += sorted((i, rank[word], n, first) for word, (n, first) in found.items())
+    return entries
+
+
+class TestSentenceTerms:
+    """``sentence_terms`` equals the token loop entry for entry."""
+
+    @staticmethod
+    def random_documents(rng: random.Random) -> list[Document]:
+        """Documents with no sentences, empty sentences, sentences without
+        terms and sentences that repeat terms."""
+        words = ORACLE_TERMS[:-2] + ORACLE_NOISE
+        return [
+            Document(
+                id=f"d{i}",
+                sentences=[
+                    rng.choices(words, k=rng.choice((0, 1, 2, rng.randint(3, 20)))) for _ in range(rng.randint(0, 5))
+                ],
+            )
+            for i in range(rng.randint(0, 30))
+        ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_documents_equal_the_token_loop(self, seed):
+        rng = random.Random(seed)
+        documents = self.random_documents(rng)
+        arrays = sentence_terms(documents, ORACLE_TERMS)
+        assert all(array.dtype == np.int64 for array in arrays)
+        assert list(zip(*(array.tolist() for array in arrays))) == oracle_sentence_terms(documents, ORACLE_TERMS)
+
+    def test_repeats_noise_and_empty_sentences(self):
+        documents = [
+            Document(id="none", sentences=[]),
+            Document(id="a", sentences=[[], ["x", "noise", "k", "x", "k", "x"], ["zz"]]),
+            Document(id="b", sentences=[["c"], []]),
+        ]
+        sentence, rank, n, first = sentence_terms(documents, ORACLE_TERMS)
+        # ranks among the sorted terms a b c e k m q r t x
+        assert sentence.tolist() == [1, 1, 3]
+        assert rank.tolist() == [4, 9, 2]
+        assert n.tolist() == [2, 3, 1]
+        assert first.tolist() == [2, 0, 7]
+
+    @pytest.mark.parametrize("documents", [[], random_corpus(random.Random(1), "generic", 5).documents])
+    def test_no_entries(self, documents):
+        arrays = sentence_terms(documents, ("absent",))
+        assert [(array.dtype, array.size) for array in arrays] == [(np.int64, 0)] * 4
 
 
 class TestMatrixAccess:
