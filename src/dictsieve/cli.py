@@ -74,6 +74,10 @@ EXIT_INTERNAL = 3
 # directory of config files (explicit flags still win).
 OUT_DIR_ENV = "DICTSIEVE_OUT_DIR"
 
+# the most values an alpha range may expand to; a sweep ranks the target
+# twice per value
+MAX_ALPHAS = 10_000
+
 
 class UsageError(Exception):
     """Bad flags, bad config keys, malformed option values."""
@@ -121,6 +125,9 @@ def parse_alphas(text: str) -> tuple[float, ...]:
                 raise UsageError(f"alpha range bounds and step must be finite, got {text!r}")
             if step <= 0:
                 raise UsageError("alpha step must be positive")
+            # floor((stop - start) / step) + 1 values, counted before any is made
+            if (stop - start) / step >= MAX_ALPHAS:
+                raise UsageError(f"alpha range {text!r} has more than {MAX_ALPHAS} values")
             values = []
             value = start
             while value <= stop + 1e-12:

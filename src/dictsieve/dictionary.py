@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Corpus, TermStats, open_text, read_blocks, read_header, term_stats
 from .topics import TopicModelResult
 
@@ -74,16 +76,23 @@ class Dictionary:
         return METHOD_LABELS[self.method]
 
 
+def _term_weights(model: TopicModelResult, columns, tf_values: list[int]) -> np.ndarray:
+    """ln(tf(w)) times the summed p(w|topic) over non-excluded topics, for
+    the vocabulary columns ``columns`` with frequencies ``tf_values``.  The
+    retained topics' rows are added one by one in topic order."""
+    prob_sum = np.zeros(len(tf_values))
+    for k in model.retained_topics():
+        prob_sum += model.phi[k - 1, columns]
+    return np.fromiter(map(math.log, tf_values), np.float64, len(tf_values)) * prob_sum
+
+
 def term_weight(term: str, model: TopicModelResult, stats: TermStats) -> float:
     """ln(tf(w)) times the summed p(w|topic) over non-excluded topics."""
-    retained = model.retained_topics()
-    if not retained:
+    if not model.retained_topics():
         raise ValueError("all topics excluded")
     if term not in stats.tf or term not in model.vocab_index:
         raise ValueError(f"unknown term {term!r}")
-    col = model.vocab_index[term]
-    prob_sum = sum(float(model.phi[k - 1, col]) for k in retained)
-    return math.log(stats.tf[term]) * prob_sum
+    return float(_term_weights(model, [model.vocab_index[term]], [stats.tf[term]])[0])
 
 
 def _build_entries(weighted: list[tuple[str, float]], n: int) -> list[DictionaryEntry]:
@@ -100,7 +109,10 @@ def extract_dictionary_tm(model: TopicModelResult, stats: TermStats, n: int) -> 
         raise ValueError("dictionary size must be >= 1")
     if not model.retained_topics():
         raise ValueError("all topics excluded")
-    weighted = [(term, term_weight(term, model, stats)) for term in model.vocab]
+    tf_values = list(map(stats.tf.get, model.vocab))
+    if None in tf_values:
+        raise ValueError(f"unknown term {model.vocab[tf_values.index(None)]!r}")
+    weighted = list(zip(model.vocab, _term_weights(model, slice(None), tf_values).tolist()))
     return Dictionary(entries=_build_entries(weighted, n), method=METHOD_TOPIC_MODEL)
 
 

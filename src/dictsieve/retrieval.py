@@ -17,6 +17,7 @@ from .scoring import (
     compute_norms,
     score_context,
     sentence_features,
+    term_contributions,
     tfsim_runs,
 )
 
@@ -95,9 +96,10 @@ def rank_collection(
     m reflects actual matches.  Ties break by doc id, which makes ranking
     idempotent and gives shorter runs the k-prefix property.  ``stats``,
     ``norms`` and the target's ``sentence_features`` may be passed in to
-    share work across systems of a sweep.  Every mode scores each document
-    from its slice of one tfsim pass over the features; unigram mode
-    ignores ``features`` and runs the pass over a matrix without pairs.
+    share work across systems of a sweep.  Every mode makes one tfsim pass
+    and one contribution pass over the features, and scores each document
+    by adding its slice of the contributions; unigram mode ignores
+    ``features`` and runs the passes over a matrix without pairs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -106,19 +108,23 @@ def rank_collection(
         stats = term_stats(target)
     if norms is None:
         norms = compute_norms(target, stats, config)
+    elif norms.doc_ids != tuple(doc.id for doc in target.documents):
+        raise ValueError("norms were computed over another collection")
 
     if config.mode == "unigram":
         # no pairs: every cosine is 0.0, so a run's tfsim is its raw count
         cooc_filtered, features = CoocMatrix(dictionary.terms, np.empty(0, np.int64), np.empty(0), "filtered"), None
     if features is None:
         features = sentence_features(target.documents, cooc_filtered)
-    tf = tfsim_runs(features, config)
     # the matrix terms are the dictionary terms, so a run's term position
     # is its dictionary entry's index
-    boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms].tolist()
+    boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms]
+    contributions = term_contributions(
+        tfsim_runs(features, config), boosts, features.offsets, norms.doc_log_avgtf, norms.doc_norm
+    ).tolist()
     bounds = features.offsets.tolist()
     scores = [
-        score_context(dictionary, doc, cooc_filtered, norms, config, zip(boosts[a:b], tf[a:b]))
+        score_context(dictionary, doc, cooc_filtered, norms, config, contributions[a:b])
         for doc, a, b in zip(target.documents, bounds, bounds[1:])
     ]
     scored = [(score, doc.id) for doc, score in zip(target.documents, scores) if score > 0.0]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -51,13 +53,19 @@ class CollectionNorms:
     """Pivoted unique normalization and average term frequency per document.
 
     Zero-token documents have no defined norm or avgtf; they are flagged in
-    ``empty_doc_ids`` and score 0 everywhere.
+    ``empty_doc_ids`` and score 0 everywhere.  ``doc_log_avgtf`` and
+    ``doc_norm`` hold ln avgtf(d) and norm(d) for the documents ``doc_ids``
+    of the collection, in its order (0.0 for a zero-token document), for
+    the contribution passes of a sweep.
     """
 
     pivot: float
     norm: dict[str, float]
     avgtf: dict[str, float]
     empty_doc_ids: frozenset[str]
+    doc_ids: tuple[str, ...]
+    doc_log_avgtf: np.ndarray
+    doc_norm: np.ndarray
 
 
 def compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> CollectionNorms:
@@ -76,41 +84,70 @@ def compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> Co
             continue
         norm[doc.id] = 1.0 / math.sqrt((1.0 - config.slope) * pivot + config.slope * n_unique)
         avgtf[doc.id] = sum(stats.tf_doc[doc.id].values()) / n_unique
-    return CollectionNorms(pivot=pivot, norm=norm, avgtf=avgtf, empty_doc_ids=frozenset(empty))
+    ids = tuple(doc.id for doc in target.documents)
+    doc_log_avgtf = np.array([math.log(avgtf[i]) if i in avgtf else 0.0 for i in ids])
+    doc_norm = np.array([norm.get(i, 0.0) for i in ids])
+    return CollectionNorms(pivot, norm, avgtf, frozenset(empty), ids, doc_log_avgtf, doc_norm)
+
+
+def term_contributions(
+    tf: np.ndarray, boosts: np.ndarray, offsets: np.ndarray, log_avgtf: np.ndarray, norm: np.ndarray
+) -> np.ndarray:
+    """Every run's (1 + ln tf) / (1 + ln avgtf) * boost * norm, floored and clamped.
+
+    ``tf`` and ``boosts`` hold one value per run, document i's runs at
+    ``offsets[i]:offsets[i + 1]``; ``log_avgtf`` and ``norm`` hold one value
+    per document, repeated over its runs.  tf is floored at 1e-9 before the
+    log, and a run whose dampened factor 1 + ln tf is not positive
+    contributes 0.0, as does every tf <= 0, whose floored factor is
+    negative.  Both are no-ops for tf >= 1.  The logs are ``math.log``'s
+    (``np.log`` differs in the last bit on some doubles) and the operations
+    run in the formula's order, so every value has the bits of the scalar
+    formula, and equal tf values give equal contributions in every mode.
+    """
+    lengths = np.diff(offsets)
+    floored = np.where(tf > _TFSIM_FLOOR, tf, _TFSIM_FLOOR)
+    dampened = 1.0 + np.fromiter(map(math.log, floored.tolist()), np.float64, len(floored))
+    values = dampened / np.repeat(1.0 + log_avgtf, lengths) * boosts * np.repeat(norm, lengths)
+    values[dampened <= 0.0] = 0.0
+    return values
 
 
 def _term_contribution(tf_value: float, log_avgtf: float, boost: float, norm: float) -> float:
-    """(1 + ln tf) / (1 + ln avgtf) * boost * norm, floored and clamped.
-
-    Shared by the unigram and context paths so that equal tf values produce
-    bit-identical scores.  The floor and clamp are no-ops for tf >= 1.
-    """
-    # conditionals rather than max(): this runs once per term per document
-    # per system
-    dampened = 1.0 + math.log(tf_value if tf_value > _TFSIM_FLOOR else _TFSIM_FLOOR)
-    return dampened / (1.0 + log_avgtf) * boost * norm if dampened > 0.0 else 0.0
+    """One run's ``term_contributions``."""
+    tf, boosts, log_avgtf, norm = (np.array([float(x)]) for x in (tf_value, boost, log_avgtf, norm))
+    return float(term_contributions(tf, boosts, np.array([0, 1]), log_avgtf, norm)[0])
 
 
-def _score(q: Dictionary, d: Document, norms: CollectionNorms, tf_items) -> float:
-    """Sum the term contributions of ``tf_items``, pairs (boost, term
-    frequency) in dictionary order; terms absent from them contribute 0."""
+def _scored(q: Dictionary, d: Document, norms: CollectionNorms) -> bool:
+    """False for a zero-token document, which scores 0.0 whatever the
+    dictionary; an empty dictionary is an error."""
     if len(q) == 0:
         raise ValueError("dictionary is empty")
-    if d.id in norms.empty_doc_ids:
-        return 0.0
-    log_avgtf = math.log(norms.avgtf[d.id])
-    norm = norms.norm[d.id]
-    score = 0.0
-    for boost, tf_value in tf_items:
-        if tf_value > 0:
-            score += _term_contribution(tf_value, log_avgtf, boost, norm)
-    return score
+    return d.id not in norms.empty_doc_ids
+
+
+def _entry_contributions(q: Dictionary, d: Document, norms: CollectionNorms, tf_values: list[float]) -> list[float]:
+    """The term contributions of d's tf value for every dictionary entry, in
+    dictionary order, from ``term_contributions`` over d alone."""
+    offsets = np.array([0, len(q)])
+    boosts = np.array([entry.boost for entry in q.entries])
+    log_avgtf, norm = np.array([math.log(norms.avgtf[d.id])]), np.array([norms.norm[d.id]])
+    return term_contributions(np.array(tf_values, dtype=np.float64), boosts, offsets, log_avgtf, norm).tolist()
+
+
+def _total(contributions) -> float:
+    """Add the contributions left to right from 0.0 (``sum`` compensates
+    float rounding from Python 3.12 on)."""
+    return float(reduce(add, contributions, 0.0))
 
 
 def score_dict(q: Dictionary, d: Document, stats: TermStats, norms: CollectionNorms) -> float:
     """Unigram dictionary score over the document's raw term frequencies."""
+    if not _scored(q, d, norms):
+        return 0.0
     tf = stats.tf_doc[d.id]
-    return _score(q, d, norms, ((entry.boost, tf.get(entry.term, 0)) for entry in q.entries))
+    return _total(_entry_contributions(q, d, norms, [tf.get(entry.term, 0) for entry in q.entries]))
 
 
 @dataclass(frozen=True)
@@ -190,7 +227,7 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     )
 
 
-def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> list[float]:
+def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> np.ndarray:
     """Every run's tfsim: each of its sentences adds its count (none in
     context-only mode) plus alpha times its cosine, the sentences summed one
     by one in sentence order."""
@@ -203,14 +240,14 @@ def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> list[float]
     totals = np.zeros(len(lengths))
     for p, alive in position_major(lengths):
         totals[alive] += values[start[alive] + p]
-    return totals.tolist()
+    return totals
 
 
 def _document_tfsim(d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> dict[str, float]:
     """term -> tfsim for every matrix term in ``d``."""
     features = sentence_features([d], cooc_filtered)
     terms = map(cooc_filtered.terms.__getitem__, features.terms.tolist())
-    return dict(zip(terms, tfsim_runs(features, config)))
+    return dict(zip(terms, tfsim_runs(features, config).tolist()))
 
 
 def tfsim(term: str, d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> float:
@@ -231,15 +268,18 @@ def score_context(
     cooc_filtered: CoocMatrix,
     norms: CollectionNorms,
     config: ScoringConfig,
-    tf_items=None,
+    contributions: list[float] | None = None,
 ) -> float:
     """Context-sensitive score: the unigram formula with tf replaced by tfsim.
 
-    ``tf_items`` are d's (boost, tfsim) pairs in dictionary order, as
-    ``rank_collection`` passes them from one pass over the whole target;
-    they are computed here from ``d`` alone otherwise.
+    The score adds d's term contributions left to right.  ``contributions``
+    are those floats in dictionary order, d's slice of the contribution
+    pass that ``rank_collection`` makes over the whole target; they are
+    computed here from ``d`` alone otherwise.
     """
-    if tf_items is None:
+    if not _scored(q, d, norms):
+        return 0.0
+    if contributions is None:
         tf = _document_tfsim(d, cooc_filtered, config)
-        tf_items = ((entry.boost, tf.get(entry.term, 0.0)) for entry in q.entries)
-    return _score(q, d, norms, tf_items)
+        contributions = _entry_contributions(q, d, norms, [tf.get(entry.term, 0.0) for entry in q.entries])
+    return _total(contributions)

@@ -131,6 +131,26 @@ class TestParsers:
         assert f"alpha range bounds and step must be finite, got {spec!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spec", ["0:1e12:1", "0:1:1e-300", "-1e308:1e308:1"])
+    def test_alpha_range_is_counted_before_it_is_expanded(self, spec, corpora_dir, tmp_path, capsys):
+        """A range of a trillion values would append them until memory runs
+        out; its count is checked first, so nothing large is allocated."""
+        limit = cli.MAX_ALPHAS  # read first: without the count check, the calls below would not return
+        assert len(parse_alphas(f"0:{limit - 1}:1")) == limit
+        for too_many in (f"0:{limit}:1", spec):
+            with pytest.raises(cli.UsageError, match=f"has more than {limit} values"):
+                parse_alphas(too_many)
+        run = [
+            "run",
+            "--reference", str(corpora_dir / "reference.jsonl"),
+            "--target", str(corpora_dir / "target.jsonl"),
+            "--out-dir", str(tmp_path / "out"),
+            "--n-topics", "2",
+        ]
+        assert main(run + [f"--alphas={spec}"]) == EXIT_USAGE
+        assert f"alpha range {spec!r} has more than {limit} values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_topic_ids(self):
         assert parse_topic_ids("") == frozenset()
         assert parse_topic_ids("3,1") == frozenset({1, 3})

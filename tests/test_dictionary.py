@@ -136,6 +136,33 @@ class TestExtractTopicModel:
             extract_dictionary_tm(model, make_stats({"a": 2}), 1)
 
 
+class TestTopicModelWeightsInOnePass:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_equal_the_per_term_loop_bit_for_bit(self, seed):
+        """The retained topics' probabilities are added left to right in
+        topic order, as a loop over one term at a time adds them."""
+        rng = np.random.default_rng(seed)
+        n_topics, n_terms = 12, 300
+        vocab = [f"w{i:03d}" for i in range(n_terms)]
+        excluded = {int(k) for k in rng.choice(np.arange(1, n_topics + 1), size=seed * 3, replace=False)}
+        model = make_model(vocab, rng.dirichlet(np.full(n_terms, 0.05), size=n_topics), excluded)
+        stats = make_stats({term: int(rng.integers(1, 400)) for term in vocab})
+        retained = [k for k in range(1, n_topics + 1) if k not in excluded]
+        d = extract_dictionary_tm(model, stats, n_terms)
+        for entry in d.entries:
+            col = vocab.index(entry.term)
+            prob_sum = 0.0
+            for k in retained:
+                prob_sum += float(model.phi[k - 1, col])
+            assert entry.weight == math.log(stats.tf[entry.term]) * prob_sum
+            assert term_weight(entry.term, model, stats) == entry.weight
+
+    def test_a_model_term_missing_from_the_stats_is_named(self):
+        model = make_model(["w", "x", "y"], [[0.2, 0.3, 0.5]])
+        with pytest.raises(ValueError, match="unknown term 'x'"):
+            extract_dictionary_tm(model, make_stats({"w": 2, "y": 1}), 2)
+
+
 class TestExtractTfidf:
     def four_doc_reference(self) -> Corpus:
         docs = [

@@ -9,9 +9,11 @@ import pytest
 from dictsieve import (
     Corpus,
     Document,
+    compute_norms,
     load_ranked_list,
     rank_collection,
     save_ranked_list,
+    term_stats,
 )
 from dictsieve.cooc import CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
@@ -138,6 +140,17 @@ class TestRankCollection:
                 rank_collection(target, q, other, ScoringConfig(alpha=2.0, mode=mode), k=5)
         ranked = rank_collection(target, q, other, ScoringConfig(), k=5)
         assert ranked.m > 0
+
+    def test_norms_of_another_collection_are_rejected(self):
+        """The contribution pass reads norms by position, so norms of other
+        documents, or of the same ones in another order, would be misread."""
+        target = random_corpus(5, seed=1)
+        q = make_dictionary("w0", "w1")
+        reordered = Corpus(documents=target.documents[::-1], role="target")
+        for other in (random_corpus(6, seed=1), reordered):
+            norms = compute_norms(other, term_stats(other), ScoringConfig())
+            with pytest.raises(ValueError, match="norms were computed over another collection"):
+                rank_collection(target, q, None, ScoringConfig(), k=5, norms=norms)
 
     def test_k_must_be_positive(self):
         target = random_corpus(5, seed=1)

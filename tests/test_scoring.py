@@ -16,6 +16,7 @@ from dictsieve import (
     build_cooc,
     compute_norms,
     filter_cooc,
+    generate_sweep,
     rank_collection,
     score_context,
     score_dict,
@@ -24,6 +25,8 @@ from dictsieve import (
 )
 from dictsieve.cooc import CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
+from dictsieve.evaluation import DEFAULT_ALPHAS, sweep_configs
+from dictsieve.retrieval import make_system_id
 from dictsieve.scoring import ScoringConfig, _term_contribution, sentence_features
 
 
@@ -491,3 +494,48 @@ def test_unigram_ranking_equals_score_dict_bit_for_bit(seed):
         for kwargs in ({}, {"stats": stats, "norms": norms, "features": features}):
             ranked = rank_collection(target, q, matrix, config, len(target), **kwargs)
             assert {entry.doc_id: entry.score for entry in ranked} == expected
+
+
+def test_swept_scores_equal_the_frozen_pair_dict_loop_bit_for_bit():
+    """Every system of the default sweep scores each document from one
+    contribution pass; each listed score is the frozen loop's, and every
+    document a system leaves out scores 0 there.  The sweep takes enough
+    logs of non-integer tfsim values that ``np.log`` in place of
+    ``math.log`` changes some score."""
+    rng = random.Random(4)
+    vocab = [f"t{i:02d}" for i in range(40)]
+    q_tm = make_dictionary(*rng.sample(vocab[:30], 13), vocab[30], vocab[31])
+    reference = Corpus(documents=_random_docs(rng, vocab[:30], 40, "r"), role="reference")
+    generic = Corpus(documents=_random_docs(rng, vocab, 40, "g"), role="generic")
+    cooc_tm = filter_cooc(build_cooc(reference, q_tm), build_cooc(generic, q_tm))
+    # by hand: u0's pair with u1 is tiny next to its others, so in context-only
+    # mode a sentence of u0 and u1 alone puts both below the 1e-9 floor, and
+    # one of u0 and u2 puts u0 between the floor and 1/e, where it clamps
+    u = ["u0", "u1", "u2", "u3", "u4"]
+    q_tfidf = Dictionary(entries=make_dictionary(*u).entries, method="tfidf")
+    pairs = {("u0", "u1"): 1e-13, ("u0", "u2"): 0.1, ("u0", "u4"): 0.9, ("u1", "u3"): 0.2}
+    cooc_tfidf = CoocMatrix.from_pairs(q_tfidf.terms, pairs, "filtered")
+    special = [
+        Document(id="floor", sentences=[["u0", "u1"], ["x"]]),
+        Document(id="clamp", sentences=[["u0", "u2", "x"], ["u3"]]),
+        Document(id="empty", sentences=[]),
+        Document(id="outside", sentences=[["x", "y"], ["y"]]),
+    ]
+    target = corpus_of(*_random_docs(rng, vocab + u, 200, "d"), *special)
+    norms = compute_norms(target, term_stats(target), ScoringConfig())
+    context_only = ScoringConfig(mode="context-only")
+    sim = {doc.id: _oracle_tfsim(doc, cooc_tfidf.terms, pairs, context_only) for doc in special}
+    assert 0.0 < sim["floor"]["u0"] < 1e-9 and 0.0 < sim["floor"]["u1"] < 1e-9
+    assert 1e-9 < sim["clamp"]["u0"] < 1.0 / math.e and sim["clamp"]["u3"] == 0.0
+
+    systems = generate_sweep(target, q_tm, q_tfidf, cooc_tm, cooc_tfidf, k=len(target))
+    configs = sweep_configs(DEFAULT_ALPHAS, 0.7)
+    cases = [(q, matrix, config) for q, matrix in ((q_tm, cooc_tm), (q_tfidf, cooc_tfidf)) for config in configs]
+    assert len(systems.systems) == len(cases)
+    for ranked, (q, matrix, config) in zip(systems.systems, cases):
+        assert ranked.system_id == make_system_id(q, config)
+        values = dict(matrix.pairs())
+        listed = {entry.doc_id: entry.score for entry in ranked}
+        for doc in target.documents:
+            assert listed.get(doc.id, 0.0) == _oracle_score_context(q, doc, matrix.terms, values, norms, config)
+    assert "floor" not in systems.get("tfidf:context-only:alpha=1").doc_ids()
