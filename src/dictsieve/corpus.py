@@ -201,12 +201,18 @@ def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
             not isinstance(p, list) or any(type(i) is not int for i in p) for p in paragraphs
         ):
             raise ValueError(f"{where}: 'paragraphs' must be lists of sentence indices")
+        seen = set()
         for group in paragraphs:
             for i in group:
                 if not 0 <= i < len(sentences):
                     raise ValueError(
                         f"{where}: paragraph sentence index {i} is out of range for {len(sentences)} sentences"
                     )
+                # a repeated index would count the sentence's tokens twice
+                # in the topic model's units
+                if i in seen:
+                    raise ValueError(f"{where}: paragraph sentence index {i} appears more than once")
+                seen.add(i)
         # empty sentences were dropped above, so renumber onto the kept ones:
         # the position of each kept sentence by its index in the record
         kept = (i for i, sentence in enumerate(sentences) if sentence)

@@ -8,11 +8,17 @@ is stored on the model and consulted later during dictionary extraction.
 Paragraph groups, when a document carries them, are treated as separate
 modeling documents; otherwise whole documents are the modeling unit.
 
-The Gibbs sampler is a loop over plain Python lists: each token-visit builds
-the K cumulative weights of its full conditional with ``map`` and
-``accumulate`` and draws a topic by bisection, with no per-topic bytecode.
-It yields its live counts after every sweep; the model is computed from the
-counts after the last one, converted to arrays once.
+The Gibbs sampler is a loop over plain Python lists.  Where a word holds no
+tokens in a topic, its term of the full conditional depends only on the
+unit and the topic, so each unit run keeps a base vector of those K
+products and patches it at the topics a visit moves.  A token-visit copies
+the base vector, recomputes the products at its word's non-zero topics
+(a per-word index kept exact as counts go to and from 0), and draws a topic
+by bisection over the ``accumulate`` of the K weights.  Each weight has the
+operands and operation order of the dense conditional, so the chain is the
+same bit for bit.  The sampler yields its live counts after every sweep;
+the model is computed from the counts after the last one, converted to
+arrays once.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from operator import mul, truediv
 
 import numpy as np
@@ -101,6 +107,20 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
     run's drawn topics back in one slice.  A sweep's uniforms come from one
     ``rng.random(n_tokens)`` call, the same stream as one ``rng.random()``
     per token.
+
+    A visit computes a product only where the word holds tokens.  Where it
+    holds none, its smoothed term is ``plus_beta[0]``, which is beta exactly,
+    so the product is the run's base value ``plus_beta[0] / kb[k] *
+    unit_a[k]``.  The base vector is built at the start of each unit run,
+    since other units have moved ``kb`` since the last one, and within the
+    run is recomputed at the two topics whose ``kb`` and ``unit_a`` a visit
+    changes: the old topic after the decrement and the new one after the
+    increment.  A visit copies the base vector and overwrites the entries at
+    the word's non-zero topics, which a per-word list, kept exact as a count
+    goes 0 -> 1 or 1 -> 0, lists beside the word's two rows.  Every product
+    keeps its operands and operation order and the cumulative sum runs over
+    the same K values in topic order, so the chain is the dense
+    conditional's, bit for bit.
     """
     n_tokens = len(word_ids)
     assignments = rng.integers(0, n_topics, size=n_tokens).tolist()
@@ -117,12 +137,14 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
     # its length; kb is computed per update, since n_k goes up to n_tokens
     plus_beta = [c + beta for c in range(max(map(sum, n_wk), default=0) + 1)]
     plus_alpha = [c + alpha for c in range(max(map(sum, n_dk), default=0) + 1)]
+    beta_0 = plus_beta[0]
     wb = [[plus_beta[c] for c in row] for row in n_wk]
     da = [[plus_alpha[c] for c in row] for row in n_dk]
     kb = [c + v_beta for c in n_k]
-    # per token, the (count row, smoothed row) pair of its word, cut into
-    # runs of equal unit id, each with its unit's two rows
-    word_rows = list(zip(n_wk, wb))
+    # per word, its count row, smoothed row and the topics it holds tokens
+    # in, as a list (smaller than a set); per token, its word's triple, cut
+    # into runs of equal unit id, each with its unit's two rows
+    word_rows = [(row, b_row, [k for k, c in enumerate(row) if c]) for row, b_row in zip(n_wk, wb)]
     runs = []
     start = 0
     for d, group in groupby(unit_ids):
@@ -133,15 +155,19 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
     for _ in range(iterations):
         uniforms = rng.random(n_tokens).tolist()
         for start, stop, unit, unit_a, rows in runs:
+            base = list(map(mul, map(truediv, repeat(beta_0), kb), unit_a))
             drawn = []
             draw = drawn.append
-            for (word, word_b), k, u in zip(rows, assignments[start:stop], uniforms[start:stop]):
+            for (word, word_b, held), k, u in zip(rows, assignments[start:stop], uniforms[start:stop]):
                 c = word[k] = word[k] - 1
                 word_b[k] = plus_beta[c]
+                if not c:
+                    held.remove(k)
                 c = n_k[k] = n_k[k] - 1
-                kb[k] = c + v_beta
+                kb_k = kb[k] = c + v_beta
                 c = unit[k] = unit[k] - 1
-                unit_a[k] = plus_alpha[c]
+                a_k = unit_a[k] = plus_alpha[c]
+                base[k] = beta_0 / kb_k * a_k
 
                 # full conditional over topics, (n_wk + beta) / (n_k + V beta)
                 # * (n_dk + alpha) in the oracle's operation order; the
@@ -150,7 +176,10 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
                 # is pairwise: the two may differ in the last ulp, which moves
                 # a draw only if u * total falls within an ulp of a
                 # cumulative boundary.
-                cum = list(accumulate(map(mul, map(truediv, word_b, kb), unit_a)))
+                weights = base.copy()
+                for t in held:
+                    weights[t] = word_b[t] / kb[t] * unit_a[t]
+                cum = list(accumulate(weights))
                 k = bisect_right(cum, u * cum[-1])
                 if k > last:  # guard against u landing on the top edge
                     k = last
@@ -158,10 +187,13 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
                 draw(k)
                 c = word[k] = word[k] + 1
                 word_b[k] = plus_beta[c]
+                if c == 1:
+                    held.append(k)
                 c = n_k[k] = n_k[k] + 1
-                kb[k] = c + v_beta
+                kb_k = kb[k] = c + v_beta
                 c = unit[k] = unit[k] + 1
-                unit_a[k] = plus_alpha[c]
+                a_k = unit_a[k] = plus_alpha[c]
+                base[k] = beta_0 / kb_k * a_k
             assignments[start:stop] = drawn
         yield n_wk, n_k
 

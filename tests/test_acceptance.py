@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dictsieve
 import planted
 from dictsieve import (
     Corpus,
@@ -670,6 +675,40 @@ def test_criterion_09_pipeline_determinism(tmp_path):
         model = load_model(out_dir / "model.tsv")
         again = load_model(out_dir / "model.tsv")
         np.testing.assert_array_equal(model.phi, again.phi)
+
+
+def test_pipeline_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Criterion 09 reruns in one process, so output that followed the order
+    of a str set or dict built from hashes would pass it.  Two processes with
+    different hash seeds, each run from its own directory on the same
+    relative paths, must write byte-identical trees."""
+    package_root = str(Path(dictsieve.__file__).resolve().parents[1])
+    trees = []
+    for hash_seed in ("1", "2"):
+        work = tmp_path / f"hash-seed-{hash_seed}"
+        work.mkdir()
+        export_corpus(planted.build_reference(), work / "reference.jsonl")
+        export_corpus(planted.build_generic(), work / "generic.jsonl")
+        export_corpus(planted.build_target(), work / "target.jsonl")
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        }
+        command = [
+            sys.executable, "-m", "dictsieve.cli", "run",
+            "--reference", "reference.jsonl", "--generic", "generic.jsonl", "--target", "target.jsonl",
+            "--out-dir", "out", "--n-topics", "2", "--n-terms", "16", "--alphas", "0:4:2", "--k", "50",
+            "--seed", "7", "--lda-alpha", "0.5", "--iterations", "60", "--top-m", "10",
+        ]
+        subprocess.run(command, cwd=work, env=env, check=True, capture_output=True)
+        out = work / "out"
+        trees.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
+    first, second = trees
+    assert len(first) >= 18
+    assert first.keys() == second.keys()
+    for name in first:
+        assert first[name] == second[name], f"{name} differs between hash seeds"
 
 
 def test_criterion_10_default_sweep_inventory(planted_sweep):

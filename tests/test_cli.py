@@ -611,6 +611,10 @@ class TestSubcommands:
         corpus.write_text(json.dumps(record) + "\n")
         assert main(args + ["--out", str(tmp_path / "bad.tsv")]) == EXIT_DATA
         assert f"{corpus}:1: paragraph sentence index 3 is out of range" in capsys.readouterr().err
+        record["paragraphs"] = [[1], [1, 2]]
+        corpus.write_text(json.dumps(record) + "\n")
+        assert main(args + ["--out", str(tmp_path / "bad.tsv")]) == EXIT_DATA
+        assert f"{corpus}:1: paragraph sentence index 1 appears more than once" in capsys.readouterr().err
 
     def test_extract_rejects_a_model_whose_phi_row_is_not_a_distribution(
         self, pipeline_dir, corpora_dir, tmp_path, capsys

@@ -148,6 +148,21 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"<stream>:2: paragraph sentence index {bad} is out of range"):
             ingest_corpus(io.StringIO(payload))
 
+    @pytest.mark.parametrize(
+        "sentences, paragraphs, repeated",
+        [
+            ([["a", "b"], ["c"]], [[0, 0], [0]], 0),
+            ([["a"], ["b"], ["c"]], [[0, 1], [1]], 1),
+            ([["a"], [], ["b"]], [[2], [0, 2]], 2),
+        ],
+    )
+    def test_repeated_paragraph_index_reports_the_record(self, sentences, paragraphs, repeated):
+        payload = json.dumps({"id": "ok", "sentences": [["a"]]}) + "\n" + json.dumps(
+            {"id": "d1", "sentences": sentences, "paragraphs": paragraphs}
+        )
+        with pytest.raises(ValueError, match=f"<stream>:2: paragraph sentence index {repeated} appears more than once"):
+            ingest_corpus(io.StringIO(payload))
+
     def test_boolean_paragraph_indices_rejected(self):
         record = json.dumps({"id": "d1", "sentences": [["a"], ["b"]], "paragraphs": [[True], [False]]})
         with pytest.raises(ValueError, match="<stream>:1: 'paragraphs' must be lists of sentence indices"):

@@ -74,7 +74,8 @@ def sampler_inputs(corpus: Corpus) -> tuple[list[int], list[int], int]:
 
 
 def assert_same_chain(corpus, n_topics, alpha, beta, sweeps, make_rng):
-    """Both samplers, fed the same uniforms, hold equal counts after every sweep."""
+    """Both samplers, fed the same uniforms, hold equal counts after every
+    sweep; return the K x V word counts after each."""
     word_ids, unit_ids, n_vocab = sampler_inputs(corpus)
     args = (n_topics, n_vocab, alpha, beta, sweeps)
     expected = [
@@ -89,6 +90,7 @@ def assert_same_chain(corpus, n_topics, alpha, beta, sweeps, make_rng):
     for sweep, ((n_kw, n_k), (want_kw, want_k)) in enumerate(zip(got, expected), 1):
         np.testing.assert_array_equal(n_kw, want_kw, err_msg=f"n_kw after sweep {sweep}")
         np.testing.assert_array_equal(n_k, want_k, err_msg=f"n_k after sweep {sweep}")
+    return [n_kw for n_kw, _ in got]
 
 
 def paragraph_corpus(seed: int) -> Corpus:
@@ -268,6 +270,23 @@ class TestSamplerMatchesNumpyOracle:
         assert_same_chain(
             corpus, n_topics, alpha, beta, 6, lambda: np.random.default_rng(1000 + n_topics)
         )
+
+    @pytest.mark.parametrize(
+        "corpus, n_topics",
+        [
+            pytest.param(paragraph_corpus(seed=7), 7, id="K7"),
+            pytest.param(paragraph_corpus(seed=64), 64, id="K64"),
+            pytest.param(paragraph_corpus(seed=100), 100, id="K100"),
+            pytest.param(tiny_corpus(), 40, id="K40-over-3-terms"),
+        ],
+    )
+    def test_same_counts_as_word_rows_thin_out(self, corpus, n_topics):
+        # small priors over 80 sweeps: each word gathers into a few topics,
+        # so its row loses topics and regains them along the chain
+        counts = assert_same_chain(corpus, n_topics, 0.05, 0.01, 80, lambda: np.random.default_rng(2000 + n_topics))
+        pairs = list(zip(counts, counts[1:]))
+        assert any(((before > 0) & (after == 0)).any() for before, after in pairs)
+        assert any(((before == 0) & (after > 0)).any() for before, after in pairs)
 
     @pytest.mark.parametrize("n_topics", [2, 4])
     def test_ties_go_to_the_upper_topic(self, n_topics):
