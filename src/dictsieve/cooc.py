@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -140,25 +140,24 @@ def check_key_range(n_terms: int, n_sentences: int) -> None:
         raise ValueError(f"{n_terms} terms over {n_sentences} sentences overflow the int64 pair keys")
 
 
-def sentence_terms(documents, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sentence_terms(corpus: Corpus, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each sentence's distinct ``terms``: four int64 arrays with one entry
     per (sentence, term), ordered by sentence, then by the term's rank.
 
-    The arrays hold the sentence's index, counting the sentences of
-    ``documents`` one after another; the term's lexicographic rank among
-    ``terms``; the term's count in the sentence; and the index of its first
-    occurrence among all tokens of ``documents``, counted the same way.  The
-    caller checks the (sentence, term) keys with ``check_key_range``.
+    The arrays hold the sentence's index in the corpus's coding; the term's
+    lexicographic rank among ``terms``; the term's count in the sentence;
+    and the index of its first occurrence among all tokens of the corpus.
+    Ranks are gathered from the codes through a vocabulary -> rank table.
+    The caller checks the (sentence, term) keys with ``check_key_range``.
     """
+    coding = corpus.coding
     lexicon = sorted(terms)
     n = len(lexicon)
     rank = {term: r for r, term in enumerate(lexicon)}
-    sentences = [sentence for doc in documents for sentence in doc.sentences]
-    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
-    codes = np.fromiter(map(rank.get, chain.from_iterable(sentences), repeat(-1)), np.int32, int(lengths.sum()))
-    del sentences
+    codes = np.fromiter(map(rank.get, coding.vocab, repeat(-1)), np.int32, len(coding.vocab))[coding.codes]
     token = np.flatnonzero(codes >= 0)
     # key sentence * n + rank of every token of ``terms``, in token order
+    lengths = np.diff(coding.sentence_starts)
     keys = np.repeat(np.arange(len(lengths)), lengths)[token] * n + codes[token]
     del lengths, codes
     # the stable sort groups each sentence's tokens by term: a group's head
@@ -181,12 +180,12 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     n = len(dictionary)
     if n == 0:
         raise ValueError("dictionary is empty")
-    if not corpus.documents:
+    if not len(corpus):
         raise ValueError("corpus is empty")
-    check_key_range(n, sum(len(doc.sentences) for doc in corpus.documents))
+    check_key_range(n, len(corpus.coding.sentence_starts) - 1)
     # each sentence's distinct terms in ascending rank, so every pair (a, b)
     # of one sentence has a < b
-    sentence, term = sentence_terms(corpus.documents, dictionary.terms)[:2]
+    sentence, term = sentence_terms(corpus, dictionary.terms)[:2]
     n_single = np.bincount(term, minlength=n)
 
     # one key a*n + b per pair occurrence: the pairs are the entries d apart

@@ -1,22 +1,25 @@
 """Corpus ingestion and term frequency statistics.
 
 A document is an ordered list of sentences, each sentence an ordered list of
-token strings.  Corpora arrive either pre-segmented as JSONL (the canonical
-interchange format, which lets external lemmatizers and sentence splitters do
-the heavy lifting) or as a directory of plaintext files that are segmented
-and tokenized here with a deterministic, language-neutral baseline.
+token strings.  A corpus holds them coded: one sorted vocabulary and one
+int32 token array with sentence and document offsets (``Coding``), which
+every stage reads; its documents are views of that coding.  Corpora arrive
+either pre-segmented as JSONL (the canonical interchange format, which lets
+external lemmatizers and sentence splitters do the heavy lifting) or as a
+directory of plaintext files that are segmented and tokenized here with a
+deterministic, language-neutral baseline.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -59,53 +62,193 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_RE.split(text) if s.strip()]
 
 
-@dataclass
 class Document:
     """One document: an id plus ordered, tokenized sentences.
 
     ``paragraphs`` optionally groups sentence indices into paragraph units;
     topic modeling treats each group as a separate modeling document when
     present.
+
+    ``Document(id, sentences, paragraphs)`` holds the sentences it is given.
+    The documents of a ``Corpus`` are views of the corpus's ``Coding``: their
+    ``sentences`` are built from the codes on each call, and ``token_count``
+    is read from the offsets.  Equality, as for a dataclass,
+    compares the id, the sentences and the paragraphs.
     """
 
-    id: str
-    sentences: list[list[str]]
-    paragraphs: list[list[int]] | None = None
+    __slots__ = ("id", "paragraphs", "_sentences", "_coding", "_index")
+
+    def __init__(self, id: str, sentences: list[list[str]], paragraphs: list[list[int]] | None = None):
+        self.id = id
+        self.paragraphs = paragraphs
+        self._sentences = sentences
+        self._coding = None
+
+    @classmethod
+    def _view(cls, coding: Coding, index: int) -> Document:
+        doc = cls.__new__(cls)
+        doc.id = coding.ids[index]
+        doc.paragraphs = coding.paragraphs[index]
+        doc._coding = coding
+        doc._index = index
+        return doc
+
+    def _bounds(self) -> list[int]:
+        """The token offsets of the view's sentences, its end included."""
+        first, last = self._coding.document_starts[self._index : self._index + 2].tolist()
+        return self._coding.sentence_starts[first : last + 1].tolist()
+
+    @property
+    def sentences(self) -> list[list[str]]:
+        if self._coding is None:
+            return self._sentences
+        bounds = self._bounds()
+        start = bounds[0]
+        words = list(map(self._coding.vocab.__getitem__, self._coding.codes[start : bounds[-1]].tolist()))
+        return [words[a - start : b - start] for a, b in zip(bounds, bounds[1:])]
 
     def tokens(self) -> list[str]:
         return [t for sentence in self.sentences for t in sentence]
 
     @property
     def token_count(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        if self._coding is None:
+            return sum(len(s) for s in self._sentences)
+        bounds = self._bounds()
+        return bounds[-1] - bounds[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Document):
+            return NotImplemented
+        return (self.id, self.sentences, self.paragraphs) == (other.id, other.sentences, other.paragraphs)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Document(id={self.id!r}, sentences={self.sentences!r}, paragraphs={self.paragraphs!r})"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Coding:
+    """A corpus as integers, the one form every stage reads.
+
+    ``vocab`` holds the corpus's distinct tokens, sorted, and ``codes``
+    (int32) every token in corpus order as its index in ``vocab``, 4 bytes a
+    token.  Sentence i is
+    ``codes[sentence_starts[i]:sentence_starts[i + 1]]``, counting the
+    sentences of all documents one after another, and document j holds
+    sentences ``document_starts[j]:document_starts[j + 1]``; both offset
+    arrays are int64 and end with the total.  ``ids`` and ``paragraphs``
+    hold each document's id and paragraph groups.
+    """
+
+    vocab: tuple[str, ...]
+    codes: np.ndarray
+    sentence_starts: np.ndarray
+    document_starts: np.ndarray
+    ids: list[str]
+    paragraphs: list[list[list[int]] | None]
+
+
+def _offsets(lengths: list[int]) -> np.ndarray:
+    """0 and the running totals of ``lengths``, as int64."""
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.array(lengths, dtype=np.int64), out=starts[1:])
+    return starts
+
+
+def _coding(types: list[str], ids: list[int], lengths: list[int], n_sentences: list[int], doc_ids, paragraphs) -> Coding:
+    """The coding of tokens numbered by first occurrence: ``types[i]`` is
+    token i and ``ids`` holds every token's number in corpus order.  The
+    vocabulary is sorted and the numbers mapped onto it.  ``ids`` is
+    emptied once it is converted, before the codes are gathered."""
+    numbers = np.fromiter(ids, np.int32, len(ids))
+    ids.clear()
+    order = sorted(range(len(types)), key=types.__getitem__)
+    rank = np.empty(len(types), dtype=np.int32)
+    rank[order] = np.arange(len(types), dtype=np.int32)
+    codes = rank[numbers]
+    vocab = tuple(map(types.__getitem__, order))
+    return Coding(vocab, codes, _offsets(lengths), _offsets(n_sentences), doc_ids, paragraphs)
+
+
+def _check_paragraphs(paragraphs, n_sentences: int, where: str) -> None:
+    """Each paragraph sentence index must name one of ``n_sentences``
+    sentences, and at most once: a repeated index would count the
+    sentence's tokens twice in the topic model's units."""
+    seen = set()
+    for group in paragraphs:
+        for i in group:
+            if not 0 <= i < n_sentences:
+                raise ValueError(f"{where}: paragraph sentence index {i} is out of range for {n_sentences} sentences")
+            if i in seen:
+                raise ValueError(f"{where}: paragraph sentence index {i} appears more than once")
+            seen.add(i)
+
+
 class Corpus:
-    """A collection of documents with a role tag and derived vocabulary."""
+    """A collection of documents with a role tag, held as one ``Coding``.
 
-    documents: list[Document]
-    role: str
+    ``Corpus(documents, role)`` codes the given documents once, empty
+    sentences included, and rejects a repeated document id and a paragraph
+    group index that is out of range or repeated.  ``documents`` are views of
+    the coding, built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown corpus role {self.role!r}, expected one of {ROLES}")
+    def __init__(self, documents: list[Document], role: str):
+        _check_role(role)
         seen: set[str] = set()
-        for doc in self.documents:
+        types: dict[str, int] = {}
+        number = types.setdefault
+        ids: list[int] = []
+        lengths: list[int] = []
+        n_sentences: list[int] = []
+        for doc in documents:
             if doc.id in seen:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
+            sentences = doc.sentences
+            if doc.paragraphs is not None:
+                _check_paragraphs(doc.paragraphs, len(sentences), f"document {doc.id!r}")
+            n_sentences.append(len(sentences))
+            lengths.extend(map(len, sentences))
+            ids.extend(number(token, len(types)) for sentence in sentences for token in sentence)
+        self.coding = _coding(
+            list(types), ids, lengths, n_sentences, [doc.id for doc in documents], [doc.paragraphs for doc in documents]
+        )
+        self.role = role
+
+    @classmethod
+    def _coded(cls, coding: Coding, role: str) -> Corpus:
+        """A corpus of a coding whose ids and paragraphs are already checked."""
+        _check_role(role)
+        corpus = cls.__new__(cls)
+        corpus.coding = coding
+        corpus.role = role
+        return corpus
+
+    @cached_property
+    def documents(self) -> list[Document]:
+        return [Document._view(self.coding, i) for i in range(len(self))]
 
     @cached_property
     def vocabulary(self) -> frozenset[str]:
-        """Every distinct token of the corpus, built on first use."""
-        return frozenset().union(*(sentence for doc in self.documents for sentence in doc.sentences))
+        """Every distinct token of the corpus."""
+        return frozenset(self.coding.vocab)
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.coding.ids)
 
     def __iter__(self):
         return iter(self.documents)
+
+    def __repr__(self) -> str:
+        return f"Corpus(role={self.role!r}, documents={len(self)}, tokens={len(self.coding.codes)})"
+
+
+def _check_role(role: str) -> None:
+    if role not in ROLES:
+        raise ValueError(f"unknown corpus role {role!r}, expected one of {ROLES}")
 
 
 class TermStats:
@@ -123,22 +266,26 @@ class TermStats:
 
 
 def term_stats(corpus: Corpus) -> TermStats:
-    """Count tf(w), tf(w,d) and df(w) for every term of the corpus."""
-    if not corpus.documents:
+    """Count tf(w), tf(w,d) and df(w) for every term of the corpus, from its
+    codes; each Counter lists its terms in order of first occurrence."""
+    if not len(corpus):
         raise ValueError("cannot compute term statistics of an empty corpus")
+    coding = corpus.coding
+    word = coding.vocab.__getitem__
+    bounds = coding.sentence_starts[coding.document_starts].tolist()
     tf: Counter = Counter()
     df: Counter = Counter()
     tf_doc: dict[str, Counter] = {}
-    for doc in corpus.documents:
-        counts = Counter(doc.tokens())
-        tf_doc[doc.id] = counts
+    for doc_id, start, stop in zip(coding.ids, bounds, bounds[1:]):
+        counts = Counter(map(word, coding.codes[start:stop].tolist()))
+        tf_doc[doc_id] = counts
         tf.update(counts)
         df.update(counts.keys())
     return TermStats(tf, df, tf_doc)
 
 
-class _SharedTokens(dict):
-    """token -> the one ``str`` kept for it.
+class _TokenIds(dict):
+    """token -> its number, in order of first occurrence.
 
     A token is checked the first time it is looked up, so each distinct
     token is checked once: it must be a non-empty ``str`` without a tab, CR,
@@ -147,15 +294,41 @@ class _SharedTokens(dict):
     malformed sentence.
     """
 
-    def __missing__(self, token: str) -> str:
+    def __missing__(self, token: str) -> int:
         if type(token) is not str or not token:
             raise ValueError(_MALFORMED_SENTENCES)
         if _FIELD_BREAK_RE.search(token):
             raise ValueError(f"token {token!r} contains a tab, CR or LF")
         if _SURROGATE_RE.search(token):
             raise ValueError(f"token {token!r} contains a lone surrogate, which UTF-8 cannot encode")
-        self[token] = token
-        return token
+        number = self[token] = len(self)
+        return number
+
+
+class _Coder:
+    """Collects the coding of a corpus being ingested, a document at a time."""
+
+    def __init__(self):
+        self.types = _TokenIds()
+        self.ids: list[int] = []
+        self.lengths: list[int] = []
+        self.n_sentences: list[int] = []
+        self.doc_ids: list[str] = []
+        self.paragraphs: list = []
+
+    def add(self, doc_id: str, sentences: list) -> None:
+        """Code one document, dropping its empty sentences.  A bad token
+        raises, and the corpus being coded is given up."""
+        self.ids.extend(map(self.types.__getitem__, chain.from_iterable(sentences)))
+        kept = len(self.lengths)
+        self.lengths.extend(filter(None, map(len, sentences)))
+        self.n_sentences.append(len(self.lengths) - kept)
+        self.doc_ids.append(doc_id)
+        self.paragraphs.append(None)
+
+    def corpus(self, role: str) -> Corpus:
+        coding = _coding(list(self.types), self.ids, self.lengths, self.n_sentences, self.doc_ids, self.paragraphs)
+        return Corpus._coded(coding, role)
 
 
 def _check_doc_id(doc_id: str, where: str) -> None:
@@ -171,8 +344,9 @@ def _check_doc_id(doc_id: str, where: str) -> None:
         raise ValueError(f"{where}: document id {doc_id!r} is empty or has leading or trailing whitespace")
 
 
-def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
-    """One JSONL line as a document; ``where`` is its ``file:line``."""
+def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
+    """Code one JSONL line as a document and return its id; ``where`` is
+    its ``file:line``."""
     try:
         record = json.loads(line)
     # RecursionError: arrays or objects nested deeper than the recursion limit
@@ -187,9 +361,8 @@ def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
     _check_doc_id(doc_id, where)
     if not {list}.issuperset(map(type, sentences)):
         raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
-    intern = memo.__getitem__
     try:
-        cleaned = [list(map(intern, sentence)) for sentence in sentences if sentence]
+        coder.add(doc_id, sentences)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     except TypeError:  # an unhashable token
@@ -201,55 +374,40 @@ def _parse_jsonl_record(line: str, where: str, memo: _SharedTokens) -> Document:
             not isinstance(p, list) or any(type(i) is not int for i in p) for p in paragraphs
         ):
             raise ValueError(f"{where}: 'paragraphs' must be lists of sentence indices")
-        seen = set()
-        for group in paragraphs:
-            for i in group:
-                if not 0 <= i < len(sentences):
-                    raise ValueError(
-                        f"{where}: paragraph sentence index {i} is out of range for {len(sentences)} sentences"
-                    )
-                # a repeated index would count the sentence's tokens twice
-                # in the topic model's units
-                if i in seen:
-                    raise ValueError(f"{where}: paragraph sentence index {i} appears more than once")
-                seen.add(i)
-        # empty sentences were dropped above, so renumber onto the kept ones:
-        # the position of each kept sentence by its index in the record
+        _check_paragraphs(paragraphs, len(sentences), where)
+        # empty sentences were dropped, so renumber onto the kept ones: the
+        # position of each kept sentence by its index in the record
         kept = (i for i, sentence in enumerate(sentences) if sentence)
         kept_at = {i: position for position, i in enumerate(kept)}
-        paragraphs = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
-    return Document(id=doc_id, sentences=cleaned, paragraphs=paragraphs)
+        coder.paragraphs[-1] = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
+    return doc_id
 
 
-def _ingest_jsonl(stream: io.TextIOBase, role: str, name) -> Corpus:
+def _ingest_jsonl(stream, role: str, name) -> Corpus:
     """Errors name the record as ``name:line``, lines counted from 1."""
-    documents = []
-    memo = _SharedTokens()
+    coder = _Coder()
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        doc = _parse_jsonl_record(line, f"{name}:{lineno}", memo)
-        if first_line.setdefault(doc.id, lineno) != lineno:
-            raise ValueError(f"{name}:{lineno}: duplicate document id {doc.id!r} (first on line {first_line[doc.id]})")
-        documents.append(doc)
-    if not documents:
+        doc_id = _parse_jsonl_record(line, f"{name}:{lineno}", coder)
+        if first_line.setdefault(doc_id, lineno) != lineno:
+            raise ValueError(f"{name}:{lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
+    if not first_line:
         raise ValueError(f"{name}: zero documents after parsing")
-    return Corpus(documents=documents, role=role)
+    return coder.corpus(role)
 
 
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
-    documents = []
-    memo = _SharedTokens()
+    coder = _Coder()
     for path in sorted(directory.glob("*.txt")):
         _check_doc_id(path.stem, str(path))
         with open_text(path) as stream:
             text = stream.read()
-        sentences = [list(map(memo.__getitem__, tokens)) for raw in split_sentences(text) if (tokens := tokenize(raw))]
-        documents.append(Document(id=path.stem, sentences=sentences))
-    if not documents:
+        coder.add(path.stem, [tokenize(raw) for raw in split_sentences(text)])
+    if not coder.doc_ids:
         raise ValueError(f"zero documents found under {directory}")
-    return Corpus(documents=documents, role=role)
+    return coder.corpus(role)
 
 
 class FloatText(dict):
@@ -274,25 +432,62 @@ class TextFloat(dict):
         return value
 
 
+class _Utf8Lines:
+    """A file's text for the line readers, each line checked for UTF-8 as it
+    is handed out.
+
+    The file is decoded with ``surrogateescape``, so its text layer, which
+    decodes ahead of the lines asked for, never fails, and a byte that is
+    not UTF-8 stays in its line as a lone surrogate.  ``readline``, iteration
+    and ``read`` report the first such line as ``path:line: not UTF-8 text``
+    when they reach it, after every line before it.  ``readlines`` returns
+    its block unchecked for ``read_blocks``, which checks each block as it
+    checks the block's fields.  A valid UTF-8 file holds no lone surrogate,
+    so no line of one is rejected.
+    """
+
+    def __init__(self, stream, path):
+        self._stream = stream
+        self._path = path
+        self._lineno = 0
+
+    def _checked(self, line: str) -> str:
+        self._lineno += 1
+        if not line.isascii() and _SURROGATE_RE.search(line):
+            raise ValueError(f"{self._path}:{self._lineno}: not UTF-8 text")
+        return line
+
+    def readline(self) -> str:
+        line = self._stream.readline()
+        return self._checked(line) if line else line
+
+    def __iter__(self):
+        return map(self._checked, self._stream)
+
+    def readlines(self, hint: int = -1) -> list[str]:
+        lines = self._stream.readlines(hint)
+        self._lineno += len(lines)
+        return lines
+
+    def read(self) -> str:
+        text = self._stream.read()
+        if not text.isascii() and (escaped := _SURROGATE_RE.search(text)):
+            lineno = self._lineno + text.count("\n", 0, escaped.start()) + 1
+            raise ValueError(f"{self._path}:{lineno}: not UTF-8 text")
+        return text
+
+
 @contextmanager
 def open_text(path):
     """Open ``path`` for reading as UTF-8 text.
 
     A byte sequence that is not UTF-8 is reported as ``path:line: not
-    UTF-8 text`` at the first line that does not decode.  UTF-8 never holds
-    a newline or carriage-return byte inside a multi-byte sequence, so that
-    line is found by decoding the file line by line.
+    UTF-8 text`` at the first line that holds one, once the lines before it
+    have been read (see ``_Utf8Lines``).  Lines end at LF, CR or CRLF, as
+    in text mode.
     """
-    with open(path, "r", encoding="utf-8") as stream:
-        try:
-            yield stream
-        except UnicodeDecodeError:
-            for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-            raise
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
+        yield _Utf8Lines(stream, path)
 
 
 def read_header(stream, path, magic: str, kind: str, key: str) -> tuple[str, int]:
@@ -323,9 +518,10 @@ def read_blocks(stream, path, width: int, start: int):
     """Yield (line numbers, columns) for the non-blank lines of the rest of
     ``stream``, its first line numbered ``start``, a block of whole lines at
     a time: ``columns`` holds ``width`` lists, the i-th field of every line
-    in the i-th.  A line without exactly ``width`` tab-separated fields is
-    reported as ``path:line`` once the lines before it have been yielded,
-    so a caller meets every bad line in file order."""
+    in the i-th.  A line without exactly ``width`` tab-separated fields, or
+    holding a byte that is not UTF-8 (escaped by ``open_text``), is reported
+    as ``path:line`` once the lines before it have been yielded, so a caller
+    meets every bad line in file order."""
     separators = b"\t" * (width - 1) + b"\n"
     while lines := stream.readlines(_BLOCK_CHARS):
         if not lines[-1].endswith("\n"):  # the file's last line
@@ -338,15 +534,21 @@ def read_blocks(stream, path, width: int, start: int):
             numbers = numbers[~blank]
         block = "".join(lines)
         good = len(lines)
-        marks = block.encode().translate(None, _NOT_TAB_OR_LF)
+        error = None
+        marks = block.encode(errors="surrogateescape").translate(None, _NOT_TAB_OR_LF)
         if marks != separators * good:
             counts = [len(tabs) + 1 for tabs in marks.split(b"\n")]
             good = next(i for i, count in enumerate(counts) if count != width)
+            error = f"expected {width} tab-separated fields, got {counts[good]}"
+        if not block.isascii() and (escaped := _SURROGATE_RE.search(block)):
+            undecodable = block.count("\n", 0, escaped.start())
+            if undecodable <= good:
+                good, error = undecodable, "not UTF-8 text"
         if good:  # the fields of the lines before a bad one split in step
             fields = block.replace("\n", "\t").split("\t")
             yield numbers[:good], [fields[i : good * width : width] for i in range(width)]
-        if good < len(lines):
-            raise ValueError(f"{path}:{numbers[good]}: expected {width} tab-separated fields, got {counts[good]}")
+        if error:
+            raise ValueError(f"{path}:{numbers[good]}: {error}")
 
 
 def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus:
@@ -361,9 +563,9 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     string, is empty, or holds a tab, CR, LF or lone surrogate; a doc id
     that holds a tab, CR, LF or lone surrogate, is empty, starts with '#',
     has leading or trailing whitespace, or repeats an earlier record's id.
-    Each distinct token is checked once.  Equal tokens share one ``str``
-    object across the corpus, so memory grows with the vocabulary rather
-    than with each token's own copy.
+    Each distinct token is checked once, in the same dict probe that
+    numbers it; the corpus keeps one ``Coding`` of its tokens, so memory
+    grows with the vocabulary plus 4 bytes a token.
     """
     if format == "jsonl":
         if hasattr(source, "read"):
@@ -379,13 +581,23 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
 
 
 def export_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus as canonical JSONL; round-trips through ingest_corpus."""
-    # one encoder per file: json.dumps builds a new one per call when given
-    # a non-default option
+    """Write a corpus as canonical JSONL; round-trips through ingest_corpus.
+
+    The lines are the bytes of ``json.JSONEncoder(ensure_ascii=False)`` on
+    each document's record: each type's JSON string is formatted once, by
+    the encoder's own string function, and joined per sentence.
+    """
+    coding = corpus.coding
+    literal = list(map(encode_basestring, coding.vocab)).__getitem__
+    token_at = coding.sentence_starts.tolist()
+    first = coding.document_starts.tolist()
     encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as out:
-        for doc in corpus.documents:
-            record: dict = {"id": doc.id, "sentences": doc.sentences}
-            if doc.paragraphs is not None:
-                record["paragraphs"] = doc.paragraphs
-            out.write(encode(record) + "\n")
+        for doc_id, paragraphs, a, b in zip(coding.ids, coding.paragraphs, first, first[1:]):
+            start = token_at[a]
+            words = list(map(literal, coding.codes[start : token_at[b]].tolist()))
+            sentences = ", ".join(
+                ["[" + ", ".join(words[s - start : e - start]) + "]" for s, e in zip(token_at[a:b], token_at[a + 1 : b + 1])]
+            )
+            tail = "}\n" if paragraphs is None else ', "paragraphs": ' + encode(paragraphs) + "}\n"
+            out.write('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail)

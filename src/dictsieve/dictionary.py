@@ -120,10 +120,10 @@ def extract_dictionary_tfidf(reference: Corpus, n: int) -> Dictionary:
     """Baseline: top-n terms by tf(w) * ln(|D|/df(w)) within the reference."""
     if n < 1:
         raise ValueError("dictionary size must be >= 1")
-    if len(reference.documents) < 2:
+    if len(reference) < 2:
         raise ValueError("idf undefined: all idf terms zero (reference has a single document)")
     stats = term_stats(reference)
-    n_docs = len(reference.documents)
+    n_docs = len(reference)
     weighted = [
         (term, stats.tf[term] * math.log(n_docs / stats.df[term]))
         for term in stats.tf

@@ -156,7 +156,7 @@ def generate_sweep(
     systems: list[RankedList] = []
     biased: list[str] = []
     for dictionary, cooc in pairs:
-        features = sentence_features(target.documents, cooc)
+        features = sentence_features(target, cooc)
         for config in configs:
             ranked = rank_collection(
                 target, dictionary, cooc, config, k, stats=stats, norms=norms, features=features

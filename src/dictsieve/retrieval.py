@@ -108,14 +108,14 @@ def rank_collection(
         stats = term_stats(target)
     if norms is None:
         norms = compute_norms(target, stats, config)
-    elif norms.doc_ids != tuple(doc.id for doc in target.documents):
+    elif norms.doc_ids != tuple(target.coding.ids):
         raise ValueError("norms were computed over another collection")
 
     if config.mode == "unigram":
         # no pairs: every cosine is 0.0, so a run's tfsim is its raw count
         cooc_filtered, features = CoocMatrix(dictionary.terms, np.empty(0, np.int64), np.empty(0), "filtered"), None
     if features is None:
-        features = sentence_features(target.documents, cooc_filtered)
+        features = sentence_features(target, cooc_filtered)
     # the matrix terms are the dictionary terms, so a run's term position
     # is its dictionary entry's index
     boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms]

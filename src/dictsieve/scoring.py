@@ -173,8 +173,8 @@ class SentenceFeatures:
     cosines: np.ndarray
 
 
-def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> SentenceFeatures:
-    """One pass over every sentence of ``documents``: the (count, cosine) row
+def sentence_features(corpus: Corpus, cooc_filtered: CoocMatrix) -> SentenceFeatures:
+    """One pass over every sentence of ``corpus``: the (count, cosine) row
     of every matrix term in every sentence that contains it.
 
     Tokens are coded by lexicographic rank, so pairs of sentence terms are
@@ -183,13 +183,13 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     to right in order of first occurrence, as the replaced loop did.
     """
     n = len(cooc_filtered.terms)
-    n_documents = len(documents)
-    n_doc_sentences = np.fromiter(map(len, (doc.sentences for doc in documents)), np.int64, n_documents)
-    check_key_range(n, int(n_doc_sentences.sum()))
+    n_documents = len(corpus)
+    document_starts = corpus.coding.document_starts
+    check_key_range(n, int(document_starts[-1]))
     lexicon = cooc_filtered.lexicon
     # entries (sentence, term rank, count): in sentence order, then in
     # first-occurrence order
-    entry_sentence, entry_rank, entry_count, first = sentence_terms(documents, lexicon)
+    entry_sentence, entry_rank, entry_count, first = sentence_terms(corpus, lexicon)
     order = np.argsort(first)
     entry_sentence, entry_rank, entry_count = entry_sentence[order], entry_rank[order], entry_count[order]
     del first, order
@@ -211,7 +211,7 @@ def sentence_features(documents: list[Document], cooc_filtered: CoocMatrix) -> S
     # rows by (document, term position, sentence), the ranks mapped back to
     # positions; lexsort is stable and the entries are in sentence order
     entry_term = np.fromiter(map(cooc_filtered.position, lexicon), dtype=np.int64, count=n)[entry_rank]
-    entry_document = np.searchsorted(np.cumsum(n_doc_sentences), entry_sentence, side="right")
+    entry_document = np.searchsorted(document_starts[1:], entry_sentence, side="right")
     order = np.lexsort((entry_term, entry_document))
     row_term = entry_term[order]
     row_document = entry_document[order]
@@ -245,7 +245,7 @@ def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> np.ndarray:
 
 def _document_tfsim(d: Document, cooc_filtered: CoocMatrix, config: ScoringConfig) -> dict[str, float]:
     """term -> tfsim for every matrix term in ``d``."""
-    features = sentence_features([d], cooc_filtered)
+    features = sentence_features(Corpus([d], "target"), cooc_filtered)
     terms = map(cooc_filtered.terms.__getitem__, features.terms.tolist())
     return dict(zip(terms, tfsim_runs(features, config).tolist()))
 

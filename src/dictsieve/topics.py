@@ -70,20 +70,23 @@ class TopicModelResult:
         return [k for k in range(1, self.n_topics + 1) if k not in self.excluded]
 
 
-def _modeling_units(corpus: Corpus) -> list[list[str]]:
-    """Flatten each modeling document (paragraph group or whole document)."""
-    units: list[list[str]] = []
-    for doc in corpus.documents:
-        if doc.paragraphs is not None:
-            for group in doc.paragraphs:
-                tokens = [t for idx in group for t in doc.sentences[idx]]
-                if tokens:
-                    units.append(tokens)
+def _modeling_units(corpus: Corpus) -> list[list[int]]:
+    """Each modeling document (paragraph group or whole document) as the
+    vocabulary indices of its tokens, read from the corpus's coding; units
+    without tokens are dropped."""
+    coding = corpus.coding
+    codes = coding.codes.tolist()
+    token_at = coding.sentence_starts.tolist()
+    first = coding.document_starts.tolist()
+    units: list[list[int]] = []
+    for paragraphs, a, b in zip(coding.paragraphs, first, first[1:]):
+        if paragraphs is None:
+            units.append(codes[token_at[a] : token_at[b]])
         else:
-            tokens = doc.tokens()
-            if tokens:
-                units.append(tokens)
-    return units
+            units.extend(
+                [w for i in group for w in codes[token_at[a + i] : token_at[a + i + 1]]] for group in paragraphs
+            )
+    return [unit for unit in units if unit]
 
 
 def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations, rng):
@@ -233,13 +236,12 @@ def fit_lda(
     ``topic_weight`` come from the sampler's counts after the last sweep,
     converted to arrays once.
     """
-    if not corpus.documents:
+    if not len(corpus):
         raise ValueError("cannot fit a topic model on an empty corpus")
     alpha = check_fit_settings(n_topics, alpha, beta, iterations, seed)
 
-    vocab = tuple(sorted(corpus.vocabulary))
-    vocab_index = {w: i for i, w in enumerate(vocab)}
-
+    # the coding's vocabulary is sorted, so a token's code is its word id
+    vocab = corpus.coding.vocab
     units = _modeling_units(corpus)
     if not units:
         raise ValueError("corpus contains no tokens to model")
@@ -248,7 +250,7 @@ def fit_lda(
             f"n_topics={n_topics} exceeds vocabulary size {len(vocab)}; proceeding",
             stacklevel=2,
         )
-    word_ids = [vocab_index[t] for unit in units for t in unit]
+    word_ids = [w for unit in units for w in unit]
     unit_ids = [d for d, unit in enumerate(units) for _ in unit]
 
     rng = np.random.default_rng(seed)

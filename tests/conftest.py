@@ -8,7 +8,10 @@ objects instead of hand-built stubs.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 import planted
 from dictsieve import (
@@ -20,6 +23,13 @@ from dictsieve import (
     generate_sweep,
     term_stats,
 )
+
+# Under CI (the CI environment variable is set) the property tests draw the
+# same examples on every run, with no example database carried between
+# runs; local runs keep hypothesis's defaults.
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

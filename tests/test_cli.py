@@ -687,13 +687,27 @@ TEXT_READERS = {
 }
 
 
+# two lines each reader accepts at the start of its file, so that a reader
+# which reports bad lines in file order reaches line 3
+VALID_FIRST_LINES = {
+    "jsonl": [b'{"id": "a", "sentences": [["ok"]]}', b'{"id": "b", "sentences": [["ok"]]}'],
+    "dictionary": [b"#dictsieve-dictionary\tmethod=topic-model\tn=3", b"1\tok\t1.0\t1.0"],
+    "matrix": [b"#dictsieve-cooc\tprovenance=reference\tn=2", b"#terms\ta\tb"],
+    "ranked-list": [b"# system_id=s", b"1\td\t1.0"],
+    "model": [b"#dictsieve-topic-model\tv1", b"n_topics\t1"],
+    "systems.tsv": [b"system_id\tfile\tbiased", b"s\tsystems/s.tsv\t1"],
+    "judgments": [b"d1\t1", b"d2\t0"],
+    "config": [b"k = 5", b"seed = 1"],
+}
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("lineno", [1, 3])
     @pytest.mark.parametrize("reader", list(TEXT_READERS))
     def test_each_reader_names_the_line(self, tmp_path, reader, lineno):
         path = tmp_path / "input" / "doc.txt"
         path.parent.mkdir()
-        lines = [b"ok"] * 4
+        lines = VALID_FIRST_LINES.get(reader, [b"ok"] * 2) + [b"ok"] * 2
         lines[lineno - 1] = b"caf\xe9 \xff"
         path.write_bytes(b"\r\n".join(lines) + b"\r\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: not UTF-8 text$"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -325,7 +326,7 @@ class TestSentenceTerms:
     def test_random_documents_equal_the_token_loop(self, seed):
         rng = random.Random(seed)
         documents = self.random_documents(rng)
-        arrays = sentence_terms(documents, ORACLE_TERMS)
+        arrays = sentence_terms(Corpus(documents=documents, role="reference"), ORACLE_TERMS)
         assert all(array.dtype == np.int64 for array in arrays)
         assert list(zip(*(array.tolist() for array in arrays))) == oracle_sentence_terms(documents, ORACLE_TERMS)
 
@@ -335,7 +336,7 @@ class TestSentenceTerms:
             Document(id="a", sentences=[[], ["x", "noise", "k", "x", "k", "x"], ["zz"]]),
             Document(id="b", sentences=[["c"], []]),
         ]
-        sentence, rank, n, first = sentence_terms(documents, ORACLE_TERMS)
+        sentence, rank, n, first = sentence_terms(Corpus(documents=documents, role="reference"), ORACLE_TERMS)
         # ranks among the sorted terms a b c e k m q r t x
         assert sentence.tolist() == [1, 1, 3]
         assert rank.tolist() == [4, 9, 2]
@@ -344,7 +345,7 @@ class TestSentenceTerms:
 
     @pytest.mark.parametrize("documents", [[], random_corpus(random.Random(1), "generic", 5).documents])
     def test_no_entries(self, documents):
-        arrays = sentence_terms(documents, ("absent",))
+        arrays = sentence_terms(Corpus(documents=documents, role="reference"), ("absent",))
         assert [(array.dtype, array.size) for array in arrays] == [(np.int64, 0)] * 4
 
 
@@ -785,6 +786,12 @@ class TestPersistence:
         path = tmp_path / "bad.tsv"
         path.write_text(header + "\n#terms\ta\tb\na\tb\t0.5\n")
         with pytest.raises(ValueError, match=f"{path.name}:1: {message}"):
+            load_cooc(path)
+
+    def test_a_bad_value_comes_before_a_later_undecodable_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"#dictsieve-cooc\tprovenance=generic\tn=3\n#terms\ta\tb\tc\na\tb\tnan\nb\tc\t0.5\n\xff\tc\t0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: value 'nan' is not a finite number"):
             load_cooc(path)
 
     def test_rejects_duplicate_terms(self, tmp_path):

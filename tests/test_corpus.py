@@ -88,6 +88,34 @@ class TestCorpus:
         with pytest.raises(ValueError, match="unknown corpus role"):
             Corpus(documents=[Document(id="x", sentences=[["a"]])], role="training")
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_paragraph_index_names_the_document(self, bad):
+        docs = [Document("ok", [["a"]]), Document("d1", [["a"], [], ["b"]], paragraphs=[[0], [bad]])]
+        message = f"document 'd1': paragraph sentence index {bad} is out of range for 3 sentences"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(documents=docs, role="reference")
+
+    @pytest.mark.parametrize(
+        "sentences, paragraphs, repeated",
+        [
+            ([["a", "b"], ["c"]], [[0, 0], [0]], 0),
+            ([["a"], ["b"], ["c"]], [[0, 1], [1]], 1),
+            ([["a"], [], ["b"]], [[2], [0, 2]], 2),
+        ],
+    )
+    def test_repeated_paragraph_index_names_the_document(self, sentences, paragraphs, repeated):
+        docs = [Document("ok", [["a"]]), Document("d1", sentences, paragraphs=paragraphs)]
+        message = f"document 'd1': paragraph sentence index {repeated} appears more than once"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(documents=docs, role="reference")
+
+    def test_hand_built_documents_keep_their_empty_sentences(self):
+        docs = [Document("d1", [[], ["a"], []], paragraphs=[[1, 2], [0]]), Document("d2", [])]
+        corpus = Corpus(documents=docs, role="reference")
+        assert corpus.documents == docs
+        assert corpus.coding.sentence_starts.tolist() == [0, 0, 1, 1]
+        assert corpus.coding.document_starts.tolist() == [0, 3, 3]
+
 
 class TestIngest:
     def test_jsonl_stream(self):
@@ -162,6 +190,21 @@ class TestIngest:
         )
         with pytest.raises(ValueError, match=f"<stream>:2: paragraph sentence index {repeated} appears more than once"):
             ingest_corpus(io.StringIO(payload))
+
+    def test_a_bad_line_comes_before_a_later_undecodable_one(self, tmp_path):
+        """Lines are decoded one at a time, so a bad record on line 3 is
+        reported although line 5 holds a byte that is not UTF-8."""
+        lines = [json.dumps({"id": f"d{i}", "sentences": [["a"]]}).encode() for i in range(5)]
+        lines[2] = json.dumps({"id": "d2", "sentences": "bad"}).encode()
+        lines[4] = lines[4].replace(b'"a"', b'"\xff"')
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: 'id' must be a string"):
+            ingest_corpus(path)
+        lines[2] = lines[1].replace(b"d1", b"d2")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: not UTF-8 text$"):
+            ingest_corpus(path)
 
     def test_boolean_paragraph_indices_rejected(self):
         record = json.dumps({"id": "d1", "sentences": [["a"], ["b"]], "paragraphs": [[True], [False]]})
@@ -541,3 +584,25 @@ class TestReadBlocks:
 
         frozen = self.outcome(path, lambda stream, path: frozen_read_rows(stream, path, width, 2))
         assert self.outcome(path, blocks) == frozen
+
+    @pytest.mark.parametrize(
+        "line_3, line_5, message",
+        [
+            (b"a\tb", b"\xff\tb\tc", "3: expected 3 tab-separated fields, got 2"),
+            (b"\xff\tb\tc", b"a\tb", "3: not UTF-8 text"),
+            (b"a\t\xff", b"a\tb", "3: not UTF-8 text"),
+            (b"a\tb\tc", b"\xff\tb\tc", "5: not UTF-8 text"),
+        ],
+    )
+    def test_bad_lines_in_file_order_around_an_undecodable_one(self, tmp_path, line_3, line_5, message):
+        """A byte that is not UTF-8 is reported at its own line, after the
+        lines before it are yielded, and after an earlier bad line."""
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"header\n" + b"\n".join([b"a\tb\tc", line_3, b"a\tb\tc", line_5]) + b"\n")
+        rows = []
+        with open_text(path) as stream:
+            stream.readline()
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{message}$"):
+                for numbers, columns in read_blocks(stream, path, 3, 2):
+                    rows += numbers.tolist()
+        assert rows == list(range(2, int(message.split(":")[0])))

@@ -222,7 +222,7 @@ def test_every_swept_system_equals_a_standalone_ranking(seed):
         Document(id="long", sentences=[[anchor] + rng.choices(vocab, k=rng.randint(1, 6)) for _ in range(10)])
     )
     target = Corpus(documents=docs, role="target")
-    assert max(sentence_features([docs[-1]], matrices[0]).lengths) >= 8
+    assert max(sentence_features(Corpus(documents=[docs[-1]], role="target"), matrices[0]).lengths) >= 8
 
     alphas = (0.0, 0.5, 2.0, 30.0)
     swept = generate_sweep(target, *dictionaries, *matrices, alphas=alphas, k=40)

@@ -488,7 +488,7 @@ def test_unigram_ranking_equals_score_dict_bit_for_bit(seed):
     expected = {doc_id: score for doc_id, score in expected.items() if score > 0.0}
     # a real matrix's features hold non-zero cosines, which alpha would add
     # to tf if unigram mode used them
-    features = sentence_features(target.documents, matrix)
+    features = sentence_features(target, matrix)
     assert features.cosines.any()
     for config in (ScoringConfig(), ScoringConfig(alpha=2.0)):
         for kwargs in ({}, {"stats": stats, "norms": norms, "features": features}):

@@ -58,7 +58,7 @@ def _oracle_sentence_features(d, cooc_filtered):
 
 def assert_matches_oracle(documents, matrix):
     """Every document's runs, lengths, counts and cosines, bit for bit."""
-    features = sentence_features(documents, matrix)
+    features = sentence_features(Corpus(documents=documents, role="target"), matrix)
     assert len(features.offsets) == len(documents) + 1
     assert features.offsets[-1] == len(features.terms) == len(features.lengths)
     row_bounds = np.concatenate([[0], np.cumsum(features.lengths)])
@@ -195,4 +195,4 @@ class TestEdgeCases:
 
         doc = Document(id="d", sentences=[["a", "b"]])
         with pytest.raises(ValueError, match="4294967296 terms over 1 sentences overflow the int64 pair keys"):
-            sentence_features([doc], HugeMatrix())
+            sentence_features(Corpus(documents=[doc], role="target"), HugeMatrix())

@@ -63,11 +63,17 @@ def numpy_gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, itera
         yield n_kw, n_k
 
 
+def unit_terms(corpus: Corpus) -> list[list[str]]:
+    """The modeling units as token strings: ``_modeling_units`` lists each
+    unit's tokens as indices into the corpus's sorted vocabulary."""
+    return [[corpus.coding.vocab[w] for w in unit] for unit in _modeling_units(corpus)]
+
+
 def sampler_inputs(corpus: Corpus) -> tuple[list[int], list[int], int]:
     """Word ids, unit ids and vocabulary size, as ``fit_lda`` builds them."""
     vocab = sorted(corpus.vocabulary)
     index = {w: i for i, w in enumerate(vocab)}
-    units = _modeling_units(corpus)
+    units = unit_terms(corpus)
     word_ids = [index[t] for unit in units for t in unit]
     unit_ids = [d for d, unit in enumerate(units) for _ in unit]
     return word_ids, unit_ids, len(vocab)
@@ -199,7 +205,7 @@ class TestFitProperties:
         corpus = two_vocab_corpus(seed=3)
         stats = term_stats(corpus)
         vocab = tuple(sorted(corpus.vocabulary))
-        units = _modeling_units(corpus)
+        units = unit_terms(corpus)
         word_ids = np.array(
             [vocab.index(t) for unit in units for t in unit], dtype=np.int64
         )
@@ -238,12 +244,12 @@ class TestFitProperties:
             sentences=[["a", "b"], ["c"], ["d", "e"]],
             paragraphs=[[0, 1], [2]],
         )
-        units = _modeling_units(Corpus(documents=[doc], role="reference"))
+        units = unit_terms(Corpus(documents=[doc], role="reference"))
         assert units == [["a", "b", "c"], ["d", "e"]]
 
     def test_plain_documents_are_single_units(self):
         corpus = tiny_corpus()
-        units = _modeling_units(corpus)
+        units = unit_terms(corpus)
         assert units == [["apple", "apple", "pear", "pear", "plum"], ["plum", "plum", "apple"]]
 
     def test_two_vocab_corpus_separates(self):
