@@ -638,6 +638,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
 # parser
 
 def build_parser() -> _Parser:
+    """A new parser of every subcommand; ``main`` runs subcommand ``x-y``
+    with ``cmd_x_y``, looked up in this module when it is dispatched."""
     parser = _Parser(prog="dictsieve", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dictsieve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -647,7 +649,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=FORMATS, default=_DEFAULTS.format)
     p.add_argument("--role", choices=ROLES, default="target")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("fit-topics", help="fit a topic model on a reference corpus")
     p.add_argument("--corpus", required=True)
@@ -657,12 +658,10 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, default=_DEFAULTS.iterations)
     p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_fit_topics)
 
     p = sub.add_parser("inspect-topics", help="print per-topic weights and top terms")
     p.add_argument("--model", required=True)
     p.add_argument("--terms", type=int, default=10)
-    p.set_defaults(handler=cmd_inspect_topics)
 
     p = sub.add_parser("extract-dict", help="extract a ranked term dictionary")
     p.add_argument("--method", choices=("tm", "tfidf"), required=True)
@@ -671,20 +670,17 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=_DEFAULTS.n_terms)
     p.add_argument("--exclude", default=_DEFAULTS.exclude, help="comma-separated topic ids to drop")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_extract_dict)
 
     p = sub.add_parser("build-cooc", help="sentence co-occurrence matrix of dictionary terms")
     p.add_argument("--corpus", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--role", choices=("reference", "generic"), default="reference")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_build_cooc)
 
     p = sub.add_parser("filter-cooc", help="subtract generic co-occurrence from reference")
     p.add_argument("--reference", required=True)
     p.add_argument("--generic", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_filter_cooc)
 
     p = sub.add_parser("rank", help="rank a target corpus against a dictionary")
     p.add_argument("--target", required=True)
@@ -695,7 +691,6 @@ def build_parser() -> _Parser:
     p.add_argument("--slope", type=float, default=_DEFAULTS.slope)
     p.add_argument("--k", type=int, default=_DEFAULTS.k)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("sweep", help="rank once per alpha value plus context-only")
     p.add_argument("--target", required=True)
@@ -707,7 +702,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=_DEFAULTS.k)
     p.add_argument("--slope", type=float, default=_DEFAULTS.slope)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("fuse", help="pseudorel fusion and MAP over a sweep directory")
     p.add_argument("--systems-dir", required=True)
@@ -715,25 +709,21 @@ def build_parser() -> _Parser:
     p.add_argument("--top-m", type=int, default=_DEFAULTS.top_m)
     p.add_argument("--fraction", type=float, default=_DEFAULTS.fraction)
     p.add_argument("--out-dir", default=None, help="default: the systems directory")
-    p.set_defaults(handler=cmd_fuse)
 
     p = sub.add_parser("map", help="mean average precision of one ranked list")
     p.add_argument("--ranked", required=True)
     p.add_argument("--rels", required=True, help="one relevant doc id per line")
-    p.set_defaults(handler=cmd_map)
 
     p = sub.add_parser("p-at-k", help="precision inside rank windows from a judgment file")
     p.add_argument("--ranked", required=True)
     p.add_argument("--judgments", required=True, help="TSV doc_id<TAB>0|1")
     p.add_argument("--ranges", default=None, help='e.g. "1-10,101-110"')
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_p_at_k)
 
     p = sub.add_parser("run", help="run the whole pipeline from a config")
     p.add_argument("--config", default=None, help="flat key=value file")
     for key, value_type in _CONFIG_TYPES.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=value_type)
-    p.set_defaults(handler=cmd_run)
 
     return parser
 
@@ -746,16 +736,23 @@ def _classify(err: BaseException) -> int:
     return EXIT_INTERNAL
 
 
+# the parser of every ``main`` call in this process, built by the first one;
+# each parse fills a new Namespace
+_main_parser: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _main_parser
+    if _main_parser is None:
+        _main_parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser.parse_args(argv)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
         with _stage(args.command):
-            args.handler(args)
+            globals()["cmd_" + args.command.replace("-", "_")](args)
     except _StageFailure as fail:
         print(fail, file=sys.stderr)
         return _classify(fail.cause)

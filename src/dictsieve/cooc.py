@@ -11,6 +11,10 @@ subtraction meaningful.
 A matrix is two arrays, the sorted keys ``a * n + b`` of its pairs over the
 lexicographic ranks a < b of their terms (the order ``save_cooc`` writes)
 and their values; lookups, filtering, norms and scoring all read them.
+Lookups go through an n x n table of pair indices, built on the first one
+and kept on the matrix: a dictionary of several hundred terms costs well
+under a megabyte.  A matrix of more than 2,048 terms, whose table would
+exceed ``_TABLE_CELLS`` cells, binary-searches its keys instead.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ PROVENANCES = ("reference", "generic", "filtered")
 # ``save_cooc`` formats and writes this many pair lines at a time, so the
 # text it holds stays bounded
 _PAIRS_PER_WRITE = 1 << 13
+
+# the most cells a matrix's pair-index table may have, 2,048 terms squared;
+# a larger matrix looks its keys up by binary search
+_TABLE_CELLS = 1 << 22
 
 
 def dice(n_a: int, n_b: int, n_ab: int) -> float:
@@ -61,6 +69,10 @@ class CoocMatrix:
     there is its rank.  ``keys`` (int64, ascending) codes each stored pair
     as ``a * n + b`` over the ranks a < b of its terms, and ``values``
     (float64) holds their Dice values.  The diagonal is 0 and never stored.
+
+    The first lookup caches the pair-index table that later ones read (see
+    ``lookup``); like ``norms``, the cache assumes that ``keys`` and
+    ``values`` do not change after it is built.
     """
 
     terms: tuple[str, ...]
@@ -100,11 +112,35 @@ class CoocMatrix:
         return self._term_pos[term]
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The value stored under each of ``keys``, 0.0 where none is."""
+        """The value stored under each of the integer ``keys``, 0.0 where
+        none is, on the diagonal and for a key outside [0, n²).
+
+        Cell ``a * n + b`` of the n x n table holds 1 + the index in
+        ``values`` of pair (a, b), or 0 for no pair, in the smallest unsigned
+        dtype that holds ``len(values)``, and a lookup gathers twice:
+        ``[0.0, *values][table[keys]]``.  A key outside [0, n²) is clipped to
+        cell 0 or n² - 1, both on the diagonal.  A matrix whose table would
+        have more than ``_TABLE_CELLS`` cells searches ``keys`` instead.
+        """
         if not len(self):
             return np.zeros(len(keys))
+        if self._pair_index is not None:
+            table, values0 = self._pair_index
+            return values0[table.take(keys, mode="clip")]
         hit = np.searchsorted(self.keys, keys).clip(max=len(self) - 1)
         return np.where(self.keys[hit] == keys, self.values[hit], 0.0)
+
+    @cached_property
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The table of ``lookup`` and ``values`` after a leading 0.0, or
+        None over the cell budget."""
+        n = len(self.terms)
+        if n * n > _TABLE_CELLS:
+            return None
+        dtype = np.min_scalar_type(len(self.values))
+        table = np.zeros(n * n, dtype=dtype)
+        table[self.keys] = np.arange(1, len(self.values) + 1, dtype=dtype)
+        return table, np.concatenate(([0.0], self.values))
 
     def get(self, a: str, b: str) -> float:
         """0.0 on the diagonal, for an unstored pair and for a term outside ``terms``."""

@@ -190,20 +190,23 @@ class Corpus:
     """A collection of documents with a role tag, held as one ``Coding``.
 
     ``Corpus(documents, role)`` codes the given documents once, empty
-    sentences included, and rejects a repeated document id and a paragraph
-    group index that is out of range or repeated.  ``documents`` are views of
-    the coding, built on first use.
+    sentences included.  It rejects what ``ingest_corpus`` rejects in a
+    record, so every corpus exports to a file that ingests: a document id
+    that is repeated or that ``_check_doc_id`` rejects, a token that
+    ``_TokenIds`` rejects (reported with its document's id), and a
+    paragraph group index that is out of range or repeated.  ``documents``
+    are views of the coding, built on first use.
     """
 
     def __init__(self, documents: list[Document], role: str):
         _check_role(role)
         seen: set[str] = set()
-        types: dict[str, int] = {}
-        number = types.setdefault
+        types = _TokenIds()
         ids: list[int] = []
         lengths: list[int] = []
         n_sentences: list[int] = []
-        for doc in documents:
+        for index, doc in enumerate(documents):
+            _check_doc_id(doc.id, f"document {index}")
             if doc.id in seen:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
@@ -212,7 +215,10 @@ class Corpus:
                 _check_paragraphs(doc.paragraphs, len(sentences), f"document {doc.id!r}")
             n_sentences.append(len(sentences))
             lengths.extend(map(len, sentences))
-            ids.extend(number(token, len(types)) for sentence in sentences for token in sentence)
+            try:
+                ids.extend(map(types.__getitem__, chain.from_iterable(sentences)))
+            except ValueError as exc:
+                raise ValueError(f"document {doc.id!r}: {exc}") from None
         self.coding = _coding(
             list(types), ids, lengths, n_sentences, [doc.id for doc in documents], [doc.paragraphs for doc in documents]
         )

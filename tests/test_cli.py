@@ -347,6 +347,36 @@ class TestExitCodes:
         assert list(tmp_path.rglob("corpus_*.jsonl")) == []
 
 
+class TestOneParserPerProcess:
+    def test_two_calls_build_one_parser(self, monkeypatch, tmp_path, capsys):
+        builds = []
+
+        def counted():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_main_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        missing = str(tmp_path / "missing")
+        assert main(["map", "--ranked", missing, "--rels", missing]) == EXIT_DATA
+        assert main(["frobnicate"]) == EXIT_USAGE
+        assert len(builds) == 1
+        assert build_parser() is not build_parser()
+
+    def test_a_later_namespace_holds_only_its_own_options(self, monkeypatch):
+        seen = []
+        for name in ("cmd_ingest", "cmd_map"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)))
+        assert main(["ingest", "--input", "a", "--out", "b", "--role", "reference", "--format", "plaintext-dir"]) == 0
+        assert main(["map", "--ranked", "r", "--rels", "p"]) == EXIT_OK
+        assert main(["ingest", "--input", "c", "--out", "d"]) == EXIT_OK
+        assert seen == [
+            {"command": "ingest", "input": "a", "format": "plaintext-dir", "role": "reference", "out": "b"},
+            {"command": "map", "ranked": "r", "rels": "p"},
+            {"command": "ingest", "input": "c", "format": "jsonl", "role": "target", "out": "d"},
+        ]
+
+
 class TestSubcommands:
     def test_ingest_writes_canonical_jsonl(self, corpora_dir, tmp_path, capsys):
         out = tmp_path / "canonical.jsonl"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from dictsieve import (
     Corpus,
     Document,
     build_cooc,
+    cooc,
     dice,
     filter_cooc,
     load_cooc,
@@ -24,6 +26,7 @@ from dictsieve import (
 from dictsieve.cooc import PROVENANCES, CoocMatrix, sentence_terms
 from dictsieve.corpus import open_text, read_header
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
+from dictsieve.scoring import sentence_features
 
 
 def make_dictionary(*terms: str) -> Dictionary:
@@ -273,6 +276,19 @@ class TestFrozenOracles:
         ]
         matrix = assert_matches_oracles(Corpus(documents=documents, role="generic"), make_dictionary(*terms))
         assert len(matrix.values) > 30_000
+        # over the cell budget lookups search the keys: a pair-index table
+        # alone would take 5 GB
+        reference = build_cooc(Corpus(documents=documents[:10], role="reference"), make_dictionary(*terms))
+        tracemalloc.start()
+        try:
+            filtered = filter_cooc(reference, matrix)
+            features = sentence_features(Corpus(documents=documents, role="target"), filtered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert 0 < len(filtered) < len(reference)
+        assert np.count_nonzero(features.cosines) > 0
 
     def test_keys_that_could_overflow_int64_are_rejected(self):
         """n² pair keys times the sentence count must stay below 2**63; a
@@ -442,6 +458,91 @@ class TestArrayStorage:
         a, b, _ = repeated.split("\t")
         with pytest.raises(ValueError, match=f"^{path}:{later}: duplicate pair \\({a!r}, {b!r}\\)$"):
             load_cooc(path)
+
+
+def searched_lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Frozen reference: ``CoocMatrix.lookup`` as it was before it read a
+    pair-index table, a binary search of the sorted keys."""
+    if not len(keys):
+        return np.zeros(len(queries))
+    hit = np.searchsorted(keys, queries).clip(max=len(keys) - 1)
+    return np.where(keys[hit] == queries, values[hit], 0.0)
+
+
+def random_matrix(data, terms: tuple[str, ...], provenance: str) -> CoocMatrix:
+    """A matrix over ``terms`` of a drawn subset of the pairs, values in (0, 1]."""
+    pairs = list(combinations(sorted(terms), 2))
+    chosen = data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    return CoocMatrix.from_pairs(terms, {pair: data.draw(unit) for pair in sorted(chosen)}, provenance)
+
+
+class TestPairIndexTable:
+    """``lookup`` reads a pair-index table up to ``_TABLE_CELLS`` cells and
+    searches the keys above; both paths give the bits of the search."""
+
+    @staticmethod
+    def searching(matrix: CoocMatrix) -> CoocMatrix:
+        """A copy of ``matrix`` whose lookups search its keys."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cooc, "_TABLE_CELLS", 0)
+            copy = CoocMatrix(matrix.terms, matrix.keys, matrix.values, matrix.provenance)
+            assert copy._pair_index is None  # cached on the copy
+        return copy
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(min_value=1, max_value=60), data=st.data())
+    def test_table_and_search_equal_the_searched_reference(self, n, data):
+        terms = tuple(data.draw(st.permutations([f"t{i:02d}" for i in range(n)])))
+        reference, generic = random_matrix(data, terms, "reference"), random_matrix(data, terms, "generic")
+        drawn = data.draw(st.lists(st.integers(min_value=0, max_value=n * n - 1), max_size=80))
+        diagonal = [i * n + i for i in range(n)]
+        queries = np.array(drawn + diagonal + reference.keys.tolist() + generic.keys.tolist(), dtype=np.int64)
+        names = st.sampled_from(terms + ("zz",))
+        asked = data.draw(st.lists(st.tuples(names, names), max_size=20))
+        for matrix in (reference, generic):
+            expected = searched_lookup(matrix.keys, matrix.values, queries).tobytes()
+            searching = self.searching(matrix)
+            assert matrix.lookup(queries).tobytes() == searching.lookup(queries).tobytes() == expected
+            assert [matrix.get(a, b) for a, b in asked] == [searching.get(a, b) for a, b in asked]
+        tabled = filter_cooc(reference, generic)
+        searched = filter_cooc(self.searching(reference), self.searching(generic))
+        assert tabled.keys.tolist() == searched.keys.tolist()
+        assert tabled.values.tobytes() == searched.values.tobytes()
+
+    @pytest.mark.parametrize("budget", [cooc._TABLE_CELLS, 0])
+    def test_an_empty_matrix_looks_up_zeros(self, monkeypatch, budget):
+        monkeypatch.setattr(cooc, "_TABLE_CELLS", budget)
+        empty = CoocMatrix.from_pairs(("a", "b", "c"), {}, "filtered")
+        assert empty.lookup(np.arange(9)).tolist() == [0.0] * 9
+        assert empty.get("a", "b") == 0.0
+
+    @pytest.mark.parametrize("budget", [cooc._TABLE_CELLS, 0])
+    def test_a_key_outside_the_table_looks_up_zero(self, monkeypatch, budget):
+        monkeypatch.setattr(cooc, "_TABLE_CELLS", budget)
+        matrix = CoocMatrix.from_pairs(("a", "b", "c"), {("a", "b"): 0.5, ("b", "c"): 0.25}, "filtered")
+        outside = np.array([-1, -9, 9, 10, 2**62, -(2**62)], dtype=np.int64)
+        assert matrix.lookup(outside).tolist() == [0.0] * len(outside)
+        assert matrix.lookup(np.array([1, 5, 8])).tolist() == [0.5, 0.25, 0.0]
+
+    @pytest.mark.parametrize("n_pairs, dtype", [(255, np.uint8), (256, np.uint16), (70_000, np.uint32)])
+    def test_the_table_holds_indices_in_the_smallest_unsigned_dtype(self, n_pairs, dtype):
+        n = 400
+        terms = tuple(f"t{i:03d}" for i in range(n))
+        a, b = np.triu_indices(n, 1)
+        keys = (a * n + b)[:n_pairs]
+        matrix = CoocMatrix(terms, keys, np.linspace(0.5, 1.0, n_pairs), "filtered")
+        assert matrix.lookup(keys).tobytes() == matrix.values.tobytes()
+        table = matrix._pair_index[0]
+        assert table.dtype == dtype and table.shape == (n * n,)
+        assert table[keys].tolist() == list(range(1, n_pairs + 1))
+
+    @pytest.mark.parametrize("n, tabled", [(2048, True), (2049, False)])
+    def test_a_matrix_of_more_than_2048_terms_searches(self, n, tabled):
+        terms = tuple(f"t{i:04d}" for i in range(n))
+        matrix = CoocMatrix(terms, np.array([1, n - 1]), np.array([0.5, 0.25]), "filtered")
+        assert matrix.lookup(np.array([n - 1, 1, 2])).tolist() == [0.25, 0.5, 0.0]
+        assert (matrix._pair_index is not None) == tabled
 
 
 class TestFilter:

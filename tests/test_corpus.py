@@ -116,6 +116,38 @@ class TestCorpus:
         assert corpus.coding.sentence_starts.tolist() == [0, 0, 1, 1]
         assert corpus.coding.document_starts.tolist() == [0, 3, 3]
 
+    @pytest.mark.parametrize(
+        "doc_id, sentences, message",
+        [
+            ("d1", [["a\tb", ""]], "document 'd1': token 'a\\tb' contains a tab, CR or LF"),
+            ("d1", [["a"], ["b\rc"]], "document 'd1': token 'b\\rc' contains a tab, CR or LF"),
+            ("d1", [["b\ud800"]], "document 'd1': token 'b\\ud800' contains a lone surrogate, which UTF-8 cannot encode"),
+            ("d1", [["a", ""]], "document 'd1': sentences must be lists of non-empty strings"),
+            ("d1", [["a", 3]], "document 'd1': sentences must be lists of non-empty strings"),
+            ("a\tb", [["a"]], "document 1: document id 'a\\tb' contains a tab, CR or LF"),
+            ("#x", [["a"]], "document 1: document id '#x' starts with '#'"),
+            (" y", [["a"]], "document 1: document id ' y' is empty or has leading or trailing whitespace"),
+            ("", [["a"]], "document 1: document id '' is empty or has leading or trailing whitespace"),
+        ],
+    )
+    def test_what_ingest_rejects_is_rejected_when_built(self, doc_id, sentences, message):
+        docs = [Document("ok", [["a", "b"]]), Document(doc_id, sentences)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(documents=docs, role="target")
+
+    def test_a_hand_built_corpus_ingests_back_to_the_same_coding(self, tmp_path):
+        docs = [
+            Document("d1", [["über", "b"], ["b", "über", "c"]], paragraphs=[[1], [0]]),
+            Document("d2", [["c"], ["日本", "a", "a"]]),
+            Document("d3", []),
+        ]
+        corpus = Corpus(documents=docs, role="generic")
+        export_corpus(corpus, tmp_path / "c.jsonl")
+        built, read = corpus.coding, ingest_corpus(tmp_path / "c.jsonl", role="generic").coding
+        assert (read.vocab, read.ids, read.paragraphs) == (built.vocab, built.ids, built.paragraphs)
+        for name in ("codes", "sentence_starts", "document_starts"):
+            assert getattr(read, name).tolist() == getattr(built, name).tolist()
+
 
 class TestIngest:
     def test_jsonl_stream(self):
