@@ -24,7 +24,17 @@ from pathlib import Path
 
 from . import __version__
 from .cooc import CoocMatrix, build_cooc, filter_cooc, load_cooc, save_cooc
-from .corpus import FORMATS, ROLES, Corpus, export_corpus, ingest_corpus, open_text, read_blocks, term_stats
+from .corpus import (
+    FORMATS,
+    ROLES,
+    Corpus,
+    export_corpus,
+    file_sha256,
+    ingest_corpus,
+    open_text,
+    read_blocks,
+    term_stats,
+)
 from .dictionary import (
     Dictionary,
     extract_dictionary_tfidf,
@@ -262,15 +272,14 @@ def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 # manifest
 
 def _sha256_path(path: Path) -> str:
+    if not path.is_dir():
+        return file_sha256(path)
     digest = hashlib.sha256()
-    if path.is_dir():
-        for member in sorted(path.rglob("*")):
-            if member.is_file():
-                data = member.read_bytes()
-                digest.update(f"{member.relative_to(path)}\0{len(data)}\0".encode("utf-8"))
-                digest.update(data)
-    else:
-        digest.update(path.read_bytes())
+    for member in sorted(path.rglob("*")):
+        if member.is_file():
+            data = member.read_bytes()
+            digest.update(f"{member.relative_to(path)}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
     return digest.hexdigest()
 
 

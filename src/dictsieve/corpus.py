@@ -8,14 +8,22 @@ either pre-segmented as JSONL (the canonical interchange format, which lets
 external lemmatizers and sentence splitters do the heavy lifting) or as a
 directory of plaintext files that are segmented and tokenized here with a
 deterministic, language-neutral baseline.
+
+``export_corpus`` also writes the coding beside the JSONL file, as
+``<path>.coding``, keyed by the sha256 of the JSONL bytes.  ``ingest_corpus``
+builds the corpus from that sidecar when the key matches the file, so a
+corpus that one stage exported is not parsed again by the next; it parses
+the JSONL when the sidecar is missing or was written for other bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -47,6 +55,17 @@ _MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
 # enough lines that its per-block array work is cheap per line, few enough
 # that a reader's memory does not grow with the file.
 _BLOCK_CHARS = 1 << 16
+
+# A corpus's coding beside its exported JSONL, in ``<path>.coding``: one
+# header line of these fields, then the payload (see ``export_corpus``).
+_CODING_MAGIC = b"#dictsieve-coding"
+_CODING_COUNTS = ("vocab", "documents", "sentences", "tokens")
+_CODING_FIELDS = ["version", "jsonl_bytes", "jsonl_sha256", *_CODING_COUNTS, "payload_sha256"]
+# a header takes about 300 bytes, so a longer first line is malformed
+_HEADER_LIMIT = 1024
+# ``file_sha256`` reads this many bytes at a time
+_HASH_CHUNK = 1 << 20
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 # every byte but TAB and LF, which ``bytes.translate`` deletes to leave the
 # field and line separators of a block
@@ -173,9 +192,15 @@ def _coding(types: list[str], ids: list[int], lengths: list[int], n_sentences: l
 
 
 def _check_paragraphs(paragraphs, n_sentences: int, where: str) -> None:
-    """Each paragraph sentence index must name one of ``n_sentences``
-    sentences, and at most once: a repeated index would count the
-    sentence's tokens twice in the topic model's units."""
+    """Paragraph groups must be lists of int sentence indices, and each
+    index must name one of ``n_sentences`` sentences, and at most once: a
+    repeated index would count the sentence's tokens twice in the topic
+    model's units."""
+    if not isinstance(paragraphs, list) or any(
+        # type(), not isinstance(): JSON true and false are Python bools, a subclass of int
+        not isinstance(p, list) or any(type(i) is not int for i in p) for p in paragraphs
+    ):
+        raise ValueError(f"{where}: 'paragraphs' must be lists of sentence indices")
     seen = set()
     for group in paragraphs:
         for i in group:
@@ -193,9 +218,10 @@ class Corpus:
     sentences included.  It rejects what ``ingest_corpus`` rejects in a
     record, so every corpus exports to a file that ingests: a document id
     that is repeated or that ``_check_doc_id`` rejects, a token that
-    ``_TokenIds`` rejects (reported with its document's id), and a
-    paragraph group index that is out of range or repeated.  ``documents``
-    are views of the coding, built on first use.
+    ``_TokenIds`` rejects (reported with its document's id), and paragraph
+    groups that are not lists of int indices or hold an index that is out
+    of range or repeated.  ``documents`` are views of the coding, built on
+    first use.
     """
 
     def __init__(self, documents: list[Document], role: str):
@@ -375,11 +401,6 @@ def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
         raise ValueError(f"{where}: {_MALFORMED_SENTENCES}") from None
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
-        if not isinstance(paragraphs, list) or any(
-            # type(), not isinstance(): JSON true and false are Python bools, a subclass of int
-            not isinstance(p, list) or any(type(i) is not int for i in p) for p in paragraphs
-        ):
-            raise ValueError(f"{where}: 'paragraphs' must be lists of sentence indices")
         _check_paragraphs(paragraphs, len(sentences), where)
         # empty sentences were dropped, so renumber onto the kept ones: the
         # position of each kept sentence by its index in the record
@@ -557,6 +578,124 @@ def read_blocks(stream, path, width: int, start: int):
             raise ValueError(f"{path}:{numbers[good]}: {error}")
 
 
+def file_sha256(path) -> str:
+    """The sha256 of a file's bytes, read a fixed-size chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        while chunk := stream.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _sidecar(path) -> Path:
+    return Path(f"{path}.coding")
+
+
+def _coding_header(stream, sidecar: Path) -> dict[str, str] | None:
+    """The header fields of a sidecar, or None for a file that is not a
+    sidecar of this format version.  A malformed header raises."""
+    line = stream.readline(_HEADER_LIMIT)
+    if not line.startswith(_CODING_MAGIC + b"\tversion=1\t"):
+        return None
+    try:
+        fields = dict(field.split("=", 1) for field in line.decode("ascii").rstrip("\n").split("\t")[1:])
+    except ValueError:  # a field without '=' or a byte that is not ASCII
+        fields = {}
+    if (
+        not line.endswith(b"\n")
+        or list(fields) != _CODING_FIELDS
+        or not all(fields[name].isdecimal() for name in _CODING_COUNTS)
+        or not all(_SHA256_RE.fullmatch(fields[name]) for name in ("jsonl_sha256", "payload_sha256"))
+    ):
+        raise ValueError(f"{sidecar}:1: malformed coding header")
+    return fields
+
+
+def _ingest_coded(path, role: str) -> Corpus | None:
+    """The corpus of ``path`` read from its sidecar, or None when there is no
+    sidecar or it was written for other JSONL bytes."""
+    sidecar = _sidecar(path)
+    try:
+        stream = open(sidecar, "rb")
+    except FileNotFoundError:
+        return None
+    with stream:
+        fields = _coding_header(stream, sidecar)
+        if (
+            fields is None
+            or int(fields["jsonl_bytes"]) != os.stat(path).st_size
+            or fields["jsonl_sha256"] != file_sha256(path)
+        ):
+            return None
+        payload = stream.read()
+    if hashlib.sha256(payload).hexdigest() != fields["payload_sha256"]:
+        raise ValueError(f"{sidecar}: payload does not match its sha256")
+    counts = [int(fields[name]) for name in _CODING_COUNTS]
+    return Corpus._coded(_decode_coding(payload, *counts, sidecar), role)
+
+
+def _decode_coding(payload: bytes, n_vocab: int, n_docs: int, n_sentences: int, n_tokens: int, sidecar) -> Coding:
+    """Check a sidecar's payload as ingest checks a JSONL file, with array
+    operations, and return its coding."""
+    text_size = len(payload) - 4 * n_tokens - 8 * (n_sentences + 1) - 8 * (n_docs + 1)
+    try:
+        text = payload[: max(text_size, 0)].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{sidecar}: not UTF-8 text") from None
+    # LF only: str.splitlines would also break at characters tokens may hold
+    lines = text.split("\n")
+    if text_size < 0 or len(lines) != n_vocab + n_docs + 2 or lines[-1]:
+        raise ValueError(f"{sidecar}: payload size does not match the header counts")
+    vocab = tuple(lines[:n_vocab])
+    ids = lines[n_vocab : n_vocab + n_docs]
+
+    if not all(map(str.__lt__, vocab, vocab[1:])):
+        raise ValueError(f"{sidecar}: vocabulary is not strictly increasing")
+    # strict UTF-8 decoding leaves no lone surrogate, and LF splits the
+    # lines, so a bad token is empty (and first) or holds a tab or CR
+    if vocab and not vocab[0]:
+        raise ValueError(f"{sidecar}: empty token")
+    if "\t" in text or "\r" in text:
+        for token in vocab:
+            if _FIELD_BREAK_RE.search(token):
+                raise ValueError(f"{sidecar}: token {token!r} contains a tab, CR or LF")
+    if not ids:
+        raise ValueError(f"{sidecar}: zero documents")
+    # str.split() splits at str.isspace, which str.strip strips, so it
+    # returns the ids unchanged only if none is empty or holds whitespace
+    # (a tab and a CR included); those pass _check_doc_id unless they start
+    # with '#', and any other ids are checked one by one
+    joined = "\n".join(ids)
+    if joined.split() != ids or "\n#" in "\n" + joined:
+        for doc_id in ids:
+            _check_doc_id(doc_id, str(sidecar))
+    if len(set(ids)) != n_docs:
+        raise ValueError(f"{sidecar}: duplicate document id")
+
+    at = text_size + 4 * n_tokens
+    codes = np.frombuffer(payload, "<i4", n_tokens, text_size).astype(np.int32)
+    sentence_starts = np.frombuffer(payload, "<i8", n_sentences + 1, at).astype(np.int64)
+    document_starts = np.frombuffer(payload, "<i8", n_docs + 1, at + 8 * (n_sentences + 1)).astype(np.int64)
+    if n_tokens and not (codes.min() >= 0 and codes.max() < n_vocab):
+        raise ValueError(f"{sidecar}: token code out of range for {n_vocab} tokens")
+    if not (sentence_starts[0] == 0 and sentence_starts[-1] == n_tokens and (np.diff(sentence_starts) > 0).all()):
+        raise ValueError(f"{sidecar}: sentence offsets do not run from 0 up to {n_tokens} tokens")
+    if not (document_starts[0] == 0 and document_starts[-1] == n_sentences and (np.diff(document_starts) >= 0).all()):
+        raise ValueError(f"{sidecar}: document offsets do not run from 0 up to {n_sentences} sentences")
+
+    try:
+        paragraphs = json.loads(lines[-2])
+    except (json.JSONDecodeError, RecursionError):
+        raise ValueError(f"{sidecar}: paragraph groups are not JSON") from None
+    if not isinstance(paragraphs, list) or len(paragraphs) != n_docs:
+        raise ValueError(f"{sidecar}: expected the paragraph groups of {n_docs} documents")
+    n_doc_sentences = np.diff(document_starts).tolist()
+    for doc_id, groups, n in zip(ids, paragraphs, n_doc_sentences):
+        if groups is not None:
+            _check_paragraphs(groups, n, f"{sidecar}: document {doc_id!r}")
+    return Coding(vocab, codes, sentence_starts, document_starts, ids, paragraphs)
+
+
 def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus:
     """Read a corpus from ``source``.
 
@@ -572,10 +711,20 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     Each distinct token is checked once, in the same dict probe that
     numbers it; the corpus keeps one ``Coding`` of its tokens, so memory
     grows with the vocabulary plus 4 bytes a token.
+
+    A JSONL file path with a sidecar (see ``export_corpus``) whose length
+    and sha256 match the file is read from the sidecar, which gives the
+    coding that parsing the file gives; a sidecar for other bytes, or a file
+    that is not a sidecar of this format version, is ignored.  The sidecar
+    is checked as a JSONL file is, and a damaged one raises ``ValueError``
+    naming it.  A stream or a plaintext directory is always parsed.
     """
     if format == "jsonl":
         if hasattr(source, "read"):
             return _ingest_jsonl(source, role, getattr(source, "name", "<stream>"))
+        corpus = _ingest_coded(source, role)
+        if corpus is not None:
+            return corpus
         with open_text(source) as stream:
             return _ingest_jsonl(stream, role, source)
     if format == "plaintext-dir":
@@ -592,13 +741,33 @@ def export_corpus(corpus: Corpus, path) -> None:
     The lines are the bytes of ``json.JSONEncoder(ensure_ascii=False)`` on
     each document's record: each type's JSON string is formatted once, by
     the encoder's own string function, and joined per sentence.
+
+    The coding goes to the sidecar ``<path>.coding``, which ``ingest_corpus``
+    reads in place of the JSONL.  Its header line is ``#dictsieve-coding``
+    and tab-separated ``name=value`` fields: ``version=1``, the JSONL's
+    ``jsonl_bytes`` and ``jsonl_sha256``, the ``vocab``, ``documents``,
+    ``sentences`` and ``tokens`` counts, and the ``payload_sha256`` of the
+    rest of the file.  The payload holds the vocabulary and the doc ids as
+    LF-terminated UTF-8 lines, the paragraph groups as one JSON line, then
+    the codes (``<i4``) and the sentence and document offsets (``<i8``) as
+    raw arrays, so equal corpora write equal bytes.  A sidecar written
+    earlier is removed before the JSONL is written, and the new one after
+    it, from the bytes as they were written.  No sidecar is written for a
+    corpus without documents or with an empty sentence, whose JSONL does
+    not ingest to this coding; a file at ``<path>.coding`` that does not
+    start with ``#dictsieve-coding`` is then left in place.
     """
     coding = corpus.coding
+    sidecar = _sidecar(path)
+    with suppress(FileNotFoundError), open(sidecar, "rb") as old:
+        if old.read(len(_CODING_MAGIC)) == _CODING_MAGIC:
+            sidecar.unlink()
     literal = list(map(encode_basestring, coding.vocab)).__getitem__
     token_at = coding.sentence_starts.tolist()
     first = coding.document_starts.tolist()
     encode = json.JSONEncoder(ensure_ascii=False).encode
-    with open(path, "w", encoding="utf-8") as out:
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
         for doc_id, paragraphs, a, b in zip(coding.ids, coding.paragraphs, first, first[1:]):
             start = token_at[a]
             words = list(map(literal, coding.codes[start : token_at[b]].tolist()))
@@ -606,4 +775,28 @@ def export_corpus(corpus: Corpus, path) -> None:
                 ["[" + ", ".join(words[s - start : e - start]) + "]" for s, e in zip(token_at[a:b], token_at[a + 1 : b + 1])]
             )
             tail = "}\n" if paragraphs is None else ', "paragraphs": ' + encode(paragraphs) + "}\n"
-            out.write('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail)
+            line = ('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail).encode()
+            out.write(line)
+            digest.update(line)
+        size = out.tell()
+    # ingest drops an empty sentence and rejects a file without documents,
+    # so a sidecar would not give what ingesting the JSONL gives
+    if not coding.ids or (coding.sentence_starts[1:] == coding.sentence_starts[:-1]).any():
+        return
+    text = "\n".join([*coding.vocab, *coding.ids, json.dumps(coding.paragraphs, separators=(",", ":")), ""])
+    # the arrays are written and hashed in place, not copied
+    payload = [
+        text.encode(),
+        np.ascontiguousarray(coding.codes, dtype="<i4"),
+        np.ascontiguousarray(coding.sentence_starts, dtype="<i8"),
+        np.ascontiguousarray(coding.document_starts, dtype="<i8"),
+    ]
+    payload_digest = hashlib.sha256()
+    for part in payload:
+        payload_digest.update(part)
+    counts = [len(coding.vocab), len(coding.ids), len(coding.sentence_starts) - 1, len(coding.codes)]
+    values = [1, size, digest.hexdigest(), *counts, payload_digest.hexdigest()]
+    header = "".join(f"\t{name}={value}" for name, value in zip(_CODING_FIELDS, values)) + "\n"
+    with open(sidecar, "wb") as out:
+        out.write(_CODING_MAGIC + header.encode())
+        out.writelines(payload)

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import random
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -782,6 +783,9 @@ class TestPipelineArtifacts:
         "corpus_reference.jsonl",
         "corpus_generic.jsonl",
         "corpus_target.jsonl",
+        "corpus_reference.jsonl.coding",
+        "corpus_generic.jsonl.coding",
+        "corpus_target.jsonl.coding",
         "model.tsv",
         "dict_tm.tsv",
         "dict_tfidf.tsv",
@@ -857,8 +861,17 @@ class TestPipelineArtifacts:
             corpora_dir = tmp_path / "zipf"
             corpora_dir.mkdir()
             write_zipf_corpora(corpora_dir, random.Random(1))
+        # the inputs are copied without their sidecars, so ``run`` and the
+        # chain's ``ingest`` parse the JSONL, and the chain's later stages
+        # read the sidecars that ``ingest`` wrote: both read paths must give
+        # the same bytes
+        copies = tmp_path / "inputs"
+        copies.mkdir()
+        inputs = {}
+        for role in ("reference", "generic", "target"):
+            assert (corpora_dir / f"{role}.jsonl.coding").is_file()
+            inputs[role] = str(shutil.copy(corpora_dir / f"{role}.jsonl", copies))
         run_dir = tmp_path / "run"
-        inputs = {role: str(corpora_dir / f"{role}.jsonl") for role in ("reference", "generic", "target")}
         run = [
             "run", *(item for role, path in inputs.items() for item in (f"--{role}", path)),
             "--out-dir", str(run_dir), "--n-topics", str(n_topics), "--lda-alpha", "0.5",
@@ -914,7 +927,8 @@ class TestPipelineArtifacts:
             }
 
         from_run, from_chain = tree(run_dir), tree(out)
-        assert len(from_run) == 25
+        assert len(from_run) == 28
+        assert {f"corpus_{role}.jsonl.coding" for role in ("reference", "generic", "target")} <= from_run.keys()
         assert from_chain.keys() == from_run.keys()
         for name, data in from_run.items():
             assert from_chain[name] == data, name
@@ -1328,6 +1342,35 @@ class TestMutatedInputs:
         argv = [arg.format(path=path, dir=pipeline_dir, out=tmp_path / "out.tsv") for arg in argv]
         separator = b", " if artifact.endswith(".jsonl") else b"\t"
         self.check(capsys, path, data, separator, argv, lambda damaged: [str(path)])
+
+    def test_a_corpus_sidecar(self, pipeline_dir, tmp_path, capsys):
+        """A damaged sidecar never changes what a stage computes: ``rank``
+        exits 0 with the undamaged run's list, or exits 2 naming the
+        sidecar."""
+        target = tmp_path / "corpus_target.jsonl"
+        self.copy(pipeline_dir / target.name, target)
+        sidecar = tmp_path / "corpus_target.jsonl.coding"
+        data = self.copy(pipeline_dir / sidecar.name, sidecar)
+        out = tmp_path / "out.tsv"
+        argv = [
+            "rank", "--mode", "context", "--alpha", "2", "--target", str(target),
+            "--dict", str(pipeline_dir / "dict_tm.tsv"), "--cooc", str(pipeline_dir / "cooc_filtered_tm.tsv"),
+            "--out", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        expected = out.read_bytes()
+        rng = random.Random(sidecar.name)
+        for _ in range(2):
+            for label, damaged in mutations(data, b"\t", rng):
+                sidecar.write_bytes(damaged)
+                out.unlink(missing_ok=True)
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_DATA), (label, err)
+                if code == EXIT_OK:
+                    assert out.read_bytes() == expected, label
+                else:
+                    assert str(sidecar) in err, (label, err)
 
     def test_a_ranked_list_and_its_judgments(self, pipeline_dir, tmp_path, capsys):
         ranked = tmp_path / "tfidf_context_alpha_2.tsv"

@@ -3,8 +3,11 @@ and export make of it, and that no stage reads a document's strings."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from dictsieve import (
     ingest_corpus,
     term_stats,
 )
+from dictsieve.corpus import _check_doc_id
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.scoring import sentence_features
 
@@ -89,6 +93,25 @@ def old_export(docs: list[Document]) -> bytes:
     return "".join(lines).encode()
 
 
+def sidecar_of(path) -> Path:
+    return Path(f"{path}.coding")
+
+
+def ingest_both_ways(path) -> Corpus:
+    """Ingest ``path`` through its sidecar, if it has one, then with the
+    sidecar deleted; both codings must be equal.  The sidecar is put back
+    afterwards."""
+    sidecar = sidecar_of(path)
+    data = sidecar.read_bytes() if sidecar.is_file() else None
+    first = ingest_corpus(path, role="reference")
+    sidecar.unlink(missing_ok=True)
+    parsed = ingest_corpus(path, role="reference")
+    if data is not None:
+        sidecar.write_bytes(data)
+    assert coding_of(first) == coding_of(parsed)
+    return parsed
+
+
 class TestCodingProperties:
     @settings(deadline=None, max_examples=150)
     @given(docs=documents())
@@ -107,24 +130,40 @@ class TestCodingProperties:
         assert corpus.vocabulary == frozenset().union(*all_sentences)
         assert corpus.coding.vocab == tuple(sorted(corpus.vocabulary))
 
-        # export writes the encoder's bytes
+        # export writes the encoder's bytes, and a sidecar unless ingest
+        # would not return this coding: it drops empty sentences and rejects
+        # a file without documents.  The sidecar of an earlier export to
+        # the same path is replaced or removed
         path = tmp_path_factory.mktemp("coding") / "corpus.jsonl"
+        export_corpus(Corpus(documents=[Document("old", [["x"]])], role="reference"), path)
+        assert sidecar_of(path).is_file()
         export_corpus(corpus, path)
         assert path.read_bytes() == old_export(docs)
+        has_empty_sentence = any(not sentence for doc in docs for sentence in doc.sentences)
+        assert sidecar_of(path).is_file() == (bool(docs) and not has_empty_sentence)
 
         if not docs:  # ingest rejects a file without documents
             return
         # ingest codes the exported file as a corpus of the same sentences,
-        # empty ones dropped, and exporting it again changes nothing
-        ingested = ingest_corpus(path, role="reference")
+        # empty ones dropped, through the sidecar and from the JSONL alone,
+        # and exporting it again changes nothing
+        ingested = ingest_both_ways(path)
         expected = Corpus(documents=[without_empty_sentences(doc) for doc in docs], role="reference")
         assert coding_of(ingested) == coding_of(expected)
         rebuilt = [Document(doc.id, doc.sentences, doc.paragraphs) for doc in ingested.documents]
         assert coding_of(Corpus(documents=rebuilt, role="reference")) == coding_of(ingested)
         again = path.with_name("again.jsonl")
         export_corpus(ingested, again)
-        assert coding_of(ingest_corpus(again, role="reference")) == coding_of(ingested)
+        assert sidecar_of(again).is_file()
+        assert coding_of(ingest_both_ways(again)) == coding_of(ingested)
         assert again.read_bytes() == old_export(expected.documents)
+
+        # a record appended to the JSONL is read: the sidecar no longer
+        # matches the file and is ignored
+        with open(again, "a", encoding="utf-8") as out:
+            out.write(json.dumps({"id": "appended", "sentences": [["z"]]}) + "\n")
+        appended = Corpus(documents=[*rebuilt, Document("appended", [["z"]])], role="reference")
+        assert coding_of(ingest_corpus(again, role="reference")) == coding_of(appended)
 
 
 def test_ingest_codes_by_the_sorted_vocabulary():
@@ -179,3 +218,203 @@ def test_an_empty_corpus_has_an_empty_coding(role):
     corpus = Corpus(documents=[], role=role)
     assert coding_of(corpus) == ((), [], [0], [0], [], [])
     assert corpus.documents == [] and corpus.vocabulary == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the sidecar that export writes beside a JSONL file
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_sidecar(
+    path, vocab, ids, paragraphs, codes, sentence_starts, document_starts, counts=None, text=None, extra=b""
+):
+    """The sidecar of the JSONL file at ``path``, built from its parts with
+    both hashes correct, so only the payload's own checks can reject it.
+    ``counts`` and ``text`` replace the header counts and the payload's text
+    lines, and ``extra`` is appended to the payload."""
+    if text is None:
+        text = "".join(line + "\n" for line in [*vocab, *ids, paragraphs]).encode()
+    payload = b"".join([
+        text,
+        np.asarray(codes, dtype="<i4").tobytes(),
+        np.asarray(sentence_starts, dtype="<i8").tobytes(),
+        np.asarray(document_starts, dtype="<i8").tobytes(),
+        extra,
+    ])
+    if counts is None:
+        counts = (len(vocab), len(ids), len(sentence_starts) - 1, len(codes))
+    jsonl = Path(path).read_bytes()
+    fields = [
+        "#dictsieve-coding",
+        "version=1",
+        f"jsonl_bytes={len(jsonl)}",
+        f"jsonl_sha256={sha256_hex(jsonl)}",
+        *(f"{name}={n}" for name, n in zip(("vocab", "documents", "sentences", "tokens"), counts)),
+        f"payload_sha256={sha256_hex(payload)}",
+    ]
+    sidecar_of(path).write_bytes("\t".join(fields).encode() + b"\n" + payload)
+
+
+# the parts of the sidecar of SMALL
+SMALL = [Document("d1", [["b", "a"], ["a"], ["c"]], paragraphs=[[1], [0, 2]]), Document("d2", [["c"]])]
+PARTS = {
+    "vocab": ("a", "b", "c"),
+    "ids": ["d1", "d2"],
+    "paragraphs": "[[[1],[0,2]],null]",
+    "codes": [1, 0, 0, 2, 2],
+    "sentence_starts": [0, 2, 3, 4, 5],
+    "document_starts": [0, 3, 4],
+}
+
+
+@pytest.fixture
+def small(tmp_path) -> Path:
+    path = tmp_path / "small.jsonl"
+    export_corpus(Corpus(documents=SMALL, role="target"), path)
+    return path
+
+
+class TestSidecar:
+    def test_export_writes_the_documented_format(self, small, tmp_path):
+        written = sidecar_of(small).read_bytes()
+        write_sidecar(small, **PARTS)
+        assert sidecar_of(small).read_bytes() == written
+        header = written.split(b"\n", 1)[0].decode()
+        assert header.startswith("#dictsieve-coding\tversion=1\tjsonl_bytes=")
+        assert "\tvocab=3\tdocuments=2\tsentences=4\ttokens=5\t" in header
+
+    def test_the_sidecar_is_what_ingest_reads(self, small):
+        """A sidecar that matches the JSONL's bytes is read in place of the
+        JSONL, by path only: a stream or a plaintext directory is parsed."""
+        write_sidecar(small, **{**PARTS, "ids": ["x1", "x2"]})
+        assert ingest_corpus(small).coding.ids == ["x1", "x2"]
+        with open(small, encoding="utf-8") as stream:
+            assert ingest_corpus(stream).coding.ids == ["d1", "d2"]
+        texts = small.parent / "texts"
+        texts.mkdir()
+        (texts / "p1.txt").write_text("one two.")
+        sidecar_of(small).rename(sidecar_of(texts))
+        assert ingest_corpus(texts, format="plaintext-dir").coding.ids == ["p1"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda jsonl, header: (jsonl.replace(b'"d2"', b'"d3"'), header),  # same length, other bytes
+            lambda jsonl, header: (jsonl + b'{"id": "d3", "sentences": [["c"]]}\n', header),
+            lambda jsonl, header: (jsonl, b"notes about small.jsonl\n"),
+            lambda jsonl, header: (jsonl, header.replace(b"version=1", b"version=2")),
+        ],
+        ids=["jsonl-edited", "jsonl-appended", "not-a-sidecar", "other-version"],
+    )
+    def test_a_sidecar_for_other_bytes_is_ignored(self, small, edit):
+        sidecar = sidecar_of(small)
+        header, payload = sidecar.read_bytes().split(b"\n", 1)
+        jsonl, header = edit(small.read_bytes(), header + b"\n")
+        small.write_bytes(jsonl)
+        sidecar.write_bytes(header + payload)
+        sidecar_data = sidecar.read_bytes()
+        expected = ingest_corpus(io.StringIO(jsonl.decode()), role="target")
+        assert coding_of(ingest_corpus(small)) == coding_of(expected)
+        assert sidecar.read_bytes() == sidecar_data
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ({"vocab": ("b", "a", "c"), "codes": [0, 1, 1, 2, 2]}, "vocabulary is not strictly increasing"),
+            ({"vocab": ("a", "a", "c")}, "vocabulary is not strictly increasing"),
+            ({"vocab": ("", "b", "c")}, "empty token"),
+            ({"vocab": ("a", "b\tx", "c")}, "token 'b\\tx' contains a tab, CR or LF"),
+            ({"vocab": ("a", "b\rx", "c")}, "token 'b\\rx' contains a tab, CR or LF"),
+            ({"text": b"a\nb\xff\nc\nd1\nd2\n[[[1],[0,2]],null]\n"}, "not UTF-8 text"),
+            (
+                {"vocab": (), "ids": [], "paragraphs": "[]", "codes": [], "sentence_starts": [0], "document_starts": [0]},
+                "zero documents",
+            ),
+            ({"ids": ["d1", "#d2"]}, "document id '#d2' starts with '#'"),
+            ({"ids": ["d1", " d2"]}, "document id ' d2' is empty or has leading or trailing whitespace"),
+            ({"ids": ["d1 ", "d2"]}, "is empty or has leading or trailing whitespace"),
+            ({"ids": ["", "d2"]}, "document id '' is empty"),
+            ({"ids": ["d1", "d\t2"]}, "document id 'd\\t2' contains a tab, CR or LF"),
+            ({"ids": ["d1", "d1"]}, "duplicate document id"),
+            ({"codes": [1, 0, 0, 2, 3]}, "token code out of range for 3 tokens"),
+            ({"codes": [1, 0, -1, 2, 2]}, "token code out of range for 3 tokens"),
+            ({"sentence_starts": [1, 2, 3, 4, 5]}, "sentence offsets do not run from 0 up to 5 tokens"),
+            ({"sentence_starts": [0, 2, 2, 4, 5]}, "sentence offsets do not run from 0 up to 5 tokens"),
+            ({"sentence_starts": [0, 2, 3, 4, 6]}, "sentence offsets do not run from 0 up to 5 tokens"),
+            ({"document_starts": [1, 3, 4]}, "document offsets do not run from 0 up to 4 sentences"),
+            ({"document_starts": [0, 3, 3]}, "document offsets do not run from 0 up to 4 sentences"),
+            ({"document_starts": [0, 5, 4]}, "document offsets do not run from 0 up to 4 sentences"),
+            ({"paragraphs": "[[[1],[0,2]],nul"}, "paragraph groups are not JSON"),
+            ({"paragraphs": "[null]"}, "expected the paragraph groups of 2 documents"),
+            ({"paragraphs": "[[[1],[0,3]],null]"}, "document 'd1': paragraph sentence index 3 is out of range"),
+            ({"paragraphs": "[[[1],[1]],null]"}, "document 'd1': paragraph sentence index 1 appears more than once"),
+            ({"paragraphs": "[[[true]],null]"}, "document 'd1': 'paragraphs' must be lists of sentence indices"),
+            ({"counts": (3, 2, 4, 6)}, "payload size does not match the header counts"),
+            ({"counts": (2, 2, 4, 5)}, "payload size does not match the header counts"),
+            ({"extra": b"\0"}, "payload size does not match the header counts"),
+        ],
+    )
+    def test_a_damaged_payload_names_the_sidecar(self, small, parts, message):
+        write_sidecar(small, **{**PARTS, **parts})
+        with pytest.raises(ValueError, match=re.escape(f"{sidecar_of(small)}: ") + ".*" + re.escape(message)):
+            ingest_corpus(small)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda header, payload: (header.replace(b"\ttokens=5", b""), payload), ":1: malformed coding header"),
+            (lambda header, payload: (header.replace(b"tokens=5", b"tokens=x"), payload), ":1: malformed coding header"),
+            (lambda header, payload: (header.replace(b"tokens=5", b"tokens"), payload), ":1: malformed coding header"),
+            (lambda header, payload: (header[:-3], payload), ":1: malformed coding header"),
+            (lambda header, payload: (header, payload[:-1] + b"\1"), ": payload does not match its sha256"),
+        ],
+        ids=["missing-field", "not-a-count", "no-equals", "bad-hash", "payload-changed"],
+    )
+    def test_a_damaged_header_or_hash_names_the_sidecar(self, small, damage, message):
+        sidecar = sidecar_of(small)
+        header, payload = damage(*sidecar.read_bytes().split(b"\n", 1))
+        sidecar.write_bytes(header + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(f"{sidecar}{message}")):
+            ingest_corpus(small)
+
+    @pytest.mark.parametrize("doc_id", ["a b", "a\u00a0b", "a\u2028b", "a\x0bb\x0cc", "a#", "日本", "\x00", "a\x1fb"])
+    def test_ids_with_inner_whitespace_or_controls_are_read(self, small, doc_id):
+        write_sidecar(small, **{**PARTS, "ids": [doc_id, "d2"]})
+        assert ingest_corpus(small).coding.ids == [doc_id, "d2"]
+
+    @given(ids=st.lists(TOKEN | st.sampled_from(["#", " ", " ", "\x85", "a\x1c", "\x1ca"]), min_size=2, max_size=2))
+    @settings(deadline=None, max_examples=100)
+    def test_a_sidecar_takes_the_ids_that_ingest_takes(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("ids") / "small.jsonl"
+        export_corpus(Corpus(documents=SMALL, role="target"), path)
+        write_sidecar(path, **{**PARTS, "ids": ids})
+        try:
+            for doc_id in ids:
+                _check_doc_id(doc_id, "x")
+        except ValueError:
+            accepted = False
+        else:
+            accepted = len(set(ids)) == 2
+        if accepted:
+            assert ingest_corpus(path).coding.ids == ids
+        else:
+            with pytest.raises(ValueError, match=re.escape(str(sidecar_of(path)))):
+                ingest_corpus(path)
+
+    def test_export_removes_only_its_own_sidecars(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        sidecar = sidecar_of(path)
+        with_empty_sentence = Corpus(documents=[Document("d1", [["a"], []])], role="target")
+        sidecar.write_text("not a sidecar\n")
+        export_corpus(with_empty_sentence, path)
+        assert sidecar.read_text() == "not a sidecar\n"
+        export_corpus(Corpus(documents=SMALL, role="target"), path)
+        assert sidecar.read_bytes().startswith(b"#dictsieve-coding\t")
+        export_corpus(with_empty_sentence, path)
+        assert not sidecar.exists()
+        export_corpus(Corpus(documents=SMALL, role="target"), path)
+        export_corpus(Corpus(documents=[], role="target"), path)
+        assert not sidecar.exists()

@@ -109,6 +109,15 @@ class TestCorpus:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(documents=docs, role="reference")
 
+    @pytest.mark.parametrize("paragraphs", [[[True]], [[0.0]], [(0,)], ([0],), [[0], "1"]])
+    def test_paragraph_groups_that_ingest_rejects_are_rejected_when_built(self, paragraphs):
+        """Export would write ``true`` and ``0.0`` for the first two, which
+        ingest rejects; groups must be lists, as in a JSONL record."""
+        docs = [Document("ok", [["a"]]), Document("d1", [["a"], ["b"]], paragraphs=paragraphs)]
+        message = "document 'd1': 'paragraphs' must be lists of sentence indices"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(documents=docs, role="reference")
+
     def test_hand_built_documents_keep_their_empty_sentences(self):
         docs = [Document("d1", [[], ["a"], []], paragraphs=[[1, 2], [0]]), Document("d2", [])]
         corpus = Corpus(documents=docs, role="reference")
