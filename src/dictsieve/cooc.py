@@ -15,6 +15,12 @@ Lookups go through an n x n table of pair indices, built on the first one
 and kept on the matrix: a dictionary of several hundred terms costs well
 under a megabyte.  A matrix of more than 2,048 terms, whose table would
 exceed ``_TABLE_CELLS`` cells, binary-searches its keys instead.
+
+``save_cooc`` also writes the two arrays beside the TSV file, as
+``<path>.pairs``, keyed by the sha256 of the TSV bytes.  ``load_cooc`` reads
+the arrays from that sidecar when the key matches the file, so a matrix that
+one stage wrote is not parsed again by the next; the terms and provenance
+always come from the TSV.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, open_text, read_blocks, read_header
+from .corpus import Corpus, FloatText, SidecarFormat, open_text, read_blocks, read_header
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -35,6 +41,10 @@ PROVENANCES = ("reference", "generic", "filtered")
 # ``save_cooc`` formats and writes this many pair lines at a time, so the
 # text it holds stays bounded
 _PAIRS_PER_WRITE = 1 << 13
+
+# a matrix's keys (``<i8``) and values (``<f8``) beside its TSV file, in
+# ``<path>.pairs`` (see ``save_cooc``)
+_PAIRS = SidecarFormat("pairs", "tsv", ("pairs",))
 
 # the most cells a matrix's pair-index table may have, 2,048 terms squared;
 # a larger matrix looks its keys up by binary search
@@ -262,23 +272,85 @@ def filter_cooc(reference: CoocMatrix, generic: CoocMatrix) -> CoocMatrix:
     return CoocMatrix(terms=reference.terms, keys=reference.keys[kept], values=filtered[kept], provenance="filtered")
 
 
-def save_cooc(matrix: CoocMatrix, path) -> None:
-    """TSV triplets `term_a<TAB>term_b<TAB>value`, term_a < term_b."""
+def _tsv_chunks(matrix: CoocMatrix):
+    """Yield the bytes of the matrix's TSV file, a header, the term list and
+    ``_PAIRS_PER_WRITE`` pair lines at a time."""
     n = len(matrix.terms)
+    yield (
+        f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={n}\n"
+        + "#terms" + "".join("\t" + term for term in matrix.terms) + "\n"
+    ).encode()
     # each term with the tab after it: a pair line is four strings, joined
     # with every other line of a chunk in one ``join``
     head = [term + "\t" for term in matrix.lexicon].__getitem__
     text = FloatText().__getitem__
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={n}\n")
-        out.write("#terms\t" + "\t".join(matrix.terms) + "\n")
-        for start in range(0, len(matrix), _PAIRS_PER_WRITE):
-            a, b = (ranks.tolist() for ranks in np.divmod(matrix.keys[start : start + _PAIRS_PER_WRITE], n))
-            parts = ["\n"] * (4 * len(a))
-            parts[0::4] = map(head, a)
-            parts[1::4] = map(head, b)
-            parts[2::4] = map(text, matrix.values[start : start + _PAIRS_PER_WRITE].tolist())
-            out.write("".join(parts))
+    for start in range(0, len(matrix), _PAIRS_PER_WRITE):
+        a, b = (ranks.tolist() for ranks in np.divmod(matrix.keys[start : start + _PAIRS_PER_WRITE], n))
+        parts = ["\n"] * (4 * len(a))
+        parts[0::4] = map(head, a)
+        parts[1::4] = map(head, b)
+        parts[2::4] = map(text, matrix.values[start : start + _PAIRS_PER_WRITE].tolist())
+        yield "".join(parts).encode()
+
+
+def _pair_error(keys: np.ndarray, values: np.ndarray, n: int) -> str | None:
+    """Why ``load_cooc`` would reject ``keys`` and ``values`` as the pairs of
+    a matrix over ``n`` terms, or None: the rules of its pair lines, as
+    array operations."""
+    if (keys[1:] <= keys[:-1]).any():
+        return "pair keys are not strictly increasing"
+    if len(keys):
+        if not (keys[0] >= 0 and keys[-1] < n * n):
+            return f"pair key out of range for {n} terms"
+        a, b = np.divmod(keys, n)
+        if (a >= b).any():
+            return "pair key is not two terms in lexicographic order"
+    if not ((0.0 < values) & (values <= 1.0)).all():
+        return "value is not a finite number in (0, 1]"
+    return None
+
+
+def save_cooc(matrix: CoocMatrix, path) -> None:
+    """TSV triplets `term_a<TAB>term_b<TAB>value`, term_a < term_b.
+
+    The first line is ``#dictsieve-cooc``, ``provenance=`` and ``n=``, the
+    second ``#terms`` and each term after a tab, in ``terms`` order.  The
+    pair lines list the pairs in key order, each value as its ``repr``.
+
+    The keys (``<i8``) and values (``<f8``) also go to the sidecar
+    ``<path>.pairs``, which ``load_cooc`` reads in place of the pair lines:
+    a ``SidecarFormat`` header (``#dictsieve-pairs``, ``version=1``,
+    ``tsv_bytes``, ``tsv_sha256``, the ``pairs`` count and
+    ``payload_sha256``), then the two arrays, 16 bytes a pair.  A sidecar
+    written earlier is removed before the TSV is written, and the new one
+    after it, from the bytes as they were written.  No sidecar is written
+    for a matrix that ``load_cooc`` would reject (a repeated term, a term
+    holding a tab, CR or LF, or pairs that break the rules of its pair
+    lines), so its error still names a line of the TSV.
+    """
+    size, digest = _PAIRS.write_text(path, _tsv_chunks(matrix))
+    n = len(matrix.terms)
+    terms = "".join(matrix.terms)
+    if len(set(matrix.terms)) != n or "\t" in terms or "\n" in terms or "\r" in terms:
+        return
+    # the arrays are checked, hashed and written in place, not copied
+    keys = np.ascontiguousarray(matrix.keys, dtype="<i8")
+    values = np.ascontiguousarray(matrix.values, dtype="<f8")
+    if _pair_error(keys, values, n) is None:
+        _PAIRS.write(path, size, digest, [len(keys)], [keys, values])
+
+
+def _decode_pairs(payload: bytes, n_pairs: int, n: int, sidecar) -> tuple[np.ndarray, np.ndarray]:
+    """Check a sidecar's payload as ``load_cooc`` checks pair lines, with
+    array operations, and return its keys and values."""
+    if len(payload) != 16 * n_pairs:
+        raise ValueError(f"{sidecar}: payload size does not match the pair count")
+    keys = np.frombuffer(payload, "<i8", n_pairs).astype(np.int64)
+    values = np.frombuffer(payload, "<f8", n_pairs, 8 * n_pairs).astype(np.float64)
+    error = _pair_error(keys, values, n)
+    if error is not None:
+        raise ValueError(f"{sidecar}: {error}")
+    return keys, values
 
 
 def _key_order(path, lexicon: tuple[str, ...], keys: np.ndarray, linenos: np.ndarray) -> np.ndarray:
@@ -312,6 +384,16 @@ def load_cooc(path) -> CoocMatrix:
     finite value in (0, 1]; a violation is reported as ``path:line``, the
     first in file order.  Pair lines are checked a block at a time as
     arrays.
+
+    The terms and the provenance are always read from the TSV's first two
+    lines.  When the TSV has a ``.pairs`` sidecar (see ``save_cooc``) whose
+    recorded length and sha256 match the file, the keys and values are read
+    from the sidecar instead of the pair lines, and checked there by the
+    same rules: keys strictly increasing, each in [0, n²) with a < b, values
+    finite and in (0, 1], and a payload of 16 bytes a pair that matches its
+    sha256.  A sidecar that breaks one raises ``ValueError`` naming it; a
+    sidecar for other TSV bytes, or a file that is not a sidecar of this
+    format version, is ignored.
     """
     with open_text(path) as stream:
         provenance, n = read_header(stream, path, "#dictsieve-cooc", "co-occurrence matrix", "provenance")
@@ -327,6 +409,10 @@ def load_cooc(path) -> CoocMatrix:
             raise ValueError(f"{path}:2: duplicate term in the term list")
         if len(terms) != n:
             raise ValueError(f"{path}:1: header says n={n} but the term list has {len(terms)} terms")
+        found = _PAIRS.read(path)
+        if found is not None:
+            (n_pairs,), payload = found
+            return CoocMatrix(terms, *_decode_pairs(payload, n_pairs, n, _PAIRS.path(path)), provenance)
         keys, values, linenos = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
         try:
             for numbers, (a, b, texts) in read_blocks(stream, path, 3, 3):

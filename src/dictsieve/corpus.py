@@ -13,7 +13,9 @@ deterministic, language-neutral baseline.
 ``<path>.coding``, keyed by the sha256 of the JSONL bytes.  ``ingest_corpus``
 builds the corpus from that sidecar when the key matches the file, so a
 corpus that one stage exported is not parsed again by the next; it parses
-the JSONL when the sidecar is missing or was written for other bytes.
+the JSONL when the sidecar is missing or was written for other bytes.  The
+sidecar's container, which the co-occurrence matrices' ``.pairs`` sidecars
+share, is ``SidecarFormat``.
 """
 
 from __future__ import annotations
@@ -56,12 +58,7 @@ _MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
 # that a reader's memory does not grow with the file.
 _BLOCK_CHARS = 1 << 16
 
-# A corpus's coding beside its exported JSONL, in ``<path>.coding``: one
-# header line of these fields, then the payload (see ``export_corpus``).
-_CODING_MAGIC = b"#dictsieve-coding"
-_CODING_COUNTS = ("vocab", "documents", "sentences", "tokens")
-_CODING_FIELDS = ["version", "jsonl_bytes", "jsonl_sha256", *_CODING_COUNTS, "payload_sha256"]
-# a header takes about 300 bytes, so a longer first line is malformed
+# a sidecar header takes about 300 bytes, so a longer first line is malformed
 _HEADER_LIMIT = 1024
 # ``file_sha256`` reads this many bytes at a time
 _HASH_CHUNK = 1 << 20
@@ -587,51 +584,133 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _sidecar(path) -> Path:
-    return Path(f"{path}.coding")
+@dataclass(frozen=True)
+class SidecarFormat:
+    """A binary sidecar beside a text artifact, ``<text path>.<kind>``, which
+    a reader takes in place of parsing the text while the text is unchanged.
+
+    Its header line is the tag ``#dictsieve-<kind>`` and tab-separated
+    ``name=value`` fields: ``version=1``, the text file's ``<text>_bytes``
+    and ``<text>_sha256``, one count for each name in ``counts``, and the
+    ``payload_sha256`` of the rest of the file, the payload, whose layout
+    the format's user decides.  ``write_text`` removes a sidecar of this
+    format (a file that starts with the tag) before the text is written, so
+    a text without a new sidecar keeps no stale one; a file at the sidecar's
+    path that does not start with the tag is left unless ``write`` replaces
+    it.
+    """
+
+    kind: str
+    text: str
+    counts: tuple[str, ...]
+
+    @property
+    def magic(self) -> bytes:
+        return f"#dictsieve-{self.kind}".encode()
+
+    @property
+    def fields(self) -> list[str]:
+        return ["version", f"{self.text}_bytes", f"{self.text}_sha256", *self.counts, "payload_sha256"]
+
+    def path(self, text_path) -> Path:
+        return Path(f"{text_path}.{self.kind}")
+
+    def write_text(self, text_path, chunks) -> tuple[int, str]:
+        """Remove the old sidecar of ``text_path``, if it has one, then write
+        the byte strings ``chunks`` to ``text_path``; return their length and
+        sha256, hashed as they are written."""
+        sidecar = self.path(text_path)
+        with suppress(FileNotFoundError), open(sidecar, "rb") as old:
+            if old.read(len(self.magic)) == self.magic:
+                sidecar.unlink()
+        digest = hashlib.sha256()
+        with open(text_path, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+                digest.update(chunk)
+            size = out.tell()
+        return size, digest.hexdigest()
+
+    def write(self, text_path, text_size: int, text_sha256: str, counts, payload) -> None:
+        """Write the sidecar of the text ``write_text`` wrote, with the header
+        ``counts`` and the list of ``payload`` parts (bytes or contiguous
+        arrays, hashed and written in place).  The sidecar is written under a
+        temporary name in its directory and renamed into place, so a write
+        that fails leaves neither a partial sidecar nor the temporary file."""
+        digest = hashlib.sha256()
+        for part in payload:
+            digest.update(part)
+        values = [1, text_size, text_sha256, *counts, digest.hexdigest()]
+        header = "".join(f"\t{name}={value}" for name, value in zip(self.fields, values)) + "\n"
+        sidecar = self.path(text_path)
+        temp = Path(f"{sidecar}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "wb") as out:
+                out.write(self.magic + header.encode())
+                for part in payload:
+                    out.write(part)
+            os.replace(temp, sidecar)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+
+    def read(self, text_path) -> tuple[list[int], bytes] | None:
+        """The header counts and the payload of the sidecar of
+        ``text_path``, or None when there is no sidecar, when the file there
+        is not a sidecar of this format version, or when it was written for
+        other text bytes (another length or sha256).  A malformed header or
+        a payload that does not match its sha256 raises ``ValueError``
+        naming the sidecar."""
+        sidecar = self.path(text_path)
+        try:
+            stream = open(sidecar, "rb")
+        except FileNotFoundError:
+            return None
+        with stream:
+            fields = self._header(stream, sidecar)
+            if (
+                fields is None
+                or int(fields[f"{self.text}_bytes"]) != os.stat(text_path).st_size
+                or fields[f"{self.text}_sha256"] != file_sha256(text_path)
+            ):
+                return None
+            payload = stream.read()
+        if hashlib.sha256(payload).hexdigest() != fields["payload_sha256"]:
+            raise ValueError(f"{sidecar}: payload does not match its sha256")
+        return [int(fields[name]) for name in self.counts], payload
+
+    def _header(self, stream, sidecar: Path) -> dict[str, str] | None:
+        """The header fields of a sidecar, or None for a file that is not a
+        sidecar of this format version.  A malformed header raises."""
+        line = stream.readline(_HEADER_LIMIT)
+        if not line.startswith(self.magic + b"\tversion=1\t"):
+            return None
+        try:
+            fields = dict(field.split("=", 1) for field in line.decode("ascii").rstrip("\n").split("\t")[1:])
+        except ValueError:  # a field without '=' or a byte that is not ASCII
+            fields = {}
+        if (
+            not line.endswith(b"\n")
+            or list(fields) != self.fields
+            or not all(fields[name].isdecimal() for name in (f"{self.text}_bytes", *self.counts))
+            or not all(_SHA256_RE.fullmatch(fields[name]) for name in (f"{self.text}_sha256", "payload_sha256"))
+        ):
+            raise ValueError(f"{sidecar}:1: malformed {self.kind} header")
+        return fields
 
 
-def _coding_header(stream, sidecar: Path) -> dict[str, str] | None:
-    """The header fields of a sidecar, or None for a file that is not a
-    sidecar of this format version.  A malformed header raises."""
-    line = stream.readline(_HEADER_LIMIT)
-    if not line.startswith(_CODING_MAGIC + b"\tversion=1\t"):
-        return None
-    try:
-        fields = dict(field.split("=", 1) for field in line.decode("ascii").rstrip("\n").split("\t")[1:])
-    except ValueError:  # a field without '=' or a byte that is not ASCII
-        fields = {}
-    if (
-        not line.endswith(b"\n")
-        or list(fields) != _CODING_FIELDS
-        or not all(fields[name].isdecimal() for name in _CODING_COUNTS)
-        or not all(_SHA256_RE.fullmatch(fields[name]) for name in ("jsonl_sha256", "payload_sha256"))
-    ):
-        raise ValueError(f"{sidecar}:1: malformed coding header")
-    return fields
+# a corpus's coding beside its exported JSONL (see ``export_corpus``)
+_CODING = SidecarFormat("coding", "jsonl", ("vocab", "documents", "sentences", "tokens"))
 
 
 def _ingest_coded(path, role: str) -> Corpus | None:
     """The corpus of ``path`` read from its sidecar, or None when there is no
     sidecar or it was written for other JSONL bytes."""
-    sidecar = _sidecar(path)
-    try:
-        stream = open(sidecar, "rb")
-    except FileNotFoundError:
+    found = _CODING.read(path)
+    if found is None:
         return None
-    with stream:
-        fields = _coding_header(stream, sidecar)
-        if (
-            fields is None
-            or int(fields["jsonl_bytes"]) != os.stat(path).st_size
-            or fields["jsonl_sha256"] != file_sha256(path)
-        ):
-            return None
-        payload = stream.read()
-    if hashlib.sha256(payload).hexdigest() != fields["payload_sha256"]:
-        raise ValueError(f"{sidecar}: payload does not match its sha256")
-    counts = [int(fields[name]) for name in _CODING_COUNTS]
-    return Corpus._coded(_decode_coding(payload, *counts, sidecar), role)
+    counts, payload = found
+    return Corpus._coded(_decode_coding(payload, *counts, _CODING.path(path)), role)
 
 
 def _decode_coding(payload: bytes, n_vocab: int, n_docs: int, n_sentences: int, n_tokens: int, sidecar) -> Coding:
@@ -735,6 +814,22 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     raise ValueError(f"unknown corpus format {format!r}")
 
 
+def _jsonl_lines(coding: Coding):
+    """Yield each document's JSONL line as bytes, in corpus order."""
+    literal = list(map(encode_basestring, coding.vocab)).__getitem__
+    token_at = coding.sentence_starts.tolist()
+    first = coding.document_starts.tolist()
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    for doc_id, paragraphs, a, b in zip(coding.ids, coding.paragraphs, first, first[1:]):
+        start = token_at[a]
+        words = list(map(literal, coding.codes[start : token_at[b]].tolist()))
+        sentences = ", ".join(
+            ["[" + ", ".join(words[s - start : e - start]) + "]" for s, e in zip(token_at[a:b], token_at[a + 1 : b + 1])]
+        )
+        tail = "}\n" if paragraphs is None else ', "paragraphs": ' + encode(paragraphs) + "}\n"
+        yield ('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail).encode()
+
+
 def export_corpus(corpus: Corpus, path) -> None:
     """Write a corpus as canonical JSONL; round-trips through ingest_corpus.
 
@@ -747,38 +842,19 @@ def export_corpus(corpus: Corpus, path) -> None:
     and tab-separated ``name=value`` fields: ``version=1``, the JSONL's
     ``jsonl_bytes`` and ``jsonl_sha256``, the ``vocab``, ``documents``,
     ``sentences`` and ``tokens`` counts, and the ``payload_sha256`` of the
-    rest of the file.  The payload holds the vocabulary and the doc ids as
-    LF-terminated UTF-8 lines, the paragraph groups as one JSON line, then
-    the codes (``<i4``) and the sentence and document offsets (``<i8``) as
-    raw arrays, so equal corpora write equal bytes.  A sidecar written
-    earlier is removed before the JSONL is written, and the new one after
-    it, from the bytes as they were written.  No sidecar is written for a
-    corpus without documents or with an empty sentence, whose JSONL does
-    not ingest to this coding; a file at ``<path>.coding`` that does not
-    start with ``#dictsieve-coding`` is then left in place.
+    rest of the file (see ``SidecarFormat``).  The payload holds the
+    vocabulary and the doc ids as LF-terminated UTF-8 lines, the paragraph
+    groups as one JSON line, then the codes (``<i4``) and the sentence and
+    document offsets (``<i8``) as raw arrays, so equal corpora write equal
+    bytes.  A sidecar written earlier is removed before the JSONL is
+    written, and the new one after it, from the bytes as they were written.
+    No sidecar is written for a corpus without documents or with an empty
+    sentence, whose JSONL does not ingest to this coding; a file at
+    ``<path>.coding`` that does not start with ``#dictsieve-coding`` is then
+    left in place.
     """
     coding = corpus.coding
-    sidecar = _sidecar(path)
-    with suppress(FileNotFoundError), open(sidecar, "rb") as old:
-        if old.read(len(_CODING_MAGIC)) == _CODING_MAGIC:
-            sidecar.unlink()
-    literal = list(map(encode_basestring, coding.vocab)).__getitem__
-    token_at = coding.sentence_starts.tolist()
-    first = coding.document_starts.tolist()
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    digest = hashlib.sha256()
-    with open(path, "wb") as out:
-        for doc_id, paragraphs, a, b in zip(coding.ids, coding.paragraphs, first, first[1:]):
-            start = token_at[a]
-            words = list(map(literal, coding.codes[start : token_at[b]].tolist()))
-            sentences = ", ".join(
-                ["[" + ", ".join(words[s - start : e - start]) + "]" for s, e in zip(token_at[a:b], token_at[a + 1 : b + 1])]
-            )
-            tail = "}\n" if paragraphs is None else ', "paragraphs": ' + encode(paragraphs) + "}\n"
-            line = ('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail).encode()
-            out.write(line)
-            digest.update(line)
-        size = out.tell()
+    size, digest = _CODING.write_text(path, _jsonl_lines(coding))
     # ingest drops an empty sentence and rejects a file without documents,
     # so a sidecar would not give what ingesting the JSONL gives
     if not coding.ids or (coding.sentence_starts[1:] == coding.sentence_starts[:-1]).any():
@@ -791,12 +867,5 @@ def export_corpus(corpus: Corpus, path) -> None:
         np.ascontiguousarray(coding.sentence_starts, dtype="<i8"),
         np.ascontiguousarray(coding.document_starts, dtype="<i8"),
     ]
-    payload_digest = hashlib.sha256()
-    for part in payload:
-        payload_digest.update(part)
     counts = [len(coding.vocab), len(coding.ids), len(coding.sentence_starts) - 1, len(coding.codes)]
-    values = [1, size, digest.hexdigest(), *counts, payload_digest.hexdigest()]
-    header = "".join(f"\t{name}={value}" for name, value in zip(_CODING_FIELDS, values)) + "\n"
-    with open(sidecar, "wb") as out:
-        out.write(_CODING_MAGIC + header.encode())
-        out.writelines(payload)
+    _CODING.write(path, size, digest, counts, payload)

@@ -795,6 +795,12 @@ class TestPipelineArtifacts:
         "cooc_reference_tfidf.tsv",
         "cooc_generic_tfidf.tsv",
         "cooc_filtered_tfidf.tsv",
+        "cooc_reference_tm.tsv.pairs",
+        "cooc_generic_tm.tsv.pairs",
+        "cooc_filtered_tm.tsv.pairs",
+        "cooc_reference_tfidf.tsv.pairs",
+        "cooc_generic_tfidf.tsv.pairs",
+        "cooc_filtered_tfidf.tsv.pairs",
         "systems.tsv",
         "eval_report.tsv",
         "pseudorels.txt",
@@ -927,7 +933,7 @@ class TestPipelineArtifacts:
             }
 
         from_run, from_chain = tree(run_dir), tree(out)
-        assert len(from_run) == 28
+        assert len(from_run) == 34
         assert {f"corpus_{role}.jsonl.coding" for role in ("reference", "generic", "target")} <= from_run.keys()
         assert from_chain.keys() == from_run.keys()
         for name, data in from_run.items():
@@ -1356,6 +1362,34 @@ class TestMutatedInputs:
             "rank", "--mode", "context", "--alpha", "2", "--target", str(target),
             "--dict", str(pipeline_dir / "dict_tm.tsv"), "--cooc", str(pipeline_dir / "cooc_filtered_tm.tsv"),
             "--out", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        expected = out.read_bytes()
+        rng = random.Random(sidecar.name)
+        for _ in range(2):
+            for label, damaged in mutations(data, b"\t", rng):
+                sidecar.write_bytes(damaged)
+                out.unlink(missing_ok=True)
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_DATA), (label, err)
+                if code == EXIT_OK:
+                    assert out.read_bytes() == expected, label
+                else:
+                    assert str(sidecar) in err, (label, err)
+
+    def test_a_cooc_sidecar(self, pipeline_dir, tmp_path, capsys):
+        """A damaged ``.pairs`` sidecar never changes what a stage computes:
+        ``rank`` exits 0 with the undamaged run's list, or exits 2 naming
+        the sidecar."""
+        matrix = tmp_path / "cooc_filtered_tm.tsv"
+        self.copy(pipeline_dir / matrix.name, matrix)
+        sidecar = tmp_path / "cooc_filtered_tm.tsv.pairs"
+        data = self.copy(pipeline_dir / sidecar.name, sidecar)
+        out = tmp_path / "out.tsv"
+        argv = [
+            "rank", "--mode", "context", "--alpha", "2", "--target", str(pipeline_dir / "corpus_target.jsonl"),
+            "--dict", str(pipeline_dir / "dict_tm.tsv"), "--cooc", str(matrix), "--out", str(out),
         ]
         assert main(argv) == EXIT_OK
         expected = out.read_bytes()

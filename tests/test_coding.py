@@ -1,8 +1,10 @@
 """The integer coding of a corpus: what ingest, hand-built corpora, views
-and export make of it, and that no stage reads a document's strings."""
+and export make of it, and that no stage reads a document's strings; and the
+sidecar writer that its ``.coding`` file shares with the matrices' ``.pairs``."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -18,12 +20,16 @@ from dictsieve import (
     Corpus,
     Document,
     build_cooc,
+    corpus as corpus_module,
     export_corpus,
     filter_cooc,
     fit_lda,
     ingest_corpus,
+    load_cooc,
+    save_cooc,
     term_stats,
 )
+from dictsieve.cooc import CoocMatrix
 from dictsieve.corpus import _check_doc_id
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.scoring import sentence_features
@@ -368,10 +374,12 @@ class TestSidecar:
             (lambda header, payload: (header.replace(b"\ttokens=5", b""), payload), ":1: malformed coding header"),
             (lambda header, payload: (header.replace(b"tokens=5", b"tokens=x"), payload), ":1: malformed coding header"),
             (lambda header, payload: (header.replace(b"tokens=5", b"tokens"), payload), ":1: malformed coding header"),
+            (lambda header, payload: (header.replace(b"jsonl_bytes=", b"jsonl_bytes=x"), payload),
+             ":1: malformed coding header"),
             (lambda header, payload: (header[:-3], payload), ":1: malformed coding header"),
             (lambda header, payload: (header, payload[:-1] + b"\1"), ": payload does not match its sha256"),
         ],
-        ids=["missing-field", "not-a-count", "no-equals", "bad-hash", "payload-changed"],
+        ids=["missing-field", "not-a-count", "no-equals", "bytes-not-a-count", "bad-hash", "payload-changed"],
     )
     def test_a_damaged_header_or_hash_names_the_sidecar(self, small, damage, message):
         sidecar = sidecar_of(small)
@@ -418,3 +426,65 @@ class TestSidecar:
         export_corpus(Corpus(documents=SMALL, role="target"), path)
         export_corpus(Corpus(documents=[], role="target"), path)
         assert not sidecar.exists()
+
+
+class FailingPayload:
+    """A sidecar file whose first payload write stops halfway, as on a full
+    disk; the header is the first write."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            data = memoryview(data).cast("B")
+            self.stream.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.stream.write(data)
+
+
+def matrix_of(corpus: Corpus) -> CoocMatrix:
+    """A matrix that differs with the number of documents of ``corpus``."""
+    return CoocMatrix.from_pairs(("a", "b", "c"), {("a", "b"): 0.5, ("b", "c"): 1 / len(corpus)}, "filtered")
+
+
+def matrix_view(matrix: CoocMatrix) -> tuple:
+    return matrix.terms, matrix.provenance, matrix.keys.tolist(), matrix.values.tolist()
+
+
+@pytest.mark.parametrize(
+    "name, make, write, read, view",
+    [
+        ("small.jsonl", lambda corpus: corpus, export_corpus, ingest_corpus, coding_of),
+        ("cooc.tsv", matrix_of, save_cooc, load_cooc, matrix_view),
+    ],
+    ids=["coding", "pairs"],
+)
+def test_a_sidecar_write_that_fails_leaves_no_sidecar(monkeypatch, tmp_path, name, make, write, read, view):
+    """A sidecar is written under a temporary name and renamed into place:
+    a write that fails partway through the payload leaves neither the
+    sidecar nor the temporary file, and the next read parses the text,
+    which was written whole before the sidecar."""
+    path = tmp_path / name
+    write(make(Corpus(documents=SMALL, role="target")), path)
+    assert len(list(tmp_path.iterdir())) == 2
+    written = make(Corpus(documents=[*SMALL, Document("d3", [["d"]])], role="target"))
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        stream = open(file, mode, *args, **kwargs)
+        return FailingPayload(stream) if str(file).endswith(".tmp") else stream
+
+    monkeypatch.setattr(corpus_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(written, path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert view(read(path)) == view(written)

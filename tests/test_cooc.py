@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dictsieve import (
@@ -929,3 +931,194 @@ class TestPersistence:
         assert (loaded.terms, loaded.provenance) == (terms, provenance)
         assert dict(loaded.pairs()) == values
         assert loaded.norms == matrix.norms
+
+
+# ---------------------------------------------------------------------------
+# the sidecar that ``save_cooc`` writes beside a matrix's TSV file
+
+
+def pairs_of(path) -> Path:
+    return Path(f"{path}.pairs")
+
+
+def write_pairs(path, keys, values, n_pairs=None, extra=b""):
+    """The sidecar of the TSV file at ``path``, built from its arrays with
+    both hashes correct, so only the payload's own checks can reject it.
+    ``n_pairs`` replaces the header's count, and ``extra`` is appended to
+    the payload."""
+    keys = np.asarray(keys, dtype="<i8")
+    payload = keys.tobytes() + np.asarray(values, dtype="<f8").tobytes() + extra
+    tsv = Path(path).read_bytes()
+    fields = [
+        "#dictsieve-pairs",
+        "version=1",
+        f"tsv_bytes={len(tsv)}",
+        f"tsv_sha256={hashlib.sha256(tsv).hexdigest()}",
+        f"pairs={len(keys) if n_pairs is None else n_pairs}",
+        f"payload_sha256={hashlib.sha256(payload).hexdigest()}",
+    ]
+    pairs_of(path).write_bytes("\t".join(fields).encode() + b"\n" + payload)
+
+
+# keys over the three terms a < b < c are a * 3 + b: (a, b) 1, (a, c) 2, (b, c) 5
+SMALL_MATRIX = CoocMatrix.from_pairs(("c", "a", "b"), {("a", "b"): 0.5, ("a", "c"): 0.25, ("b", "c"): 1.0}, "generic")
+
+TERM = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), min_size=1, max_size=6)
+
+
+@st.composite
+def matrices(draw) -> CoocMatrix:
+    terms = tuple(draw(st.lists(TERM, max_size=8, unique=True)))
+    pairs = [tuple(sorted(pair)) for pair in combinations(terms, 2)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    return CoocMatrix.from_pairs(terms, {pair: draw(unit) for pair in chosen}, draw(st.sampled_from(PROVENANCES)))
+
+
+def as_loaded(matrix: CoocMatrix) -> tuple:
+    """A matrix's terms, provenance, dtypes, keys and value bits."""
+    return (matrix.terms, matrix.provenance, matrix.keys.dtype, matrix.values.dtype,
+            matrix.keys.tolist(), matrix.values.view(np.int64).tolist())
+
+
+@pytest.fixture
+def small_tsv(tmp_path) -> Path:
+    path = tmp_path / "cooc.tsv"
+    save_cooc(SMALL_MATRIX, path)
+    return path
+
+
+class TestPairsSidecar:
+    @settings(deadline=None)
+    @given(matrix=matrices())
+    @example(matrix=CoocMatrix((), np.empty(0, np.int64), np.empty(0), "filtered"))
+    @example(matrix=CoocMatrix.from_pairs(("a",), {}, "reference"))
+    @example(matrix=CoocMatrix.from_pairs(("b", "a"), {("a", "b"): 5e-324}, "generic"))
+    def test_round_trip_with_and_without_the_sidecar(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("pairs") / "cooc.tsv"
+        save_cooc(matrix, path)
+        assert pairs_of(path).read_bytes().startswith(b"#dictsieve-pairs\tversion=1\ttsv_bytes=")
+        through_sidecar = load_cooc(path)
+        pairs_of(path).unlink()
+        assert as_loaded(through_sidecar) == as_loaded(load_cooc(path)) == as_loaded(matrix)
+
+    def test_the_sidecar_is_what_load_reads(self, small_tsv):
+        write_pairs(small_tsv, [1, 5], [0.125, 0.75])
+        loaded = load_cooc(small_tsv)
+        assert (loaded.terms, loaded.provenance) == (SMALL_MATRIX.terms, SMALL_MATRIX.provenance)
+        assert dict(loaded.pairs()) == {("a", "b"): 0.125, ("b", "c"): 0.75}
+
+    def test_save_writes_the_documented_format(self, small_tsv):
+        written = pairs_of(small_tsv).read_bytes()
+        write_pairs(small_tsv, SMALL_MATRIX.keys, SMALL_MATRIX.values)
+        assert pairs_of(small_tsv).read_bytes() == written
+        assert written.split(b"\n", 1)[0].split(b"\t")[4] == b"pairs=3"
+        assert len(written.split(b"\n", 1)[1]) == 16 * 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda tsv, header: (tsv.replace(b"\t0.25\n", b"\t0.75\n"), header),  # same length, other bytes
+            lambda tsv, header: (tsv.replace(b"b\tc\t1.0\n", b""), header),
+            lambda tsv, header: (tsv + b"b\tc\t1.0\n", header),
+            lambda tsv, header: (tsv, b"notes about cooc.tsv\n"),
+            lambda tsv, header: (tsv, header.replace(b"version=1", b"version=2")),
+        ],
+        ids=["tsv-edited", "tsv-line-deleted", "tsv-appended", "not-a-sidecar", "other-version"],
+    )
+    def test_a_sidecar_for_other_bytes_is_ignored(self, small_tsv, tmp_path, edit):
+        sidecar = pairs_of(small_tsv)
+        header, payload = sidecar.read_bytes().split(b"\n", 1)
+        tsv, header = edit(small_tsv.read_bytes(), header + b"\n")
+        small_tsv.write_bytes(tsv)
+        sidecar.write_bytes(header + payload)
+        sidecar_data = sidecar.read_bytes()
+        parsed = tmp_path / "parsed.tsv"
+        parsed.write_bytes(tsv)
+        try:
+            expected = load_cooc(parsed)
+        except ValueError as exc:  # the appended line repeats a pair
+            with pytest.raises(ValueError, match=re.escape(str(exc).replace(str(parsed), str(small_tsv)))):
+                load_cooc(small_tsv)
+        else:
+            assert as_loaded(load_cooc(small_tsv)) == as_loaded(expected)
+        assert sidecar.read_bytes() == sidecar_data
+
+    @pytest.mark.parametrize(
+        "keys, values, options, message",
+        [
+            ([1, 1], [0.5, 0.5], {}, "pair keys are not strictly increasing"),
+            ([2, 1], [0.5, 0.5], {}, "pair keys are not strictly increasing"),
+            ([1, 4], [0.5, 0.5], {}, "pair key is not two terms in lexicographic order"),  # (b, b)
+            ([1, 3], [0.5, 0.5], {}, "pair key is not two terms in lexicographic order"),  # (b, a)
+            ([-1, 1], [0.5, 0.5], {}, "pair key out of range for 3 terms"),
+            ([1, 9], [0.5, 0.5], {}, "pair key out of range for 3 terms"),
+            ([1, 2], [0.5, 0.0], {}, "value is not a finite number in (0, 1]"),
+            ([1, 2], [-0.0, 0.5], {}, "value is not a finite number in (0, 1]"),
+            ([1, 2], [0.5, 1.5], {}, "value is not a finite number in (0, 1]"),
+            ([1, 2], [math.nan, 0.5], {}, "value is not a finite number in (0, 1]"),
+            ([1, 2], [0.5, math.inf], {}, "value is not a finite number in (0, 1]"),
+            ([1, 2], [0.5, -math.inf], {}, "value is not a finite number in (0, 1]"),
+            ([1, 2], [0.5, 0.5], {"n_pairs": 3}, "payload size does not match the pair count"),
+            ([1, 2], [0.5, 0.5], {"n_pairs": 1}, "payload size does not match the pair count"),
+            ([1, 2], [0.5, 0.5], {"extra": b"\0"}, "payload size does not match the pair count"),
+        ],
+    )
+    def test_a_damaged_payload_names_the_sidecar(self, small_tsv, keys, values, options, message):
+        write_pairs(small_tsv, keys, values, **options)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{pairs_of(small_tsv)}: {message}')}$"):
+            load_cooc(small_tsv)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda header, payload: (header.replace(b"\tpairs=3", b""), payload), ":1: malformed pairs header"),
+            (lambda header, payload: (header.replace(b"pairs=3", b"pairs=x"), payload), ":1: malformed pairs header"),
+            (lambda header, payload: (header.replace(b"pairs=3", b"pairs"), payload), ":1: malformed pairs header"),
+            (lambda header, payload: (header.replace(b"tsv_bytes=", b"tsv_bytes=x"), payload), ":1: malformed pairs header"),
+            (lambda header, payload: (header[:-3], payload), ":1: malformed pairs header"),
+            (lambda header, payload: (header + b"\xff", payload), ":1: malformed pairs header"),
+            (lambda header, payload: (header, payload[:-1] + b"\1"), ": payload does not match its sha256"),
+            (lambda header, payload: (header, payload[:-1]), ": payload does not match its sha256"),
+        ],
+        ids=["missing-field", "not-a-count", "no-equals", "bytes-not-a-count", "bad-hash", "not-ascii",
+             "payload-changed", "payload-truncated"],
+    )
+    def test_a_damaged_header_or_hash_names_the_sidecar(self, small_tsv, damage, message):
+        sidecar = pairs_of(small_tsv)
+        header, payload = damage(*sidecar.read_bytes().split(b"\n", 1))
+        sidecar.write_bytes(header + b"\n" + payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{sidecar}{message}')}$"):
+            load_cooc(small_tsv)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic"), ":3: value '1.5' is not a finite number"),
+            (CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 0.0}, "generic"), ":3: value '0.0' is not a finite number"),
+            (CoocMatrix(("a", "b"), np.array([1, 1]), np.array([0.5, 0.5]), "generic"), ":4: duplicate pair"),
+            (CoocMatrix(("a", "b"), np.array([-1]), np.array([0.5]), "generic"), ":3: pair ('b', 'b') is not in"),
+            (CoocMatrix(("a", "a"), np.empty(0, np.int64), np.empty(0), "generic"), ":2: duplicate term"),
+            # the term line reads as ("a", "b"), two terms as the header says
+            (CoocMatrix(("a\tb\nc", "d"), np.array([1]), np.array([0.5]), "generic"), ":3: expected 3"),
+        ],
+        ids=["value-above-1", "value-0", "repeated-key", "negative-key", "repeated-term", "term-with-tab-and-lf"],
+    )
+    def test_no_sidecar_for_a_matrix_that_load_rejects(self, tmp_path, matrix, message):
+        path = tmp_path / "bad.tsv"
+        save_cooc(matrix, path)
+        assert not pairs_of(path).exists()
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            load_cooc(path)
+
+    def test_save_removes_only_its_own_sidecars(self, tmp_path):
+        path = tmp_path / "cooc.tsv"
+        sidecar = pairs_of(path)
+        rejected = CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic")
+        sidecar.write_text("not a sidecar\n")
+        save_cooc(rejected, path)
+        assert sidecar.read_text() == "not a sidecar\n"
+        save_cooc(SMALL_MATRIX, path)
+        assert sidecar.read_bytes().startswith(b"#dictsieve-pairs\t")
+        save_cooc(rejected, path)
+        assert not sidecar.exists()
