@@ -32,7 +32,7 @@ from .corpus import (
     file_sha256,
     ingest_corpus,
     open_text,
-    read_blocks,
+    read_rows,
     term_stats,
 )
 from .dictionary import (
@@ -321,19 +321,18 @@ def _read_system_index(path) -> list[tuple[str, str, bool]]:
         header = stream.readline().rstrip("\n")
         if header != "system_id\tfile\tbiased":
             raise ValueError(f"not a system index: {path}")
-        for numbers, columns in read_blocks(stream, path, 3, 2):
-            for lineno, system_id, fname, biased in zip(numbers.tolist(), *columns):
-                # an empty file field would name the systems directory itself
-                if not fname:
-                    raise ValueError(f"{path}:{lineno}: file field is empty")
-                if "\0" in fname:
-                    raise ValueError(f"{path}:{lineno}: file {fname!r} contains a NUL byte")
-                if biased not in ("0", "1"):
-                    raise ValueError(f"{path}:{lineno}: biased must be 0 or 1, got {biased!r}")
-                if system_id in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate system id {system_id!r}")
-                seen.add(system_id)
-                rows.append((system_id, fname, biased == "1"))
+        for lineno, (system_id, fname, biased) in read_rows(stream, path, 3, 2):
+            # an empty file field would name the systems directory itself
+            if not fname:
+                raise ValueError(f"{path}:{lineno}: file field is empty")
+            if "\0" in fname:
+                raise ValueError(f"{path}:{lineno}: file {fname!r} contains a NUL byte")
+            if biased not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: biased must be 0 or 1, got {biased!r}")
+            if system_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate system id {system_id!r}")
+            seen.add(system_id)
+            rows.append((system_id, fname, biased == "1"))
     if not rows:
         raise ValueError(f"empty system index: {path}")
     return rows

@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, SidecarFormat, open_text, read_blocks, read_header
+from .corpus import Corpus, FloatText, SidecarFormat, open_text, read_header, read_rows
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -353,37 +353,13 @@ def _decode_pairs(payload: bytes, n_pairs: int, n: int, sidecar) -> tuple[np.nda
     return keys, values
 
 
-def _key_order(path, lexicon: tuple[str, ...], keys: np.ndarray, linenos: np.ndarray) -> np.ndarray:
-    """The stable order that sorts ``keys``, the pair keys read from lines
-    ``linenos`` of a file in file order; the first line that repeats an
-    earlier line's pair is reported as ``path:line``."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    # equal keys keep their file order, so every one after the first repeats it
-    repeats = order[1:][ordered[1:] == ordered[:-1]]
-    if repeats.size:
-        first = repeats.min()
-        a, b = divmod(int(keys[first]), len(lexicon))
-        raise ValueError(f"{path}:{linenos[first]}: duplicate pair ({lexicon[a]!r}, {lexicon[b]!r})")
-    return order
-
-
-def _number_or_nan(text: str) -> float:
-    """``float(text)``, or NaN for a text that is not a number."""
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
 def load_cooc(path) -> CoocMatrix:
     """Read a matrix written by ``save_cooc``.
 
     The header's n must count the listed terms, and every pair line must
     name two listed terms in lexicographic order, at most once, with a
     finite value in (0, 1]; a violation is reported as ``path:line``, the
-    first in file order.  Pair lines are checked a block at a time as
-    arrays.
+    first in file order.  Pair lines are parsed one at a time.
 
     The terms and the provenance are always read from the TSV's first two
     lines.  When the TSV has a ``.pairs`` sidecar (see ``save_cooc``) whose
@@ -403,8 +379,7 @@ def load_cooc(path) -> CoocMatrix:
         if terms_line[0] != "#terms":
             raise ValueError(f"missing term list in {path}")
         terms = tuple(terms_line[1:])
-        lexicon = tuple(sorted(terms))
-        rank = {t: r for r, t in enumerate(lexicon)}
+        rank = {t: r for r, t in enumerate(sorted(terms))}
         if len(rank) != len(terms):
             raise ValueError(f"{path}:2: duplicate term in the term list")
         if len(terms) != n:
@@ -413,38 +388,26 @@ def load_cooc(path) -> CoocMatrix:
         if found is not None:
             (n_pairs,), payload = found
             return CoocMatrix(terms, *_decode_pairs(payload, n_pairs, n, _PAIRS.path(path)), provenance)
-        keys, values, linenos = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
-        try:
-            for numbers, (a, b, texts) in read_blocks(stream, path, 3, 3):
-                ra, rb = (np.fromiter(map(rank.get, names, repeat(-1)), np.int64, len(names)) for names in (a, b))
-                try:
-                    value = np.fromiter(map(float, texts), np.float64, len(texts))
-                except ValueError:  # a text that is not a number, which fails the range check
-                    value = np.array([_number_or_nan(text) for text in texts])
-                bad_pair = (ra < 0) | (rb <= ra)
-                bad = np.flatnonzero(bad_pair | ~((0.0 < value) & (value <= 1.0)))
-                if bad.size:
-                    # the pairs before the bad line, and its own if only its
-                    # value is bad, are checked for repeats first
-                    i = bad[0]
-                    kept = i + (not bad_pair[i])
-                    keys.append(ra[:kept] * n + rb[:kept])
-                    linenos.append(numbers[:kept])
-                    if ra[i] < 0 or rb[i] < 0:
-                        message = f"term {a[i] if ra[i] < 0 else b[i]!r} is not in the term list"
-                    elif bad_pair[i]:
-                        message = f"pair ({a[i]!r}, {b[i]!r}) is not in lexicographic order"
-                    else:
-                        message = f"value {texts[i]!r} is not a finite number in (0, 1]"
-                    raise ValueError(f"{path}:{numbers[i]}: {message}")
-                keys.append(ra * n + rb)
-                values.append(value)
-                linenos.append(numbers)
-        except ValueError:
-            # a pair repeated before the first bad line is the first error
-            _key_order(path, lexicon, np.concatenate(keys), np.concatenate(linenos))
-            raise
-    keys = np.concatenate(keys)
-    order = _key_order(path, lexicon, keys, np.concatenate(linenos))
-    return CoocMatrix(terms, keys[order], np.concatenate(values)[order], provenance)
+        keys, values, seen = [], [], set()
+        for lineno, (a, b, text) in read_rows(stream, path, 3, 3):
+            ra, rb = rank.get(a, -1), rank.get(b, -1)
+            if ra < 0 or rb < 0:
+                raise ValueError(f"{path}:{lineno}: term {a if ra < 0 else b!r} is not in the term list")
+            if ra >= rb:
+                raise ValueError(f"{path}:{lineno}: pair ({a!r}, {b!r}) is not in lexicographic order")
+            key = ra * n + rb
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate pair ({a!r}, {b!r})")
+            seen.add(key)
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number in (0, 1]")
+            keys.append(key)
+            values.append(value)
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys)
+    return CoocMatrix(terms, keys[order], np.array(values, dtype=np.float64)[order], provenance)
 

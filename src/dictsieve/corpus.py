@@ -28,7 +28,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -53,20 +53,11 @@ _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 _MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
 
-# ``read_blocks`` reads about this many characters of whole lines at a time:
-# enough lines that its per-block array work is cheap per line, few enough
-# that a reader's memory does not grow with the file.
-_BLOCK_CHARS = 1 << 16
-
 # a sidecar header takes about 300 bytes, so a longer first line is malformed
 _HEADER_LIMIT = 1024
 # ``file_sha256`` reads this many bytes at a time
 _HASH_CHUNK = 1 << 20
 _SHA256_RE = re.compile(r"[0-9a-f]{64}")
-
-# every byte but TAB and LF, which ``bytes.translate`` deletes to leave the
-# field and line separators of a block
-_NOT_TAB_OR_LF = bytes(sorted(set(range(256)) - {9, 10}))
 
 
 def tokenize(text: str) -> list[str]:
@@ -464,10 +455,8 @@ class _Utf8Lines:
     decodes ahead of the lines asked for, never fails, and a byte that is
     not UTF-8 stays in its line as a lone surrogate.  ``readline``, iteration
     and ``read`` report the first such line as ``path:line: not UTF-8 text``
-    when they reach it, after every line before it.  ``readlines`` returns
-    its block unchecked for ``read_blocks``, which checks each block as it
-    checks the block's fields.  A valid UTF-8 file holds no lone surrogate,
-    so no line of one is rejected.
+    when they reach it, after every line before it.  A valid UTF-8 file
+    holds no lone surrogate, so no line of one is rejected.
     """
 
     def __init__(self, stream, path):
@@ -487,11 +476,6 @@ class _Utf8Lines:
 
     def __iter__(self):
         return map(self._checked, self._stream)
-
-    def readlines(self, hint: int = -1) -> list[str]:
-        lines = self._stream.readlines(hint)
-        self._lineno += len(lines)
-        return lines
 
     def read(self) -> str:
         text = self._stream.read()
@@ -538,41 +522,19 @@ def read_header(stream, path, magic: str, kind: str, key: str) -> tuple[str, int
     return values[key], int(n_text)
 
 
-def read_blocks(stream, path, width: int, start: int):
-    """Yield (line numbers, columns) for the non-blank lines of the rest of
-    ``stream``, its first line numbered ``start``, a block of whole lines at
-    a time: ``columns`` holds ``width`` lists, the i-th field of every line
-    in the i-th.  A line without exactly ``width`` tab-separated fields, or
-    holding a byte that is not UTF-8 (escaped by ``open_text``), is reported
-    as ``path:line`` once the lines before it have been yielded, so a caller
+def read_rows(stream, path, width: int, start: int):
+    """Yield (line number, fields) for the non-blank lines of the rest of
+    ``stream``, its first line numbered ``start``.  A line without exactly
+    ``width`` tab-separated fields is reported as ``path:line``, and one
+    that is not UTF-8 by ``open_text``'s stream as it is read, so a caller
     meets every bad line in file order."""
-    separators = b"\t" * (width - 1) + b"\n"
-    while lines := stream.readlines(_BLOCK_CHARS):
-        if not lines[-1].endswith("\n"):  # the file's last line
-            lines[-1] += "\n"
-        numbers = np.arange(start, start + len(lines), dtype=np.int64)
-        start += len(lines)
-        blank = np.fromiter(map(str.isspace, lines), bool, len(lines))
-        if blank.any():
-            lines = list(compress(lines, ~blank))
-            numbers = numbers[~blank]
-        block = "".join(lines)
-        good = len(lines)
-        error = None
-        marks = block.encode(errors="surrogateescape").translate(None, _NOT_TAB_OR_LF)
-        if marks != separators * good:
-            counts = [len(tabs) + 1 for tabs in marks.split(b"\n")]
-            good = next(i for i, count in enumerate(counts) if count != width)
-            error = f"expected {width} tab-separated fields, got {counts[good]}"
-        if not block.isascii() and (escaped := _SURROGATE_RE.search(block)):
-            undecodable = block.count("\n", 0, escaped.start())
-            if undecodable <= good:
-                good, error = undecodable, "not UTF-8 text"
-        if good:  # the fields of the lines before a bad one split in step
-            fields = block.replace("\n", "\t").split("\t")
-            yield numbers[:good], [fields[i : good * width : width] for i in range(width)]
-        if error:
-            raise ValueError(f"{path}:{numbers[good]}: {error}")
+    for lineno, line in enumerate(stream, start=start):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}")
+        yield lineno, fields
 
 
 def file_sha256(path) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, TermStats, open_text, read_blocks, read_header, term_stats
+from .corpus import Corpus, TermStats, open_text, read_header, read_rows, term_stats
 from .topics import TopicModelResult
 
 METHOD_TOPIC_MODEL = "topic-model"
@@ -153,22 +153,21 @@ def load_dictionary(path) -> Dictionary:
             raise ValueError(f"{path}:1: unknown dictionary method {method!r}")
         entries = []
         seen = set()
-        for numbers, columns in read_blocks(stream, path, 4, 2):
-            for lineno, rank_text, term, weight_text, boost_text in zip(numbers.tolist(), *columns):
-                try:
-                    rank, weight, boost_value = int(rank_text), float(weight_text), float(boost_text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: rank, weight and boost must be numbers") from None
-                if rank != len(entries) + 1:
-                    raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
-                if not (math.isfinite(weight) and math.isfinite(boost_value)):
-                    raise ValueError(f"{path}:{lineno}: weight and boost must be finite")
-                if boost_value != boost(rank):
-                    raise ValueError(f"{path}:{lineno}: boost {boost_text} is not 1/sqrt({rank}) = {boost(rank)!r}")
-                if term in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
-                seen.add(term)
-                entries.append(DictionaryEntry(term=term, weight=weight, rank=rank, boost=boost_value))
+        for lineno, (rank_text, term, weight_text, boost_text) in read_rows(stream, path, 4, 2):
+            try:
+                rank, weight, boost_value = int(rank_text), float(weight_text), float(boost_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: rank, weight and boost must be numbers") from None
+            if rank != len(entries) + 1:
+                raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
+            if not (math.isfinite(weight) and math.isfinite(boost_value)):
+                raise ValueError(f"{path}:{lineno}: weight and boost must be finite")
+            if boost_value != boost(rank):
+                raise ValueError(f"{path}:{lineno}: boost {boost_text} is not 1/sqrt({rank}) = {boost(rank)!r}")
+            if term in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
+            seen.add(term)
+            entries.append(DictionaryEntry(term=term, weight=weight, rank=rank, boost=boost_value))
     if len(entries) != n:
         raise ValueError(f"{path}:1: header says n={n} but the file has {len(entries)} entries")
     return Dictionary(entries=entries, method=method)

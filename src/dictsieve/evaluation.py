@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, open_text, term_stats
+from .corpus import Corpus, _check_doc_id, open_text, term_stats
 from .dictionary import Dictionary
 from .retrieval import RankedList, check_matrix, format_alpha, rank_collection
 from .scoring import ScoringConfig, compute_norms, sentence_features
@@ -386,17 +386,19 @@ def write_p_at_k(table: dict[tuple[int, int], float], path) -> None:
 
 
 def read_judgments(path) -> dict[str, bool]:
-    """Parse a `doc_id<TAB>0|1` file into a judgment map."""
+    """Parse a `doc_id<TAB>0|1` file into a judgment map, skipping blank
+    lines and lines that start with '#'; each doc id must be one that ingest
+    accepts."""
     judgments: dict[str, bool] = {}
     with open_text(path) as stream:
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(stream, start=1):
+            if not line.strip() or line.startswith("#"):
                 continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 2 or parts[1] not in ("0", "1"):
                 raise ValueError(f"{path}:{lineno}: expected 'doc_id<TAB>0|1'")
             doc_id, flag = parts
+            _check_doc_id(doc_id, f"{path}:{lineno}")
             if doc_id in judgments:
                 raise ValueError(f"{path}:{lineno}: duplicate judgment for {doc_id}")
             judgments[doc_id] = flag == "1"

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, TermStats, open_text, read_blocks, term_stats
+from .corpus import Corpus, TermStats, _check_doc_id, open_text, read_rows, term_stats
 from .dictionary import Dictionary
 from .scoring import (
     CollectionNorms,
@@ -148,8 +148,8 @@ def load_ranked_list(path) -> RankedList:
     """Read a list written by ``save_ranked_list``.
 
     Every line must hold 3 fields: ranks run 1..m in file order, scores are
-    finite, positive and non-increasing, and no doc id repeats; a violation
-    is reported as ``path:line``.
+    finite, positive and non-increasing, and each doc id is one that ingest
+    accepts and appears once; a violation is reported as ``path:line``.
     """
     with open_text(path) as stream:
         header = stream.readline().rstrip("\n")
@@ -158,23 +158,23 @@ def load_ranked_list(path) -> RankedList:
         system_id = header[len("# system_id=") :]
         entries: list[RankedEntry] = []
         seen = set()
-        for numbers, columns in read_blocks(stream, path, 3, 2):
-            for lineno, rank_text, doc_id, score_text in zip(numbers.tolist(), *columns):
-                try:
-                    rank, score = int(rank_text), float(score_text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: rank and score must be numbers") from None
-                if rank != len(entries) + 1:
-                    raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
-                if not math.isfinite(score):
-                    raise ValueError(f"{path}:{lineno}: score {score_text!r} is not finite")
-                # ``rank_collection`` drops every document that scores 0
-                if score <= 0.0:
-                    raise ValueError(f"{path}:{lineno}: score {score_text!r} is not positive")
-                if entries and score > entries[-1].score:
-                    raise ValueError(f"{path}:{lineno}: score {score_text} is above the score of rank {rank - 1}")
-                if doc_id in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
-                seen.add(doc_id)
-                entries.append(RankedEntry(doc_id=doc_id, score=score, rank=rank))
+        for lineno, (rank_text, doc_id, score_text) in read_rows(stream, path, 3, 2):
+            try:
+                rank, score = int(rank_text), float(score_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: rank and score must be numbers") from None
+            if rank != len(entries) + 1:
+                raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {score_text!r} is not finite")
+            # ``rank_collection`` drops every document that scores 0
+            if score <= 0.0:
+                raise ValueError(f"{path}:{lineno}: score {score_text!r} is not positive")
+            if entries and score > entries[-1].score:
+                raise ValueError(f"{path}:{lineno}: score {score_text} is above the score of rank {rank - 1}")
+            _check_doc_id(doc_id, f"{path}:{lineno}")
+            if doc_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
+            seen.add(doc_id)
+            entries.append(RankedEntry(doc_id=doc_id, score=score, rank=rank))
     return RankedList(system_id=system_id, entries=entries)

@@ -702,6 +702,16 @@ class TestSubcommands:
         assert code == EXIT_DATA
         assert f"{index}:{lineno}: {message}" in capsys.readouterr().err
 
+    def test_fuse_rejects_a_ranked_doc_id_that_pseudorels_cannot_hold(self, tmp_path, capsys):
+        """``#x`` would be written to ``pseudorels.txt``, which ``map``
+        reads back skipping it as a comment."""
+        (tmp_path / "systems.tsv").write_text("system_id\tfile\tbiased\na\ta.tsv\t1\nb\tb.tsv\t1\n")
+        for system_id in "ab":
+            (tmp_path / f"{system_id}.tsv").write_text(f"# system_id={system_id}\n1\t#x\t1.0\n2\td1\t0.5\n")
+        assert main(["fuse", "--systems-dir", str(tmp_path)]) == EXIT_DATA
+        assert f"{tmp_path / 'a.tsv'}:2: document id '#x' starts with '#'" in capsys.readouterr().err
+        assert not (tmp_path / "pseudorels.txt").exists()
+
 
 # every reader of a file the tool takes as input, called on ``path``
 TEXT_READERS = {

@@ -8,7 +8,6 @@ import math
 import random
 import re
 
-import numpy as np
 import pytest
 
 from dictsieve import (
@@ -20,7 +19,7 @@ from dictsieve import (
     term_stats,
     tokenize,
 )
-from dictsieve.corpus import FloatText, TextFloat, open_text, read_blocks
+from dictsieve.corpus import FloatText, TextFloat, open_text, read_rows
 
 
 class TestTokenize:
@@ -588,9 +587,9 @@ def frozen_read_rows(stream, path, width: int, start: int):
         yield lineno, fields
 
 
-class TestReadBlocks:
-    """``read_blocks`` yields the rows of the line loop it replaced, and
-    fails at the same line with the same message, across block boundaries."""
+class TestReadRows:
+    """``read_rows`` yields the rows of the frozen line loop, and fails at
+    the same line with the same message."""
 
     @staticmethod
     def outcome(path, read):
@@ -608,7 +607,7 @@ class TestReadBlocks:
         rng = random.Random(seed)
         width = rng.randint(1, 4)
         lines = ["\t".join(f"f{i}.{j}" for j in range(width)) + "\n" for i in range(rng.choice((0, 3, 15000)))]
-        # one valid line longer than a block, then blank, CRLF, non-ASCII and bad lines
+        # one valid 70,000-character line, then blank, CRLF, non-ASCII and bad lines
         lines.insert(rng.randrange(len(lines) + 1), "\t".join(["x" * 70000] + ["y"] * (width - 1)) + "\n")
         for _ in range(rng.randint(0, 8)):
             at = rng.randrange(len(lines) + 1)
@@ -618,13 +617,8 @@ class TestReadBlocks:
         path = tmp_path / "rows.tsv"
         path.write_bytes(("header\n" + "".join(lines)).encode())
 
-        def blocks(stream, path):
-            for numbers, columns in read_blocks(stream, path, width, 2):
-                assert numbers.dtype == np.int64 and all(len(column) == len(numbers) for column in columns)
-                yield from ((lineno, list(fields)) for lineno, *fields in zip(numbers.tolist(), *columns))
-
         frozen = self.outcome(path, lambda stream, path: frozen_read_rows(stream, path, width, 2))
-        assert self.outcome(path, blocks) == frozen
+        assert self.outcome(path, lambda stream, path: read_rows(stream, path, width, 2)) == frozen
 
     @pytest.mark.parametrize(
         "line_3, line_5, message",
@@ -644,6 +638,6 @@ class TestReadBlocks:
         with open_text(path) as stream:
             stream.readline()
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{message}$"):
-                for numbers, columns in read_blocks(stream, path, 3, 2):
-                    rows += numbers.tolist()
+                for lineno, _ in read_rows(stream, path, 3, 2):
+                    rows.append(lineno)
         assert rows == list(range(2, int(message.split(":")[0])))

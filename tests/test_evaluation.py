@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -531,7 +532,7 @@ class TestFileFormats:
 
     def test_read_judgments(self, tmp_path):
         path = tmp_path / "judgments.tsv"
-        path.write_text("# comment\nd1\t1\nd2\t0\n\n")
+        path.write_text("# comment\nd1\t1\n \t \nd2\t0\n\n")
         assert read_judgments(path) == {"d1": True, "d2": False}
 
     def test_read_judgments_errors(self, tmp_path):
@@ -547,3 +548,11 @@ class TestFileFormats:
         empty.write_text("# only comments\n")
         with pytest.raises(ValueError, match="no judgments found"):
             read_judgments(empty)
+        for line, message in [
+            ("\t1", "document id '' is empty"),
+            (" d2\t0", "document id ' d2' is empty or has leading or trailing whitespace"),
+        ]:
+            bad_id = tmp_path / "bad_id.tsv"
+            bad_id.write_text(f"d1\t1\n{line}\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{bad_id}:2: {message}')}"):
+                read_judgments(bad_id)

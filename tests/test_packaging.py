@@ -1,5 +1,6 @@
 """numpy stays the only runtime dependency: in the package metadata and in
-every import of the package's modules."""
+every import of the package's modules, each of which uses every name it
+imports."""
 
 from __future__ import annotations
 
@@ -31,3 +32,21 @@ def test_modules_import_only_the_standard_library_and_numpy(module):
             imported.append(node.module)
     outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert outside == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "dictsieve").glob("*.py")))
+def test_modules_use_every_name_they_import(module):
+    """A name bound by an import is read somewhere in the module, or listed
+    in its ``__all__``."""
+    tree = ast.parse((ROOT / "src" / "dictsieve" / module).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []

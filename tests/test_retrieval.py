@@ -189,6 +189,12 @@ class TestPersistence:
             ("2\td1\t-0.5", "score '-0.5' is not positive"),
             ("2\td1\t1.5", "score 1.5 is above the score of rank 1"),
             ("2\td0\t0.5", "duplicate doc id 'd0'"),
+            # doc ids that ingest rejects, which ``read_pseudorels`` would
+            # skip as a comment or strip
+            ("2\t#x\t0.5", "document id '#x' starts with '#'"),
+            ("2\t d1\t0.5", "document id ' d1' is empty or has leading or trailing whitespace"),
+            ("2\td1 \t0.5", "document id 'd1 ' is empty or has leading or trailing whitespace"),
+            ("2\t\t0.5", "document id '' is empty or has leading or trailing whitespace"),
         ],
     )
     def test_rejects_bad_lines_with_their_location(self, tmp_path, line, message):
