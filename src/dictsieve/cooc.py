@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, SidecarFormat, open_text, read_header, read_rows
+from .corpus import Corpus, SidecarFormat, open_text, read_header, read_rows
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -280,16 +280,19 @@ def _tsv_chunks(matrix: CoocMatrix):
         f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={n}\n"
         + "#terms" + "".join("\t" + term for term in matrix.terms) + "\n"
     ).encode()
-    # each term with the tab after it: a pair line is four strings, joined
-    # with every other line of a chunk in one ``join``
+    # each term with the tab after it and each distinct value's line end: a
+    # pair line is three strings, joined with every other line of a chunk in
+    # one ``join``.  Values are told apart by their bits, so ``0.0`` and
+    # ``-0.0`` keep their own texts.
     head = [term + "\t" for term in matrix.lexicon].__getitem__
-    text = FloatText().__getitem__
+    bits, value_index = np.unique(np.asarray(matrix.values, np.float64).view(np.int64), return_inverse=True)
+    tail = [repr(value) + "\n" for value in bits.view(np.float64).tolist()].__getitem__
     for start in range(0, len(matrix), _PAIRS_PER_WRITE):
         a, b = (ranks.tolist() for ranks in np.divmod(matrix.keys[start : start + _PAIRS_PER_WRITE], n))
-        parts = ["\n"] * (4 * len(a))
-        parts[0::4] = map(head, a)
-        parts[1::4] = map(head, b)
-        parts[2::4] = map(text, matrix.values[start : start + _PAIRS_PER_WRITE].tolist())
+        parts = [""] * (3 * len(a))
+        parts[0::3] = map(head, a)
+        parts[1::3] = map(head, b)
+        parts[2::3] = map(tail, value_index[start : start + _PAIRS_PER_WRITE].tolist())
         yield "".join(parts).encode()
 
 

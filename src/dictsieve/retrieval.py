@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,10 @@ def make_system_id(dictionary: Dictionary, config: ScoringConfig) -> str:
     return f"{dictionary.method_label}:{config.mode}:alpha={format_alpha(config.alpha)}"
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
+    """One document of a ranked list, an immutable tuple built by keyword or
+    by position, in field order."""
+
     doc_id: str
     score: float
     rank: int
@@ -93,13 +96,14 @@ def rank_collection(
     """Score every target document and keep the top min(k, m) of them.
 
     Zero-score documents are dropped rather than padded, so the list length
-    m reflects actual matches.  Ties break by doc id, which makes ranking
-    idempotent and gives shorter runs the k-prefix property.  ``stats``,
-    ``norms`` and the target's ``sentence_features`` may be passed in to
-    share work across systems of a sweep.  Every mode makes one tfsim pass
-    and one contribution pass over the features, and scores each document
-    by adding its slice of the contributions; unigram mode ignores
-    ``features`` and runs the passes over a matrix without pairs.
+    m reflects actual matches.  Ties break by doc id, in code-point order
+    (``norms.id_rank``), which makes ranking idempotent and gives shorter
+    runs the k-prefix property.  ``stats``, ``norms`` and the target's
+    ``sentence_features`` may be passed in to share work across systems of
+    a sweep.  Every mode makes one tfsim pass and one contribution pass
+    over the features, and scores each document by adding its slice of the
+    contributions; unigram mode ignores ``features`` and runs the passes
+    over a matrix without pairs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -123,25 +127,23 @@ def rank_collection(
         tfsim_runs(features, config), boosts, features.offsets, norms.doc_log_avgtf, norms.doc_norm
     ).tolist()
     bounds = features.offsets.tolist()
-    scores = [
+    scores = np.array([
         score_context(dictionary, doc, cooc_filtered, norms, config, contributions[a:b])
         for doc, a, b in zip(target.documents, bounds, bounds[1:])
-    ]
-    scored = [(score, doc.id) for doc, score in zip(target.documents, scores) if score > 0.0]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    entries = [
-        RankedEntry(doc_id=doc_id, score=score, rank=rank)
-        for rank, (score, doc_id) in enumerate(scored[:k], start=1)
-    ]
+    ])
+    # by score descending, then doc id; only positive scores are listed
+    order = np.lexsort((norms.id_rank, -scores))
+    order = order[scores[order] > 0.0][:k]
+    doc_ids = map(norms.doc_ids.__getitem__, order.tolist())
+    entries = list(map(RankedEntry, doc_ids, scores[order].tolist(), range(1, len(order) + 1)))
     return RankedList(system_id=make_system_id(dictionary, config), entries=entries)
 
 
 def save_ranked_list(ranked: RankedList, path) -> None:
     """TSV `rank<TAB>doc_id<TAB>score` with the system id in a header comment."""
+    lines = [f"{rank}\t{doc_id}\t{score!r}\n" for doc_id, score, rank in ranked.entries]
     with open(path, "w", encoding="utf-8") as out:
-        out.write(f"# system_id={ranked.system_id}\n")
-        for e in ranked.entries:
-            out.write(f"{e.rank}\t{e.doc_id}\t{e.score!r}\n")
+        out.write("".join([f"# system_id={ranked.system_id}\n", *lines]))
 
 
 def load_ranked_list(path) -> RankedList:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
 import numpy as np
@@ -67,6 +67,12 @@ class CollectionNorms:
     doc_log_avgtf: np.ndarray
     doc_norm: np.ndarray
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each document's position in the sorted order of ``doc_ids``: a
+        ranking's tie-break, computed once per collection."""
+        return np.argsort(sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__))
+
 
 def compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> CollectionNorms:
     """pivot = mean |U_d|; norm(d) = 1/sqrt((1-slope)*pivot + slope*|U_d|)."""
@@ -104,6 +110,8 @@ def term_contributions(
     (``np.log`` differs in the last bit on some doubles) and the operations
     run in the formula's order, so every value has the bits of the scalar
     formula, and equal tf values give equal contributions in every mode.
+    Each run's log is its own ``math.log`` call: taking each distinct whole
+    tf's log once pays at alpha = 0 but costs more at every other alpha.
     """
     lengths = np.diff(offsets)
     floored = np.where(tf > _TFSIM_FLOOR, tf, _TFSIM_FLOOR)
@@ -163,7 +171,9 @@ class SentenceFeatures:
     between the sentence's binary dictionary-term vector and the term's
     filtered co-occurrence profile.  A cosine that is undefined (an empty
     profile, or no profile partner in the sentence) is stored as 0.0, which
-    adds exactly nothing for any finite alpha.
+    adds exactly nothing for any finite alpha.  The rows' summing order,
+    ``schedule``, is built on first use and kept, so the systems of a sweep
+    that share the features share it too.
     """
 
     offsets: np.ndarray
@@ -171,6 +181,13 @@ class SentenceFeatures:
     lengths: np.ndarray
     counts: np.ndarray
     cosines: np.ndarray
+
+    @cached_property
+    def schedule(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The steps of ``tfsim_runs``: at step p, the runs with more than p
+        rows and the index of each one's p-th row."""
+        start = np.cumsum(self.lengths) - self.lengths
+        return [(alive, start[alive] + p) for p, alive in position_major(self.lengths)]
 
 
 def sentence_features(corpus: Corpus, cooc_filtered: CoocMatrix) -> SentenceFeatures:
@@ -235,11 +252,9 @@ def tfsim_runs(features: SentenceFeatures, config: ScoringConfig) -> np.ndarray:
         values = 0.0 + config.alpha * features.cosines
     else:
         values = features.counts + config.alpha * features.cosines
-    lengths = features.lengths
-    start = np.cumsum(lengths) - lengths
-    totals = np.zeros(len(lengths))
-    for p, alive in position_major(lengths):
-        totals[alive] += values[start[alive] + p]
+    totals = np.zeros(len(features.lengths))
+    for alive, rows in features.schedule:
+        totals[alive] += values[rows]
     return totals
 
 
@@ -275,8 +290,12 @@ def score_context(
     The score adds d's term contributions left to right.  ``contributions``
     are those floats in dictionary order, d's slice of the contribution
     pass that ``rank_collection`` makes over the whole target; they are
-    computed here from ``d`` alone otherwise.
+    computed here from ``d`` alone otherwise.  A non-empty slice is added
+    at once: it holds a run, a dictionary term present in d, so d has tokens
+    and the dictionary has terms.
     """
+    if contributions:
+        return reduce(add, contributions, 0.0)
     if not _scored(q, d, norms):
         return 0.0
     if contributions is None:

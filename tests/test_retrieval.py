@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsieve import (
     Corpus,
@@ -13,6 +16,7 @@ from dictsieve import (
     load_ranked_list,
     rank_collection,
     save_ranked_list,
+    score_dict,
     term_stats,
 )
 from dictsieve.cooc import CoocMatrix
@@ -40,6 +44,38 @@ def random_corpus(n_docs: int, seed: int, vocab_size: int = 20) -> Corpus:
         ]
         docs.append(Document(id=f"d{i:03d}", sentences=sentences))
     return Corpus(documents=docs, role="target")
+
+
+def frozen_ranking(documents, scores, k: int) -> list[tuple[str, float, int]]:
+    """Frozen reference: the ranking step of ``rank_collection`` as a sort of
+    (score, doc id) tuples by (-score, doc id), positive scores only, cut
+    at k; (doc id, score, rank) per entry."""
+    scored = [(score, doc.id) for doc, score in zip(documents, scores) if score > 0.0]
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(doc_id, score, rank) for rank, (score, doc_id) in enumerate(scored[:k], start=1)]
+
+
+# doc ids whose code-point order differs from the order they are drawn in
+RANKING_IDS = ("d10", "d9", "d1", "d2", "B", "a", "A", "b", "é", "e", "ä", "z", "Ω", "日本", "a b", "a1", "a10", "ß")
+# a small pool, so scores tie; a zero score is never listed
+SCORE_POOL = (0.0, 5e-324, 1 / 3, 0.5, 1.0, 2 / 3, 1e300)
+# documents of a few shapes: documents of one shape score alike
+SHAPES = ([["w0"]], [["w0", "w0", "z"]], [["w1", "z"], ["w0"]], [["z"]], [["w1", "w1"]], [])
+
+
+@st.composite
+def ranked_collections(draw, values):
+    """Distinct doc ids in drawn order, a value per document and a k from 1
+    to 3 past the number of documents."""
+    ids = draw(st.permutations(RANKING_IDS))[: draw(st.integers(1, len(RANKING_IDS)))]
+    drawn = draw(st.lists(st.sampled_from(values), min_size=len(ids), max_size=len(ids)))
+    return ids, drawn, draw(st.integers(1, len(ids) + 3))
+
+
+def entry_rows(entries) -> list[str]:
+    """Each (doc id, score, rank) with the types of score and rank, as text,
+    which holds every bit of the score."""
+    return [repr((doc_id, score, rank, type(score), type(rank))) for doc_id, score, rank in entries]
 
 
 class TestSystemIds:
@@ -79,6 +115,55 @@ class TestRankedList:
         entries = self.entries() + [RankedEntry(doc_id="x", score=0.5, rank=3)]
         with pytest.raises(ValueError, match="duplicate doc ids"):
             RankedList(system_id="s", entries=entries)
+
+
+class TestRankedEntry:
+    def test_keyword_and_positional_construction(self):
+        entry = RankedEntry(doc_id="x", score=0.5, rank=3)
+        assert entry == RankedEntry("x", 0.5, 3)
+        assert (entry.doc_id, entry.score, entry.rank) == ("x", 0.5, 3)
+        with pytest.raises(TypeError):
+            RankedEntry(doc_id="x", score=0.5)
+
+    def test_fields_cannot_be_assigned(self):
+        entry = RankedEntry(doc_id="x", score=0.5, rank=3)
+        for name, value in (("doc_id", "y"), ("score", 1.0), ("rank", 1)):
+            with pytest.raises(AttributeError):
+                setattr(entry, name, value)
+        assert entry == RankedEntry(doc_id="x", score=0.5, rank=3)
+
+    def test_repr(self):
+        assert repr(RankedEntry(doc_id="é", score=1 / 3, rank=12)) == (
+            "RankedEntry(doc_id='é', score=0.3333333333333333, rank=12)"
+        )
+
+
+class TestRankingOrder:
+    """The ranked list is the frozen tuple sort of its scores: ties broken
+    by code-point order of the doc ids, zero scores dropped, cut at k."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(collection=ranked_collections(SCORE_POOL))
+    def test_any_scores_rank_as_the_frozen_sort(self, collection):
+        ids, scores, k = collection
+        target = Corpus(documents=[Document(id=doc_id, sentences=[["w0"]]) for doc_id in ids], role="target")
+        by_id = dict(zip(ids, scores))
+        with mock.patch("dictsieve.retrieval.score_context", lambda q, d, *args: by_id[d.id]):
+            ranked = rank_collection(target, make_dictionary("w0"), None, ScoringConfig(), k)
+        assert entry_rows(ranked.entries) == entry_rows(frozen_ranking(target.documents, scores, k))
+
+    @settings(deadline=None, max_examples=60)
+    @given(collection=ranked_collections(range(len(SHAPES))))
+    def test_scored_documents_rank_as_the_frozen_sort(self, collection):
+        ids, shapes, k = collection
+        documents = [Document(id=doc_id, sentences=SHAPES[shape]) for doc_id, shape in zip(ids, shapes)]
+        target = Corpus(documents=documents, role="target")
+        q = make_dictionary("w0", "w1")
+        stats = term_stats(target)
+        norms = compute_norms(target, stats, ScoringConfig())
+        ranked = rank_collection(target, q, None, ScoringConfig(), k, stats=stats, norms=norms)
+        scores = [score_dict(q, doc, stats, norms) for doc in target.documents]
+        assert entry_rows(ranked.entries) == entry_rows(frozen_ranking(target.documents, scores, k))
 
 
 class TestRankCollection:

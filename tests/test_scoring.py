@@ -8,7 +8,10 @@ from collections import Counter
 from functools import reduce
 from operator import add
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsieve import (
     Corpus,
@@ -27,7 +30,7 @@ from dictsieve.cooc import CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.evaluation import DEFAULT_ALPHAS, sweep_configs
 from dictsieve.retrieval import make_system_id
-from dictsieve.scoring import ScoringConfig, _term_contribution, sentence_features
+from dictsieve.scoring import ScoringConfig, _term_contribution, sentence_features, term_contributions
 
 
 def make_dictionary(*terms: str) -> Dictionary:
@@ -111,7 +114,54 @@ class TestComputeNorms:
             compute_norms(corpus_of(), None, ScoringConfig())
 
 
+def scalar_contribution(tf: float, log_avgtf: float, boost_value: float, norm: float) -> float:
+    """Reference: one run's contribution by the scalar formula, in its
+    operation order, with ``math.log`` and tf floored at 1e-9."""
+    dampened = 1.0 + math.log(max(tf, 1e-9))
+    return dampened / (1.0 + log_avgtf) * boost_value * norm if dampened > 0.0 else 0.0
+
+
+# run tf values: counts, whole numbers up to 1e15, other values above 1 and
+# in (0, 1), zeros and negatives; the first three whole numbers are doubles
+# on which some numpy builds' ``np.log`` differs from ``math.log`` in the
+# last bit, and the difference survives 1 + ln tf
+TF_VALUES = st.one_of(
+    st.sampled_from([9170.0, 19143.0, 94869.0]),
+    st.integers(1, 60).map(float),
+    st.integers(0, 10**15).map(float),
+    st.floats(min_value=1.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.0, -0.0, -1.0, -0.5]),
+    st.floats(min_value=-1e15, max_value=-1e-300),
+)
+# each document: its runs' (tf, boost), its avgtf and its norm
+CONTRIBUTION_DOCUMENTS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(TF_VALUES, st.sampled_from([boost(r) for r in (1, 2, 7, 40, 500)])), max_size=8),
+        st.floats(min_value=1.0, max_value=50.0),
+        st.floats(min_value=0.01, max_value=2.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
 class TestTermContribution:
+    @settings(deadline=None, max_examples=300)
+    @given(documents=CONTRIBUTION_DOCUMENTS)
+    def test_every_run_equals_the_scalar_formula_bit_for_bit(self, documents):
+        runs = [(tf, math.log(avgtf), b, norm) for doc_runs, avgtf, norm in documents for tf, b in doc_runs]
+        values = term_contributions(
+            np.array([tf for tf, _, _, _ in runs], dtype=np.float64),
+            np.array([b for _, _, b, _ in runs], dtype=np.float64),
+            np.cumsum([0] + [len(doc_runs) for doc_runs, _, _ in documents]),
+            np.array([math.log(avgtf) for _, avgtf, _ in documents]),
+            np.array([norm for _, _, norm in documents]),
+        )
+        expected = np.array([scalar_contribution(*run) for run in runs], dtype=np.float64)
+        assert (values == expected).all()
+        assert values.tobytes() == expected.tobytes()
+
     def test_rank_one_single_occurrence_is_the_norm(self):
         assert _term_contribution(1.0, 0.0, boost(1), 0.25) == 0.25
 
