@@ -46,12 +46,14 @@ class Dictionary:
 
     entries: list[DictionaryEntry]
     method: str
+    terms: tuple[str, ...] = field(init=False, repr=False)
     _index: dict[str, DictionaryEntry] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_LABELS:
             raise ValueError(f"unknown dictionary method {self.method!r}")
-        self._index = {e.term: e for e in self.entries}
+        self.terms = tuple(e.term for e in self.entries)
+        self._index = dict(zip(self.terms, self.entries))
         if len(self._index) != len(self.entries):
             raise ValueError("dictionary terms must be unique")
 
@@ -66,10 +68,6 @@ class Dictionary:
 
     def entry(self, term: str) -> DictionaryEntry:
         return self._index[term]
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return tuple(e.term for e in self.entries)
 
     @property
     def method_label(self) -> str:

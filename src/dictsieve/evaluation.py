@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cooc import CoocMatrix
 from .corpus import Corpus, _check_doc_id, open_text, term_stats
 from .dictionary import Dictionary
@@ -136,9 +138,9 @@ def generate_sweep(
     With the default alphas both dictionaries yield 17 systems each.  The
     biased subset defaults to the extremes of each dictionary's sweep: the
     alpha=0 system (pure term frequency) and the context-only system.
-    Document statistics and length norms are shared across the whole sweep;
-    the sentence features, the only alpha-free part of tfsim, are computed
-    once per dictionary and shared by its systems.
+    Length norms are shared across the whole sweep; the sentence features,
+    the only alpha-free part of tfsim, are computed once per dictionary and
+    shared by its systems.
     """
     configs = sweep_configs(alphas, slope)
     pairs = [
@@ -151,16 +153,13 @@ def generate_sweep(
     for dictionary, cooc in pairs:
         check_matrix(dictionary, cooc, "context")
 
-    stats = term_stats(target)
-    norms = compute_norms(target, stats, ScoringConfig(slope=slope))
+    norms = compute_norms(target, term_stats(target), ScoringConfig(slope=slope))
     systems: list[RankedList] = []
     biased: list[str] = []
     for dictionary, cooc in pairs:
         features = sentence_features(target, cooc)
         for config in configs:
-            ranked = rank_collection(
-                target, dictionary, cooc, config, k, stats=stats, norms=norms, features=features
-            )
+            ranked = rank_collection(target, dictionary, cooc, config, k, norms=norms, features=features)
             systems.append(ranked)
             if config.mode == "context-only" or config.alpha == 0:
                 biased.append(ranked.system_id)
@@ -212,6 +211,10 @@ def condorcet_rank(pool: set[str], systems: SystemSet) -> list[tuple[str, int]]:
     strict majority of the biased systems (abstentions still count toward
     the denominator).  Ties in win count break by accumulated norm weight
     descending, then doc id.
+
+    The votes come from one S x P array of ranks, ``inf`` for a document a
+    system did not retrieve: a system's ranks are distinct, so it votes a
+    over b exactly when r(a) < r(b), and two unretrieved documents tie.
     """
     if not pool:
         raise ValueError("candidate pool is empty")
@@ -220,26 +223,14 @@ def condorcet_rank(pool: set[str], systems: SystemSet) -> list[tuple[str, int]]:
         raise ValueError("biased subset is empty")
 
     docs = sorted(pool)
-    rank_maps = [{doc: ranked.rank_of(doc) for doc in docs} for ranked in biased]
+    # ranks start at 1, so ``or`` only replaces an absent document's None
+    ranks = np.array([[ranked.rank_of(doc) or math.inf for doc in docs] for ranked in biased])
     n_systems = len(biased)
-    wins = {doc: 0 for doc in docs}
-    for i, a in enumerate(docs):
-        for b in docs[i + 1 :]:
-            votes_a = 0
-            votes_b = 0
-            for rank_map in rank_maps:
-                rank_a = rank_map[a]
-                rank_b = rank_map[b]
-                if rank_a is None and rank_b is None:
-                    continue
-                if rank_b is None or (rank_a is not None and rank_a < rank_b):
-                    votes_a += 1
-                else:
-                    votes_b += 1
-            if 2 * votes_a > n_systems:
-                wins[a] += 1
-            elif 2 * votes_b > n_systems:
-                wins[b] += 1
+    wins: dict[str, int] = {}
+    for j, doc in enumerate(docs):
+        # votes[b]: the biased systems that rank doc above pool document b
+        votes = np.count_nonzero(ranks[:, [j]] < ranks, axis=0)
+        wins[doc] = int(np.count_nonzero(2 * votes > n_systems))
 
     weights = norm_weights(systems)
     order = sorted(docs, key=lambda doc: (-wins[doc], -weights.get(doc, 0.0), doc))

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, TermStats, _check_doc_id, open_text, read_rows, term_stats
+from .corpus import Corpus, _check_doc_id, open_text, read_rows, term_stats
 from .dictionary import Dictionary
 from .scoring import (
     CollectionNorms,
@@ -52,6 +52,8 @@ class RankedList:
     _rank_by_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if [e.rank for e in self.entries] != list(range(1, len(self.entries) + 1)):
+            raise ValueError("ranks must run 1..m in list order")
         self._rank_by_id = {e.doc_id: e.rank for e in self.entries}
         if len(self._rank_by_id) != len(self.entries):
             raise ValueError("duplicate doc ids in ranked list")
@@ -89,7 +91,6 @@ def rank_collection(
     cooc_filtered: CoocMatrix | None,
     config: ScoringConfig,
     k: int,
-    stats: TermStats | None = None,
     norms: CollectionNorms | None = None,
     features: SentenceFeatures | None = None,
 ) -> RankedList:
@@ -98,22 +99,23 @@ def rank_collection(
     Zero-score documents are dropped rather than padded, so the list length
     m reflects actual matches.  Ties break by doc id, in code-point order
     (``norms.id_rank``), which makes ranking idempotent and gives shorter
-    runs the k-prefix property.  ``stats``, ``norms`` and the target's
+    runs the k-prefix property.  ``norms`` and the target's
     ``sentence_features`` may be passed in to share work across systems of
-    a sweep.  Every mode makes one tfsim pass and one contribution pass
-    over the features, and scores each document by adding its slice of the
-    contributions; unigram mode ignores ``features`` and runs the passes
-    over a matrix without pairs.
+    a sweep; the norms must be of the target's documents, in its order, at
+    ``config``'s slope.  Every mode makes one tfsim pass and one
+    contribution pass over the features, and scores each document by adding
+    its slice of the contributions; unigram mode ignores ``features`` and
+    runs the passes over a matrix without pairs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     check_matrix(dictionary, cooc_filtered, config.mode)
-    if stats is None:
-        stats = term_stats(target)
     if norms is None:
-        norms = compute_norms(target, stats, config)
+        norms = compute_norms(target, term_stats(target), config)
     elif norms.doc_ids != tuple(target.coding.ids):
         raise ValueError("norms were computed over another collection")
+    elif norms.slope != config.slope:
+        raise ValueError(f"norms were computed at slope {norms.slope!r}, not at {config.slope!r}")
 
     if config.mode == "unigram":
         # no pairs: every cosine is 0.0, so a run's tfsim is its raw count

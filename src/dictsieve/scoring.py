@@ -56,9 +56,11 @@ class CollectionNorms:
     ``empty_doc_ids`` and score 0 everywhere.  ``doc_log_avgtf`` and
     ``doc_norm`` hold ln avgtf(d) and norm(d) for the documents ``doc_ids``
     of the collection, in its order (0.0 for a zero-token document), for
-    the contribution passes of a sweep.
+    the contribution passes of a sweep.  ``slope`` is the pivot slope they
+    were computed at.
     """
 
+    slope: float
     pivot: float
     norm: dict[str, float]
     avgtf: dict[str, float]
@@ -93,7 +95,7 @@ def compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> Co
     ids = tuple(doc.id for doc in target.documents)
     doc_log_avgtf = np.array([math.log(avgtf[i]) if i in avgtf else 0.0 for i in ids])
     doc_norm = np.array([norm.get(i, 0.0) for i in ids])
-    return CollectionNorms(pivot, norm, avgtf, frozenset(empty), ids, doc_log_avgtf, doc_norm)
+    return CollectionNorms(config.slope, pivot, norm, avgtf, frozenset(empty), ids, doc_log_avgtf, doc_norm)
 
 
 def term_contributions(

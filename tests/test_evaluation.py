@@ -38,6 +38,7 @@ from dictsieve.evaluation import (
 )
 from dictsieve.retrieval import RankedEntry, RankedList
 from dictsieve.scoring import ScoringConfig, sentence_features
+from test_acceptance import oracle_condorcet
 
 
 def ranked(system_id: str, *doc_ids: str) -> RankedList:
@@ -345,6 +346,27 @@ class TestCondorcet:
         s = system_set(ranked("s1", "a"))
         with pytest.raises(ValueError, match="candidate pool is empty"):
             condorcet_rank(set(), s)
+
+    @pytest.mark.parametrize("n_biased", range(1, 7))
+    def test_benchmark_sized_pools_equal_the_frozen_oracle(self, n_biased):
+        """Pools of 50-200 documents, as the benchmark's sweeps form them,
+        with pool documents some biased system did not retrieve, retrieved
+        documents outside the pool, and systems outside the biased subset
+        that only add to the tie-break weights."""
+        rng = random.Random(2500 + n_biased)
+        for pool_size in (50, 120, 200):
+            universe = [f"d{i:03d}" for i in range(pool_size + 40)]
+            pool = set(rng.sample(universe, pool_size))
+            lists = [
+                ranked(f"s{j}", *rng.sample(universe, rng.randint(0, len(universe))))
+                for j in range(n_biased + 2)
+            ]
+            biased = rng.sample(lists, n_biased)
+            retrieved = {doc for rl in biased for doc in rl.doc_ids()}
+            assert any(pool - set(rl.doc_ids()) for rl in biased)
+            assert retrieved - pool
+            systems = system_set(*lists, biased=tuple(rl.system_id for rl in biased))
+            assert condorcet_rank(pool, systems) == oracle_condorcet(pool, biased, lists)
 
 
 class TestSelectPseudorels:

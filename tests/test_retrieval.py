@@ -116,6 +116,14 @@ class TestRankedList:
         with pytest.raises(ValueError, match="duplicate doc ids"):
             RankedList(system_id="s", entries=entries)
 
+    @pytest.mark.parametrize("ranks", [(0, 1), (1, 3), (2, 1), (1, 1), (2, 3)])
+    def test_ranks_must_run_1_to_m_in_list_order(self, ranks):
+        """Condorcet fusion reads a system's vote from its ranks, so two
+        documents of one list must never share a rank."""
+        entries = [RankedEntry(doc_id=f"d{i}", score=2.0 - i, rank=rank) for i, rank in enumerate(ranks)]
+        with pytest.raises(ValueError, match=r"ranks must run 1\.\.m in list order"):
+            RankedList(system_id="s", entries=entries)
+
 
 class TestRankedEntry:
     def test_keyword_and_positional_construction(self):
@@ -161,7 +169,7 @@ class TestRankingOrder:
         q = make_dictionary("w0", "w1")
         stats = term_stats(target)
         norms = compute_norms(target, stats, ScoringConfig())
-        ranked = rank_collection(target, q, None, ScoringConfig(), k, stats=stats, norms=norms)
+        ranked = rank_collection(target, q, None, ScoringConfig(), k, norms=norms)
         scores = [score_dict(q, doc, stats, norms) for doc in target.documents]
         assert entry_rows(ranked.entries) == entry_rows(frozen_ranking(target.documents, scores, k))
 
@@ -236,6 +244,24 @@ class TestRankCollection:
             norms = compute_norms(other, term_stats(other), ScoringConfig())
             with pytest.raises(ValueError, match="norms were computed over another collection"):
                 rank_collection(target, q, None, ScoringConfig(), k=5, norms=norms)
+
+    def test_norms_at_another_slope_are_rejected(self):
+        """The norms' pivot weighting depends on the slope, and a system id
+        does not name it, so norms of another slope would silently rank the
+        target by the wrong lengths."""
+        target = random_corpus(6, seed=2)
+        q = make_dictionary("w0", "w1", "w2")
+        stats = term_stats(target)
+        for norm_slope in (0.0, 0.7):
+            norms = compute_norms(target, stats, ScoringConfig(slope=norm_slope))
+            for slope in (0.0, 0.7):
+                config = ScoringConfig(slope=slope)
+                if slope == norm_slope:
+                    ranked = rank_collection(target, q, None, config, k=5, norms=norms)
+                    assert ranked.entries == rank_collection(target, q, None, config, k=5).entries
+                    continue
+                with pytest.raises(ValueError, match=f"norms were computed at slope {norm_slope}, not at {slope}"):
+                    rank_collection(target, q, None, config, k=5, norms=norms)
 
     def test_k_must_be_positive(self):
         target = random_corpus(5, seed=1)

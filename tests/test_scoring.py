@@ -541,7 +541,7 @@ def test_unigram_ranking_equals_score_dict_bit_for_bit(seed):
     features = sentence_features(target, matrix)
     assert features.cosines.any()
     for config in (ScoringConfig(), ScoringConfig(alpha=2.0)):
-        for kwargs in ({}, {"stats": stats, "norms": norms, "features": features}):
+        for kwargs in ({}, {"norms": norms, "features": features}):
             ranked = rank_collection(target, q, matrix, config, len(target), **kwargs)
             assert {entry.doc_id: entry.score for entry in ranked} == expected
 
