@@ -164,21 +164,6 @@ def _offsets(lengths: list[int]) -> np.ndarray:
     return starts
 
 
-def _coding(types: list[str], ids: list[int], lengths: list[int], n_sentences: list[int], doc_ids, paragraphs) -> Coding:
-    """The coding of tokens numbered by first occurrence: ``types[i]`` is
-    token i and ``ids`` holds every token's number in corpus order.  The
-    vocabulary is sorted and the numbers mapped onto it.  ``ids`` is
-    emptied once it is converted, before the codes are gathered."""
-    numbers = np.fromiter(ids, np.int32, len(ids))
-    ids.clear()
-    order = sorted(range(len(types)), key=types.__getitem__)
-    rank = np.empty(len(types), dtype=np.int32)
-    rank[order] = np.arange(len(types), dtype=np.int32)
-    codes = rank[numbers]
-    vocab = tuple(map(types.__getitem__, order))
-    return Coding(vocab, codes, _offsets(lengths), _offsets(n_sentences), doc_ids, paragraphs)
-
-
 def _check_paragraphs(paragraphs, n_sentences: int, where: str) -> None:
     """Paragraph groups must be lists of int sentence indices, and each
     index must name one of ``n_sentences`` sentences, and at most once: a
@@ -202,23 +187,20 @@ def _check_paragraphs(paragraphs, n_sentences: int, where: str) -> None:
 class Corpus:
     """A collection of documents with a role tag, held as one ``Coding``.
 
-    ``Corpus(documents, role)`` codes the given documents once, empty
-    sentences included.  It rejects what ``ingest_corpus`` rejects in a
-    record, so every corpus exports to a file that ingests: a document id
-    that is repeated or that ``_check_doc_id`` rejects, a token that
-    ``_TokenIds`` rejects (reported with its document's id), and paragraph
-    groups that are not lists of int indices or hold an index that is out
-    of range or repeated.  ``documents`` are views of the coding, built on
-    first use.
+    ``Corpus(documents, role)`` codes the given documents once through a
+    ``_Coder``, empty sentences included: only ingest's readers drop them.
+    It rejects what ``ingest_corpus`` rejects in a record, so every corpus
+    exports to a file that ingests: a document id that is repeated or that
+    ``_check_doc_id`` rejects, a token that ``_TokenIds`` rejects (reported
+    with its document's id), and paragraph groups that are not lists of int
+    indices or hold an index that is out of range or repeated.
+    ``documents`` are views of the coding, built on first use.
     """
 
     def __init__(self, documents: list[Document], role: str):
         _check_role(role)
         seen: set[str] = set()
-        types = _TokenIds()
-        ids: list[int] = []
-        lengths: list[int] = []
-        n_sentences: list[int] = []
+        coder = _Coder()
         for index, doc in enumerate(documents):
             _check_doc_id(doc.id, f"document {index}")
             if doc.id in seen:
@@ -227,15 +209,11 @@ class Corpus:
             sentences = doc.sentences
             if doc.paragraphs is not None:
                 _check_paragraphs(doc.paragraphs, len(sentences), f"document {doc.id!r}")
-            n_sentences.append(len(sentences))
-            lengths.extend(map(len, sentences))
             try:
-                ids.extend(map(types.__getitem__, chain.from_iterable(sentences)))
+                coder.add(doc.id, sentences, doc.paragraphs)
             except ValueError as exc:
                 raise ValueError(f"document {doc.id!r}: {exc}") from None
-        self.coding = _coding(
-            list(types), ids, lengths, n_sentences, [doc.id for doc in documents], [doc.paragraphs for doc in documents]
-        )
+        self.coding = coder.coding()
         self.role = role
 
     @classmethod
@@ -326,7 +304,10 @@ class _TokenIds(dict):
 
 
 class _Coder:
-    """Collects the coding of a corpus being ingested, a document at a time."""
+    """Numbers a corpus's tokens, a document at a time, and builds its
+    ``Coding``.  ``add`` codes exactly the sentences it is given:
+    ``Corpus(documents)`` keeps empty sentences, the JSONL reader drops a
+    record's empty ones and the plaintext reader sentences without tokens."""
 
     def __init__(self):
         self.types = _TokenIds()
@@ -336,24 +317,29 @@ class _Coder:
         self.doc_ids: list[str] = []
         self.paragraphs: list = []
 
-    def add(self, doc_id: str, sentences: list) -> None:
-        """Code one document, dropping its empty sentences.  A bad token
-        raises, and the corpus being coded is given up."""
+    def add(self, doc_id: str, sentences: list, paragraphs: list | None = None) -> None:
+        """Code one document; a bad token raises and gives the corpus up."""
         self.ids.extend(map(self.types.__getitem__, chain.from_iterable(sentences)))
-        kept = len(self.lengths)
-        self.lengths.extend(filter(None, map(len, sentences)))
-        self.n_sentences.append(len(self.lengths) - kept)
+        self.lengths.extend(map(len, sentences))
+        self.n_sentences.append(len(sentences))
         self.doc_ids.append(doc_id)
-        self.paragraphs.append(None)
+        self.paragraphs.append(paragraphs)
 
-    def corpus(self, role: str) -> Corpus:
-        coding = _coding(list(self.types), self.ids, self.lengths, self.n_sentences, self.doc_ids, self.paragraphs)
-        return Corpus._coded(coding, role)
+    def coding(self) -> Coding:
+        """Sort the vocabulary and map each token's first-occurrence number
+        onto it; the number list is emptied before the codes are gathered."""
+        numbers = np.fromiter(self.ids, np.int32, len(self.ids))
+        self.ids.clear()
+        vocab = tuple(sorted(self.types))
+        rank = np.empty(len(vocab), dtype=np.int32)
+        rank[list(map(self.types.__getitem__, vocab))] = np.arange(len(vocab), dtype=np.int32)
+        offsets = _offsets(self.lengths), _offsets(self.n_sentences)
+        return Coding(vocab, rank[numbers], *offsets, self.doc_ids, self.paragraphs)
 
 
 def _check_doc_id(doc_id: str, where: str) -> None:
-    """``pseudorels.txt`` holds one doc id per line, and its reader strips
-    each line and skips blank lines and lines starting with '#'."""
+    """``pseudorels.txt`` holds one doc id per line, and its reader skips
+    blank lines and lines starting with '#' after leading whitespace."""
     if _FIELD_BREAK_RE.search(doc_id):
         raise ValueError(f"{where}: document id {doc_id!r} contains a tab, CR or LF")
     if _SURROGATE_RE.search(doc_id):
@@ -381,8 +367,10 @@ def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
     _check_doc_id(doc_id, where)
     if not {list}.issuperset(map(type, sentences)):
         raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
+    # empty sentences are dropped; the list is copied only when it has one
+    kept = sentences if all(sentences) else list(filter(None, sentences))
     try:
-        coder.add(doc_id, sentences)
+        coder.add(doc_id, kept)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     except TypeError:  # an unhashable token
@@ -390,10 +378,8 @@ def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
     paragraphs = record.get("paragraphs")
     if paragraphs is not None:
         _check_paragraphs(paragraphs, len(sentences), where)
-        # empty sentences were dropped, so renumber onto the kept ones: the
-        # position of each kept sentence by its index in the record
-        kept = (i for i, sentence in enumerate(sentences) if sentence)
-        kept_at = {i: position for position, i in enumerate(kept)}
+        # renumber onto the kept sentences: each one's position by its index
+        kept_at = {i: position for position, i in enumerate(i for i, sentence in enumerate(sentences) if sentence)}
         coder.paragraphs[-1] = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
     return doc_id
 
@@ -410,7 +396,7 @@ def _ingest_jsonl(stream, role: str, name) -> Corpus:
             raise ValueError(f"{name}:{lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
     if not first_line:
         raise ValueError(f"{name}: zero documents after parsing")
-    return coder.corpus(role)
+    return Corpus._coded(coder.coding(), role)
 
 
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
@@ -418,11 +404,10 @@ def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     for path in sorted(directory.glob("*.txt")):
         _check_doc_id(path.stem, str(path))
         with open_text(path) as stream:
-            text = stream.read()
-        coder.add(path.stem, [tokenize(raw) for raw in split_sentences(text)])
+            coder.add(path.stem, list(filter(None, map(tokenize, split_sentences(stream.read())))))
     if not coder.doc_ids:
         raise ValueError(f"zero documents found under {directory}")
-    return coder.corpus(role)
+    return Corpus._coded(coder.coding(), role)
 
 
 class FloatText(dict):

@@ -47,12 +47,14 @@ class Dictionary:
     entries: list[DictionaryEntry]
     method: str
     terms: tuple[str, ...] = field(init=False, repr=False)
+    boosts: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict[str, DictionaryEntry] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_LABELS:
             raise ValueError(f"unknown dictionary method {self.method!r}")
         self.terms = tuple(e.term for e in self.entries)
+        self.boosts = np.array([e.boost for e in self.entries])
         self._index = dict(zip(self.terms, self.entries))
         if len(self._index) != len(self.entries):
             raise ValueError("dictionary terms must be unique")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,16 @@ class SystemSet:
 
     def biased(self) -> list[RankedList]:
         return [self._by_id[system_id] for system_id in self.biased_subset]
+
+    @cached_property
+    def _norm_weights(self) -> dict[str, float]:
+        """``norm_weights``, summed on first use: a fuse reads it twice."""
+        weights: dict[str, float] = {}
+        for ranked in self.systems:
+            m = ranked.m
+            for entry in ranked.entries:
+                weights[entry.doc_id] = weights.get(entry.doc_id, 0.0) + m / entry.rank
+        return weights
 
 
 @dataclass(frozen=True)
@@ -172,14 +183,10 @@ def norm_weights(systems: SystemSet) -> dict[str, float]:
     """Accumulate n_d = sum over systems of m_s / rank(d), absent meaning 0.
 
     Documents retrieved at high ranks by many long lists collect large
-    weights; a document missing from the result dict has weight 0.
+    weights; a document missing from the result dict has weight 0.  The
+    weights are summed once per system set; each call returns a copy.
     """
-    weights: dict[str, float] = {}
-    for ranked in systems.systems:
-        m = ranked.m
-        for entry in ranked.entries:
-            weights[entry.doc_id] = weights.get(entry.doc_id, 0.0) + m / entry.rank
-    return weights
+    return dict(systems._norm_weights)
 
 
 def check_fusion_settings(top_m: int, fraction: float = DEFAULT_FRACTION) -> None:
@@ -316,8 +323,7 @@ def evaluate_sweep(
 ) -> EvalReport:
     """Run the fusion pipeline and score every system against the pseudorels."""
     rels = select_pseudorels(systems, top_m, fraction)
-    weights = norm_weights(systems)
-    nd_series = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
+    nd_series = sorted(norm_weights(systems).items(), key=lambda item: (-item[1], item[0]))
     maps = {ranked.system_id: map_score(ranked, rels) for ranked in systems.systems}
     return EvalReport(
         map_by_system=maps,
@@ -344,12 +350,18 @@ def write_pseudorels(rels: PseudorelSet, path) -> None:
 
 
 def read_pseudorels(path) -> frozenset[str]:
+    """One doc id per line, skipping blank lines and '#' lines; each id must
+    be one that ingest accepts and appear once, else ``path:line`` raises."""
+    ids: set[str] = set()
     with open_text(path) as stream:
-        ids = [
-            line.strip()
-            for line in stream
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        for lineno, line in enumerate(stream, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            doc_id = line.rstrip("\n")
+            _check_doc_id(doc_id, f"{path}:{lineno}")
+            if doc_id in ids:
+                raise ValueError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
+            ids.add(doc_id)
     if not ids:
         raise ValueError(f"{path}: no pseudorels found")
     return frozenset(ids)

@@ -124,7 +124,7 @@ def rank_collection(
         features = sentence_features(target, cooc_filtered)
     # the matrix terms are the dictionary terms, so a run's term position
     # is its dictionary entry's index
-    boosts = np.array([entry.boost for entry in dictionary.entries])[features.terms]
+    boosts = dictionary.boosts[features.terms]
     contributions = term_contributions(
         tfsim_runs(features, config), boosts, features.offsets, norms.doc_log_avgtf, norms.doc_norm
     ).tolist()

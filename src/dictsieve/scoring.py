@@ -141,9 +141,8 @@ def _entry_contributions(q: Dictionary, d: Document, norms: CollectionNorms, tf_
     """The term contributions of d's tf value for every dictionary entry, in
     dictionary order, from ``term_contributions`` over d alone."""
     offsets = np.array([0, len(q)])
-    boosts = np.array([entry.boost for entry in q.entries])
     log_avgtf, norm = np.array([math.log(norms.avgtf[d.id])]), np.array([norms.norm[d.id]])
-    return term_contributions(np.array(tf_values, dtype=np.float64), boosts, offsets, log_avgtf, norm).tolist()
+    return term_contributions(np.array(tf_values, dtype=np.float64), q.boosts, offsets, log_avgtf, norm).tolist()
 
 
 def _total(contributions) -> float:

@@ -712,6 +712,46 @@ class TestSubcommands:
         assert f"{tmp_path / 'a.tsv'}:2: document id '#x' starts with '#'" in capsys.readouterr().err
         assert not (tmp_path / "pseudorels.txt").exists()
 
+    def test_fuse_biased_override_replaces_the_flagged_pool(self, pipeline_dir, tmp_path, capsys):
+        """``--biased`` names the pooling systems in place of the index's
+        flags: the pool is the named system's top_m documents."""
+        argv = ["fuse", "--systems-dir", str(pipeline_dir), "--top-m", "5", "--out-dir"]
+        assert main([*argv, str(tmp_path / "flagged")]) == EXIT_OK
+        assert main([*argv, str(tmp_path / "override"), "--biased", " tm:context:alpha=2 ,"]) == EXIT_OK
+
+        def pool(out_dir: Path) -> set[str]:
+            return {line.split("\t")[0] for line in (out_dir / "wins_series.tsv").read_text().splitlines()[1:]}
+
+        named = load_ranked_list(pipeline_dir / "systems" / "tm_context_alpha_2.tsv")
+        assert pool(tmp_path / "override") == {entry.doc_id for entry in named.entries[:5]}
+        assert pool(tmp_path / "flagged") != pool(tmp_path / "override")
+
+    @pytest.mark.parametrize(
+        "biased, message",
+        [
+            ("nope", "biased subset not among systems: nope"),
+            (" , ", "biased subset is empty, nothing to pool"),
+            ("tm:context:alpha=0,tm:context:alpha=0", "duplicate ids in biased subset"),
+        ],
+    )
+    def test_fuse_rejects_a_bad_biased_override(self, pipeline_dir, tmp_path, capsys, biased, message):
+        out_dir = tmp_path / "fused"
+        code = main(["fuse", "--systems-dir", str(pipeline_dir), "--biased", biased, "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        assert f"[fuse] {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_map_rejects_a_relevant_id_that_ingest_rejects(self, tmp_path, capsys):
+        """``d1<TAB>junk`` is no doc id, so no ranked list can hold it."""
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text("# system_id=s\n1\td1\t1.0\n2\td2\t0.5\n")
+        rels = tmp_path / "rels.txt"
+        rels.write_text("d1\tjunk\nd2\n")
+        assert main(["map", "--ranked", str(ranked), "--rels", str(rels)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"{rels}:1: document id 'd1\\tjunk' contains a tab, CR or LF" in captured.err
+        assert captured.out == ""
+
 
 # every reader of a file the tool takes as input, called on ``path``
 TEXT_READERS = {
@@ -737,6 +777,7 @@ VALID_FIRST_LINES = {
     "ranked-list": [b"# system_id=s", b"1\td\t1.0"],
     "model": [b"#dictsieve-topic-model\tv1", b"n_topics\t1"],
     "systems.tsv": [b"system_id\tfile\tbiased", b"s\tsystems/s.tsv\t1"],
+    "pseudorels": [b"d1", b"d2"],
     "judgments": [b"d1\t1", b"d2\t0"],
     "config": [b"k = 5", b"seed = 1"],
 }
@@ -1255,6 +1296,31 @@ class TestRunFlags:
         assert message in capsys.readouterr().err
         assert list(work.iterdir()) == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "n_topics is required"),
+            (["--n-topics", "2", "--n-terms", "0"], "n_terms must be >= 1"),
+            (["--n-topics", "2", "--k", "0"], "k must be >= 1"),
+        ],
+        ids=["no-n-topics", "n-terms-0", "k-0"],
+    )
+    def test_a_missing_or_zero_count_is_a_usage_error_before_any_stage(
+        self, flags, message, corpora_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        out_dir = tmp_path / "out"
+        args = [
+            "run",
+            "--reference", str(corpora_dir / "reference.jsonl"),
+            "--target", str(corpora_dir / "target.jsonl"),
+            "--out-dir", str(out_dir),
+            *flags,
+        ]
+        assert main(args) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_the_traced_benchmark_finds_every_name_it_wraps(self):
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"

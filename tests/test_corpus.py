@@ -366,6 +366,12 @@ class TestIngest:
             ["and", "another", "one"],
         ]
 
+    def test_plaintext_drops_a_sentence_without_tokens(self, tmp_path):
+        (tmp_path / "a.txt").write_text("First one. --- ... Last one!")
+        corpus = ingest_corpus(tmp_path, format="plaintext-dir")
+        assert corpus.documents[0].sentences == [["first", "one"], ["last", "one"]]
+        assert corpus.coding.sentence_starts.tolist() == [0, 2, 4]
+
     @pytest.mark.parametrize("format", ["jsonl", "plaintext-dir"])
     def test_equal_tokens_share_one_object(self, tmp_path, format):
         texts = {"d1": "Alpha beta alpha. Gamma alpha!", "d2": "Beta gamma. Alpha."}

@@ -212,6 +212,13 @@ class TestDictionaryContainer:
         with pytest.raises(KeyError):
             d.entry("zzz")
 
+    def test_boosts_are_one_array_in_dictionary_order_outside_equality(self):
+        d = Dictionary(entries=self.entries(), method="topic-model")
+        assert d.boosts.dtype == np.float64
+        assert d.boosts.tolist() == [entry.boost for entry in d.entries]
+        assert d == Dictionary(entries=self.entries(), method="topic-model")
+        assert "boosts" not in repr(d)
+
     def test_duplicate_terms_rejected(self):
         entries = self.entries() + [DictionaryEntry(term="a", weight=0.5, rank=3, boost=0.5)]
         with pytest.raises(ValueError, match="unique"):

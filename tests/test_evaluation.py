@@ -259,6 +259,24 @@ class TestNormWeights:
         s = system_set(ranked("s1", "a", "b"))
         assert "zzz" not in norm_weights(s)
 
+    def test_a_fuse_sums_the_weights_once_and_each_call_returns_a_copy(self):
+        reads = []
+
+        class Counted(RankedList):
+            @property
+            def m(self) -> int:  # read once per system by each pass over the weights
+                reads.append(self.system_id)
+                return len(self.entries)
+
+        s = system_set(*(Counted(rl.system_id, rl.entries) for rl in (ranked("v1", "A", "B"), ranked("v2", "B"))))
+        report = evaluate_sweep(s, top_m=2, fraction=0.5)
+        assert reads == ["v1", "v2"]
+        assert report.nd_series == [("A", 2.0), ("B", 2.0)]
+        weights = norm_weights(s)
+        weights["A"] = -1.0
+        assert norm_weights(s) == {"A": 2.0, "B": 2.0}
+        assert reads == ["v1", "v2"]
+
     def test_weights_are_additive_across_systems(self):
         rng = random.Random(13)
         docs = [f"d{i}" for i in range(30)]
@@ -539,6 +557,26 @@ class TestFileFormats:
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no pseudorels found"):
+            read_pseudorels(path)
+
+    def test_read_pseudorels_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "pseudorels.txt"
+        path.write_text("# fused\nd1\n\n \t \n  # indented\nd2\n")
+        assert read_pseudorels(path) == {"d1", "d2"}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("d3\tjunk", "document id 'd3\\tjunk' contains a tab, CR or LF"),
+            (" d3", "document id ' d3' is empty or has leading or trailing whitespace"),
+            ("d3 ", "document id 'd3 ' is empty or has leading or trailing whitespace"),
+            ("d1", "duplicate doc id 'd1'"),
+        ],
+    )
+    def test_read_pseudorels_rejects_an_id_that_ingest_rejects(self, tmp_path, line, message):
+        path = tmp_path / "pseudorels.txt"
+        path.write_text(f"# fused\nd1\n{line}\nd2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
             read_pseudorels(path)
 
     def test_series_writers(self, tmp_path):
