@@ -469,7 +469,15 @@ def cmd_extract_dict(args) -> None:
         raise UsageError("--model is required for --method tm")
     corpus = ingest_corpus(args.corpus, role="reference")
     model = load_model(args.model) if args.method == "tm" else None
-    dictionary = extract_dict_stage(args.method, corpus, model, parse_topic_ids(args.exclude), args.n, args.out)
+    excluded = parse_topic_ids(args.exclude)
+    if model is not None:
+        check_topic_ids(model.n_topics, excluded)
+    try:
+        dictionary = extract_dict_stage(args.method, corpus, model, excluded, args.n, args.out)
+    except ValueError as err:  # the model does not fit the corpus
+        if model is None:
+            raise
+        raise ValueError(f"{args.model}, {args.corpus}: {err}") from None
     print(f"extracted {len(dictionary)} terms ({dictionary.method}) -> {args.out}")
 
 

@@ -226,8 +226,6 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     n = len(dictionary)
     if n == 0:
         raise ValueError("dictionary is empty")
-    if not len(corpus):
-        raise ValueError("corpus is empty")
     check_key_range(n, len(corpus.coding.sentence_starts) - 1)
     # each sentence's distinct terms in ascending rank, so every pair (a, b)
     # of one sentence has a < b

@@ -146,7 +146,8 @@ class Coding:
     sentences of all documents one after another, and document j holds
     sentences ``document_starts[j]:document_starts[j + 1]``; both offset
     arrays are int64 and end with the total.  ``ids`` and ``paragraphs``
-    hold each document's id and paragraph groups.
+    hold each document's id and paragraph groups.  Every coding holds at
+    least one document and no empty sentence, however it was built.
     """
 
     vocab: tuple[str, ...]
@@ -187,14 +188,12 @@ def _check_paragraphs(paragraphs, n_sentences: int, where: str) -> None:
 class Corpus:
     """A collection of documents with a role tag, held as one ``Coding``.
 
-    ``Corpus(documents, role)`` codes the given documents once through a
-    ``_Coder``, empty sentences included: only ingest's readers drop them.
-    It rejects what ``ingest_corpus`` rejects in a record, so every corpus
-    exports to a file that ingests: a document id that is repeated or that
-    ``_check_doc_id`` rejects, a token that ``_TokenIds`` rejects (reported
-    with its document's id), and paragraph groups that are not lists of int
-    indices or hold an index that is out of range or repeated.
-    ``documents`` are views of the coding, built on first use.
+    ``Corpus(documents, role)`` codes the given documents through a
+    ``_Coder``, as ingest codes a file's records, so it drops empty
+    sentences and rejects what ingest rejects: no documents, a document id
+    that is repeated or that ``_check_doc_id`` rejects, and a bad token or
+    paragraph group (reported with its document's id).  ``documents`` are
+    views of the coding, built on first use.
     """
 
     def __init__(self, documents: list[Document], role: str):
@@ -206,14 +205,8 @@ class Corpus:
             if doc.id in seen:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
-            sentences = doc.sentences
-            if doc.paragraphs is not None:
-                _check_paragraphs(doc.paragraphs, len(sentences), f"document {doc.id!r}")
-            try:
-                coder.add(doc.id, sentences, doc.paragraphs)
-            except ValueError as exc:
-                raise ValueError(f"document {doc.id!r}: {exc}") from None
-        self.coding = coder.coding()
+            coder.add(doc.id, doc.sentences, doc.paragraphs, f"document {doc.id!r}")
+        self.coding = coder.coding(f"{role} corpus")
         self.role = role
 
     @classmethod
@@ -266,8 +259,6 @@ class TermStats:
 def term_stats(corpus: Corpus) -> TermStats:
     """Count tf(w), tf(w,d) and df(w) for every term of the corpus, from its
     codes; each Counter lists its terms in order of first occurrence."""
-    if not len(corpus):
-        raise ValueError("cannot compute term statistics of an empty corpus")
     coding = corpus.coding
     word = coding.vocab.__getitem__
     bounds = coding.sentence_starts[coding.document_starts].tolist()
@@ -288,8 +279,8 @@ class _TokenIds(dict):
     A token is checked the first time it is looked up, so each distinct
     token is checked once: it must be a non-empty ``str`` without a tab, CR,
     LF or lone surrogate.  An unhashable token (a JSON list or object) fails
-    in the lookup itself; ``_parse_jsonl_record`` reports that as the same
-    malformed sentence.
+    in the lookup itself; ``_Coder.add`` reports that as the same malformed
+    sentence.
     """
 
     def __missing__(self, token: str) -> int:
@@ -305,9 +296,7 @@ class _TokenIds(dict):
 
 class _Coder:
     """Numbers a corpus's tokens, a document at a time, and builds its
-    ``Coding``.  ``add`` codes exactly the sentences it is given:
-    ``Corpus(documents)`` keeps empty sentences, the JSONL reader drops a
-    record's empty ones and the plaintext reader sentences without tokens."""
+    ``Coding``; every reader and ``Corpus(documents)`` code through it."""
 
     def __init__(self):
         self.types = _TokenIds()
@@ -317,17 +306,36 @@ class _Coder:
         self.doc_ids: list[str] = []
         self.paragraphs: list = []
 
-    def add(self, doc_id: str, sentences: list, paragraphs: list | None = None) -> None:
-        """Code one document; a bad token raises and gives the corpus up."""
-        self.ids.extend(map(self.types.__getitem__, chain.from_iterable(sentences)))
-        self.lengths.extend(map(len, sentences))
-        self.n_sentences.append(len(sentences))
+    def add(self, doc_id: str, sentences: list, paragraphs: list | None, where: str) -> None:
+        """Code one document without its empty sentences, its paragraph
+        groups checked against ``sentences`` and renumbered onto the kept
+        ones.  An error is reported as ``where: ...`` and gives the corpus
+        up."""
+        if paragraphs is not None:
+            _check_paragraphs(paragraphs, len(sentences), where)
+        # the list is copied only when it has an empty sentence
+        kept = sentences if all(sentences) else [sentence for sentence in sentences if sentence]
+        try:
+            self.ids.extend(map(self.types.__getitem__, chain.from_iterable(kept)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        except TypeError:  # an unhashable token
+            raise ValueError(f"{where}: {_MALFORMED_SENTENCES}") from None
+        if paragraphs is not None and kept is not sentences:
+            # each kept sentence's position by its index
+            kept_at = {i: position for position, i in enumerate(i for i, sentence in enumerate(sentences) if sentence)}
+            paragraphs = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
+        self.lengths.extend(map(len, kept))
+        self.n_sentences.append(len(kept))
         self.doc_ids.append(doc_id)
         self.paragraphs.append(paragraphs)
 
-    def coding(self) -> Coding:
+    def coding(self, where: str) -> Coding:
         """Sort the vocabulary and map each token's first-occurrence number
-        onto it; the number list is emptied before the codes are gathered."""
+        onto it; the number list is emptied before the codes are gathered.
+        A corpus without documents is reported as ``where: zero documents``."""
+        if not self.doc_ids:
+            raise ValueError(f"{where}: zero documents")
         numbers = np.fromiter(self.ids, np.int32, len(self.ids))
         self.ids.clear()
         vocab = tuple(sorted(self.types))
@@ -367,20 +375,7 @@ def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
     _check_doc_id(doc_id, where)
     if not {list}.issuperset(map(type, sentences)):
         raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
-    # empty sentences are dropped; the list is copied only when it has one
-    kept = sentences if all(sentences) else list(filter(None, sentences))
-    try:
-        coder.add(doc_id, kept)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    except TypeError:  # an unhashable token
-        raise ValueError(f"{where}: {_MALFORMED_SENTENCES}") from None
-    paragraphs = record.get("paragraphs")
-    if paragraphs is not None:
-        _check_paragraphs(paragraphs, len(sentences), where)
-        # renumber onto the kept sentences: each one's position by its index
-        kept_at = {i: position for position, i in enumerate(i for i, sentence in enumerate(sentences) if sentence)}
-        coder.paragraphs[-1] = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
+    coder.add(doc_id, sentences, record.get("paragraphs"), where)
     return doc_id
 
 
@@ -394,9 +389,7 @@ def _ingest_jsonl(stream, role: str, name) -> Corpus:
         doc_id = _parse_jsonl_record(line, f"{name}:{lineno}", coder)
         if first_line.setdefault(doc_id, lineno) != lineno:
             raise ValueError(f"{name}:{lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
-    if not first_line:
-        raise ValueError(f"{name}: zero documents after parsing")
-    return Corpus._coded(coder.coding(), role)
+    return Corpus._coded(coder.coding(name), role)
 
 
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
@@ -404,10 +397,8 @@ def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     for path in sorted(directory.glob("*.txt")):
         _check_doc_id(path.stem, str(path))
         with open_text(path) as stream:
-            coder.add(path.stem, list(filter(None, map(tokenize, split_sentences(stream.read())))))
-    if not coder.doc_ids:
-        raise ValueError(f"zero documents found under {directory}")
-    return Corpus._coded(coder.coding(), role)
+            coder.add(path.stem, list(map(tokenize, split_sentences(stream.read()))), None, str(path))
+    return Corpus._coded(coder.coding(str(directory)), role)
 
 
 class FloatText(dict):
@@ -795,17 +786,9 @@ def export_corpus(corpus: Corpus, path) -> None:
     document offsets (``<i8``) as raw arrays, so equal corpora write equal
     bytes.  A sidecar written earlier is removed before the JSONL is
     written, and the new one after it, from the bytes as they were written.
-    No sidecar is written for a corpus without documents or with an empty
-    sentence, whose JSONL does not ingest to this coding; a file at
-    ``<path>.coding`` that does not start with ``#dictsieve-coding`` is then
-    left in place.
     """
     coding = corpus.coding
     size, digest = _CODING.write_text(path, _jsonl_lines(coding))
-    # ingest drops an empty sentence and rejects a file without documents,
-    # so a sidecar would not give what ingesting the JSONL gives
-    if not coding.ids or (coding.sentence_starts[1:] == coding.sentence_starts[:-1]).any():
-        return
     text = "\n".join([*coding.vocab, *coding.ids, json.dumps(coding.paragraphs, separators=(",", ":")), ""])
     # the arrays are written and hashed in place, not copied
     payload = [

@@ -104,7 +104,10 @@ def _build_entries(weighted: list[tuple[str, float]], n: int) -> list[Dictionary
 
 
 def extract_dictionary_tm(model: TopicModelResult, stats: TermStats, n: int) -> Dictionary:
-    """Top-n terms by topic-model weight (clamped to vocabulary size)."""
+    """Top-n terms by topic-model weight (clamped to vocabulary size).
+
+    The model must have been fitted on the corpus of ``stats``: a term that
+    one of them holds and the other lacks raises ``ValueError``."""
     if n < 1:
         raise ValueError("dictionary size must be >= 1")
     if not model.retained_topics():
@@ -112,6 +115,9 @@ def extract_dictionary_tm(model: TopicModelResult, stats: TermStats, n: int) -> 
     tf_values = list(map(stats.tf.get, model.vocab))
     if None in tf_values:
         raise ValueError(f"unknown term {model.vocab[tf_values.index(None)]!r}")
+    if len(stats.tf) != len(model.vocab):
+        extra = next(term for term in stats.tf if term not in model.vocab_index)
+        raise ValueError(f"corpus term {extra!r} is not in the model's vocabulary")
     weighted = list(zip(model.vocab, _term_weights(model, slice(None), tf_values).tolist()))
     return Dictionary(entries=_build_entries(weighted, n), method=METHOD_TOPIC_MODEL)
 

@@ -78,8 +78,6 @@ class CollectionNorms:
 
 def compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> CollectionNorms:
     """pivot = mean |U_d|; norm(d) = 1/sqrt((1-slope)*pivot + slope*|U_d|)."""
-    if not target.documents:
-        raise ValueError("cannot compute norms of an empty corpus")
     unique_counts = {doc.id: len(stats.tf_doc[doc.id]) for doc in target.documents}
     pivot = sum(unique_counts.values()) / len(target.documents)
     norm: dict[str, float] = {}

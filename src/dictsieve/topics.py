@@ -236,8 +236,6 @@ def fit_lda(
     ``topic_weight`` come from the sampler's counts after the last sweep,
     converted to arrays once.
     """
-    if not len(corpus):
-        raise ValueError("cannot fit a topic model on an empty corpus")
     alpha = check_fit_settings(n_topics, alpha, beta, iterations, seed)
 
     # the coding's vocabulary is sorted, so a token's code is its word id

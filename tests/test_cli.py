@@ -685,6 +685,33 @@ class TestSubcommands:
         assert f"[extract-dict] {model}:2: n_topics must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "d.tsv").exists()
 
+    def test_extract_rejects_a_model_fitted_on_another_corpus(self, tmp_path, capsys):
+        """A model fitted on two documents does not fit a corpus that adds a
+        third with new terms, nor a corpus that lacks one of its terms."""
+        records = [
+            {"id": "d1", "sentences": [["ash", "beech"], ["beech", "cedar"]]},
+            {"id": "d2", "sentences": [["cedar", "ash", "ash"]]},
+            {"id": "d3", "sentences": [["ash", "dune", "elm"]]},
+        ]
+        paths = {}
+        for name, chosen in (("fitted", records[:2]), ("more", records), ("fewer", records[1:2])):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(json.dumps(record) + "\n" for record in chosen))
+        model = tmp_path / "model.tsv"
+        fit = ["fit-topics", "--corpus", str(paths["fitted"]), "--n-topics", "2", "--iterations", "5"]
+        assert main([*fit, "--out", str(model)]) == EXIT_OK
+        extract = ["extract-dict", "--method", "tm", "--model", str(model), "--out", str(tmp_path / "d.tsv")]
+        assert main([*extract, "--corpus", str(paths["fitted"])]) == EXIT_OK
+        (tmp_path / "d.tsv").unlink()
+        capsys.readouterr()
+        for name, message in (
+            ("more", "corpus term 'dune' is not in the model's vocabulary"),
+            ("fewer", "unknown term 'beech'"),
+        ):
+            assert main([*extract, "--corpus", str(paths[name])]) == EXIT_DATA
+            assert f"[extract-dict] {model}, {paths[name]}: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "d.tsv").exists()
+
     @pytest.mark.parametrize(
         "rows, lineno, message",
         [

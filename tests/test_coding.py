@@ -44,8 +44,9 @@ TOKEN = st.text(
 
 @st.composite
 def documents(draw) -> list[Document]:
-    """Documents with no sentences, empty sentences and paragraph groups
-    (each sentence index at most once, empty groups allowed)."""
+    """No documents, or documents with no sentences, empty sentences and
+    paragraph groups (each sentence index at most once, empty groups
+    allowed)."""
     vocab = draw(st.lists(TOKEN, min_size=1, max_size=12, unique=True))
     docs = []
     for i in range(draw(st.integers(0, 6))):
@@ -122,11 +123,17 @@ class TestCodingProperties:
     @settings(deadline=None, max_examples=150)
     @given(docs=documents())
     def test_coding(self, tmp_path_factory, docs):
+        if not docs:  # ingest rejects a file without documents
+            with pytest.raises(ValueError, match="^reference corpus: zero documents$"):
+                Corpus(documents=docs, role="reference")
+            return
         corpus = Corpus(documents=docs, role="reference")
 
-        # views and the vocabulary equal the old definitions
-        assert corpus.documents == docs
-        for view, doc in zip(corpus.documents, docs):
+        # a hand-built corpus holds what ingest makes of its documents, and
+        # views and the vocabulary equal the old definitions on those
+        expected = [without_empty_sentences(doc) for doc in docs]
+        assert corpus.documents == expected
+        for view, doc in zip(corpus.documents, expected):
             assert view.sentences == doc.sentences
             assert view.tokens() == [t for sentence in doc.sentences for t in sentence]
             assert view.token_count == sum(len(s) for s in doc.sentences)
@@ -136,33 +143,24 @@ class TestCodingProperties:
         assert corpus.vocabulary == frozenset().union(*all_sentences)
         assert corpus.coding.vocab == tuple(sorted(corpus.vocabulary))
 
-        # export writes the encoder's bytes, and a sidecar unless ingest
-        # would not return this coding: it drops empty sentences and rejects
-        # a file without documents.  The sidecar of an earlier export to
-        # the same path is replaced or removed
+        # export writes the encoder's bytes and always a sidecar, which
+        # replaces the sidecar of an earlier export to the same path; ingest
+        # reads the corpus's coding back through the sidecar and from the
+        # JSONL alone, and exporting it again changes nothing
         path = tmp_path_factory.mktemp("coding") / "corpus.jsonl"
         export_corpus(Corpus(documents=[Document("old", [["x"]])], role="reference"), path)
-        assert sidecar_of(path).is_file()
         export_corpus(corpus, path)
-        assert path.read_bytes() == old_export(docs)
-        has_empty_sentence = any(not sentence for doc in docs for sentence in doc.sentences)
-        assert sidecar_of(path).is_file() == (bool(docs) and not has_empty_sentence)
-
-        if not docs:  # ingest rejects a file without documents
-            return
-        # ingest codes the exported file as a corpus of the same sentences,
-        # empty ones dropped, through the sidecar and from the JSONL alone,
-        # and exporting it again changes nothing
+        assert path.read_bytes() == old_export(expected)
+        assert sidecar_of(path).is_file()
         ingested = ingest_both_ways(path)
-        expected = Corpus(documents=[without_empty_sentences(doc) for doc in docs], role="reference")
-        assert coding_of(ingested) == coding_of(expected)
+        assert coding_of(ingested) == coding_of(corpus)
         rebuilt = [Document(doc.id, doc.sentences, doc.paragraphs) for doc in ingested.documents]
         assert coding_of(Corpus(documents=rebuilt, role="reference")) == coding_of(ingested)
         again = path.with_name("again.jsonl")
         export_corpus(ingested, again)
         assert sidecar_of(again).is_file()
         assert coding_of(ingest_both_ways(again)) == coding_of(ingested)
-        assert again.read_bytes() == old_export(expected.documents)
+        assert again.read_bytes() == path.read_bytes()
 
         # a record appended to the JSONL is read: the sidecar no longer
         # matches the file and is ignored
@@ -216,14 +214,16 @@ def test_stages_never_read_document_strings(monkeypatch, tmp_path):
     assert features.offsets.tolist()[-1] == len(features.terms)
     assert model.vocab == ("a", "b", "c", "d")
     assert stats.tf == {"a": 3, "b": 3, "c": 3, "d": 3}
-    assert (tmp_path / "reference.jsonl").read_bytes() == old_export(docs)
+    assert (tmp_path / "reference.jsonl").read_bytes() == old_export(list(map(without_empty_sentences, docs)))
 
 
 @pytest.mark.parametrize("role", ["reference", "generic", "target"])
-def test_an_empty_corpus_has_an_empty_coding(role):
-    corpus = Corpus(documents=[], role=role)
-    assert coding_of(corpus) == ((), [], [0], [0], [], [])
-    assert corpus.documents == [] and corpus.vocabulary == frozenset()
+def test_no_corpus_is_empty(role):
+    """A corpus is built with at least one document, as ingest reads one,
+    so ``term_stats``, ``compute_norms``, ``build_cooc``, ``fit_lda``,
+    ``sentence_features`` and ``sentence_terms`` never meet an empty one."""
+    with pytest.raises(ValueError, match=f"^{role} corpus: zero documents$"):
+        Corpus(documents=[], role=role)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +413,25 @@ class TestSidecar:
                 ingest_corpus(path)
 
     def test_export_removes_only_its_own_sidecars(self, tmp_path):
+        """The text writer removes a sidecar of its own format and leaves any
+        other file, which only a new sidecar replaces.  A corpus always gets
+        a sidecar, so a matrix that gets no ``.pairs`` sidecar, one that
+        ``load_cooc`` rejects, shows what is left."""
         path = tmp_path / "corpus.jsonl"
         sidecar = sidecar_of(path)
-        with_empty_sentence = Corpus(documents=[Document("d1", [["a"], []])], role="target")
         sidecar.write_text("not a sidecar\n")
-        export_corpus(with_empty_sentence, path)
-        assert sidecar.read_text() == "not a sidecar\n"
         export_corpus(Corpus(documents=SMALL, role="target"), path)
         assert sidecar.read_bytes().startswith(b"#dictsieve-coding\t")
-        export_corpus(with_empty_sentence, path)
-        assert not sidecar.exists()
-        export_corpus(Corpus(documents=SMALL, role="target"), path)
-        export_corpus(Corpus(documents=[], role="target"), path)
+
+        path = tmp_path / "cooc.tsv"
+        sidecar = Path(f"{path}.pairs")
+        rejected = CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic")
+        sidecar.write_text("not a sidecar\n")
+        save_cooc(rejected, path)
+        assert sidecar.read_text() == "not a sidecar\n"
+        save_cooc(matrix_of(Corpus(documents=SMALL, role="target")), path)
+        assert sidecar.read_bytes().startswith(b"#dictsieve-pairs\t")
+        save_cooc(rejected, path)
         assert not sidecar.exists()
 
 

@@ -117,12 +117,16 @@ class TestCorpus:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(documents=docs, role="reference")
 
-    def test_hand_built_documents_keep_their_empty_sentences(self):
+    def test_hand_built_documents_drop_their_empty_sentences_as_ingest_does(self):
         docs = [Document("d1", [[], ["a"], []], paragraphs=[[1, 2], [0]]), Document("d2", [])]
         corpus = Corpus(documents=docs, role="reference")
-        assert corpus.documents == docs
-        assert corpus.coding.sentence_starts.tolist() == [0, 0, 1, 1]
-        assert corpus.coding.document_starts.tolist() == [0, 3, 3]
+        assert corpus.documents == [Document("d1", [["a"]], paragraphs=[[0], []]), Document("d2", [])]
+        assert corpus.coding.sentence_starts.tolist() == [0, 1]
+        assert corpus.coding.document_starts.tolist() == [0, 1, 1]
+        records = "".join(
+            json.dumps({"id": doc.id, "sentences": doc.sentences, "paragraphs": doc.paragraphs}) + "\n" for doc in docs
+        )
+        assert ingest_corpus(io.StringIO(records), role="reference").documents == corpus.documents
 
     @pytest.mark.parametrize(
         "doc_id, sentences, message",
@@ -132,6 +136,7 @@ class TestCorpus:
             ("d1", [["b\ud800"]], "document 'd1': token 'b\\ud800' contains a lone surrogate, which UTF-8 cannot encode"),
             ("d1", [["a", ""]], "document 'd1': sentences must be lists of non-empty strings"),
             ("d1", [["a", 3]], "document 'd1': sentences must be lists of non-empty strings"),
+            ("d1", [[["a"]]], "document 'd1': sentences must be lists of non-empty strings"),
             ("a\tb", [["a"]], "document 1: document id 'a\\tb' contains a tab, CR or LF"),
             ("#x", [["a"]], "document 1: document id '#x' starts with '#'"),
             (" y", [["a"]], "document 1: document id ' y' is empty or has leading or trailing whitespace"),
@@ -258,8 +263,16 @@ class TestIngest:
     def test_zero_documents_names_the_file(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         path.write_text("\n \n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: zero documents after parsing$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: zero documents$"):
             ingest_corpus(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: zero documents$"):
+            ingest_corpus(tmp_path, format="plaintext-dir")
+
+    def test_paragraph_groups_are_checked_before_tokens(self):
+        record = json.dumps({"id": "d1", "sentences": [["a\tb"]], "paragraphs": [[1]]})
+        message = "<stream>:1: paragraph sentence index 1 is out of range for 1 sentences"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_corpus(io.StringIO(record))
 
     def test_malformed_record_reports_index(self):
         payload = json.dumps({"id": "ok", "sentences": [["a"]]}) + "\nnot json\n"
@@ -559,12 +572,10 @@ class TestTermStats:
         for term, df in stats.df.items():
             assert df == sum(1 for doc in docs if term in stats.tf_doc[doc.id])
 
-    def test_empty_corpus_rejected(self):
-        corpus = Corpus(documents=[Document(id="d", sentences=[])], role="target")
+    def test_a_document_without_tokens_has_no_terms(self):
+        corpus = Corpus(documents=[Document(id="d", sentences=[[]])], role="target")
         stats = term_stats(corpus)
-        assert stats.tf == {}
-        with pytest.raises(ValueError, match="empty corpus"):
-            term_stats(Corpus(documents=[], role="target"))
+        assert stats.tf == stats.df == stats.tf_doc["d"] == {}
 
 
 class TestTextFloat:

@@ -162,6 +162,11 @@ class TestTopicModelWeightsInOnePass:
         with pytest.raises(ValueError, match="unknown term 'x'"):
             extract_dictionary_tm(model, make_stats({"w": 2, "y": 1}), 2)
 
+    def test_a_stats_term_missing_from_the_model_is_named(self):
+        model = make_model(["w", "y"], [[0.4, 0.6]])
+        with pytest.raises(ValueError, match="^corpus term 'x' is not in the model's vocabulary$"):
+            extract_dictionary_tm(model, make_stats({"w": 2, "x": 3, "y": 1}), 2)
+
 
 class TestExtractTfidf:
     def four_doc_reference(self) -> Corpus:

@@ -109,10 +109,6 @@ class TestComputeNorms:
         assert norms.pivot == 2.0
         assert "void" not in norms.norm
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty corpus"):
-            compute_norms(corpus_of(), None, ScoringConfig())
-
 
 def scalar_contribution(tf: float, log_avgtf: float, boost_value: float, norm: float) -> float:
     """Reference: one run's contribution by the scalar formula, in its

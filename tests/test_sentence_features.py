@@ -177,10 +177,6 @@ class TestEdgeCases:
         features = assert_matches_oracle(documents, self.matrix())
         assert features.offsets.tolist() == [0, 0, 2, 2, 4, 4, 6]
 
-    def test_no_documents(self):
-        features = assert_matches_oracle([], self.matrix())
-        assert features.offsets.tolist() == [0]
-
     def test_keys_that_could_overflow_int64_are_rejected(self):
         """The (sentence, term) and pair keys must stay below 2**63; a stand-in
         matrix reports 2**32 terms, since a real one that size would not fit

@@ -395,10 +395,6 @@ class TestWriterMatchesFrozenWriter:
 
 
 class TestFitValidation:
-    def test_empty_corpus(self):
-        with pytest.raises(ValueError, match="empty corpus"):
-            fit_lda(Corpus(documents=[], role="reference"), 2)
-
     def test_no_tokens(self):
         corpus = Corpus(documents=[Document(id="d", sentences=[])], role="reference")
         with pytest.raises(ValueError, match="no tokens"):
