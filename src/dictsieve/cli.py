@@ -488,10 +488,10 @@ def cmd_build_cooc(args) -> None:
 
 
 def _load_cooc_for(path, dictionary: Dictionary | None, dictionary_path) -> CoocMatrix | None:
-    """The matrix at ``path``, if one is given; a matrix whose terms are not
-    those of ``dictionary`` is reported with both files."""
+    """The matrix at ``path``, if one is given, for ``dictionary``; a matrix
+    whose terms are not those of ``dictionary`` is reported with both files."""
     matrix = load_cooc(path) if path else None
-    if matrix is not None and dictionary is not None and matrix.terms != dictionary.terms:
+    if matrix is not None and matrix.terms != dictionary.terms:
         raise ValueError(f"{path}: co-occurrence matrix terms do not match the dictionary terms of {dictionary_path}")
     return matrix
 
@@ -516,6 +516,9 @@ def cmd_rank(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    for method in ("tm", "tfidf"):
+        if getattr(args, f"cooc_{method}") and not getattr(args, f"dict_{method}"):
+            raise UsageError(f"--cooc-{method} needs --dict-{method}")
     target = ingest_corpus(args.target, role="target")
     dict_tm = load_dictionary(args.dict_tm) if args.dict_tm else None
     dict_tfidf = load_dictionary(args.dict_tfidf) if args.dict_tfidf else None

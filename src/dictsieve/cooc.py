@@ -16,11 +16,11 @@ and kept on the matrix: a dictionary of several hundred terms costs well
 under a megabyte.  A matrix of more than 2,048 terms, whose table would
 exceed ``_TABLE_CELLS`` cells, binary-searches its keys instead.
 
-``save_cooc`` also writes the two arrays beside the TSV file, as
-``<path>.pairs``, keyed by the sha256 of the TSV bytes.  ``load_cooc`` reads
-the arrays from that sidecar when the key matches the file, so a matrix that
-one stage wrote is not parsed again by the next; the terms and provenance
-always come from the TSV.
+``save_cooc`` writes the two arrays of every matrix, valid by construction,
+beside the TSV file, as ``<path>.pairs``, keyed by the sha256 of the TSV
+bytes.  ``load_cooc`` reads the arrays from that sidecar when the key matches
+the file, so a matrix that one stage wrote is not parsed again by the next;
+the terms and provenance always come from the TSV.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, SidecarFormat, open_text, read_header, read_rows
+from .corpus import _FIELD_BREAK_RE, Corpus, SidecarFormat, open_text, read_header, read_rows
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -80,6 +80,10 @@ class CoocMatrix:
     as ``a * n + b`` over the ranks a < b of its terms, and ``values``
     (float64) holds their Dice values.  The diagonal is 0 and never stored.
 
+    Building a matrix that breaks the rule of ``load_cooc``'s pair lines (a
+    repeated term, a term holding a tab, CR or LF, or keys and values that
+    ``_pair_error`` rejects) raises ``ValueError``.
+
     The first lookup caches the pair-index table that later ones read (see
     ``lookup``); like ``norms``, the cache assumes that ``keys`` and
     ``values`` do not change after it is built.
@@ -97,6 +101,12 @@ class CoocMatrix:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         self._term_pos = {t: i for i, t in enumerate(self.terms)}
+        if len(self._term_pos) != len(self.terms):
+            raise ValueError("duplicate term in the term list")
+        if broken := [term for term in self.terms if _FIELD_BREAK_RE.search(term)]:
+            raise ValueError(f"term {broken[0]!r} contains a tab, CR or LF")
+        if (error := _pair_error(self.keys, self.values, len(self.terms))) is not None:
+            raise ValueError(error)
         self.lexicon = tuple(sorted(self.terms))
         self._rank = {t: r for r, t in enumerate(self.lexicon)}
 
@@ -280,11 +290,10 @@ def _tsv_chunks(matrix: CoocMatrix):
     ).encode()
     # each term with the tab after it and each distinct value's line end: a
     # pair line is three strings, joined with every other line of a chunk in
-    # one ``join``.  Values are told apart by their bits, so ``0.0`` and
-    # ``-0.0`` keep their own texts.
+    # one ``join``
     head = [term + "\t" for term in matrix.lexicon].__getitem__
-    bits, value_index = np.unique(np.asarray(matrix.values, np.float64).view(np.int64), return_inverse=True)
-    tail = [repr(value) + "\n" for value in bits.view(np.float64).tolist()].__getitem__
+    distinct, value_index = np.unique(matrix.values, return_inverse=True)
+    tail = [repr(value) + "\n" for value in distinct.tolist()].__getitem__
     for start in range(0, len(matrix), _PAIRS_PER_WRITE):
         a, b = (ranks.tolist() for ranks in np.divmod(matrix.keys[start : start + _PAIRS_PER_WRITE], n))
         parts = [""] * (3 * len(a))
@@ -295,9 +304,11 @@ def _tsv_chunks(matrix: CoocMatrix):
 
 
 def _pair_error(keys: np.ndarray, values: np.ndarray, n: int) -> str | None:
-    """Why ``load_cooc`` would reject ``keys`` and ``values`` as the pairs of
-    a matrix over ``n`` terms, or None: the rules of its pair lines, as
-    array operations."""
+    """Why ``keys`` and ``values`` cannot be the pairs of a matrix over ``n``
+    terms, or None: the rules of ``load_cooc``'s pair lines, as array
+    operations."""
+    if len(keys) != len(values):
+        return "pair keys and values differ in length"
     if (keys[1:] <= keys[:-1]).any():
         return "pair keys are not strictly increasing"
     if len(keys):
@@ -322,36 +333,28 @@ def save_cooc(matrix: CoocMatrix, path) -> None:
     ``<path>.pairs``, which ``load_cooc`` reads in place of the pair lines:
     a ``SidecarFormat`` header (``#dictsieve-pairs``, ``version=1``,
     ``tsv_bytes``, ``tsv_sha256``, the ``pairs`` count and
-    ``payload_sha256``), then the two arrays, 16 bytes a pair.  A sidecar
-    written earlier is removed before the TSV is written, and the new one
-    after it, from the bytes as they were written.  No sidecar is written
-    for a matrix that ``load_cooc`` would reject (a repeated term, a term
-    holding a tab, CR or LF, or pairs that break the rules of its pair
-    lines), so its error still names a line of the TSV.
+    ``payload_sha256``), then the two arrays, 16 bytes a pair.  The TSV and
+    its sidecar are written in one ``SidecarFormat.write``; every matrix
+    keeps the rule of the pair lines, so every one gets its sidecar.
     """
-    size, digest = _PAIRS.write_text(path, _tsv_chunks(matrix))
-    n = len(matrix.terms)
-    terms = "".join(matrix.terms)
-    if len(set(matrix.terms)) != n or "\t" in terms or "\n" in terms or "\r" in terms:
-        return
-    # the arrays are checked, hashed and written in place, not copied
+    # the arrays are hashed and written in place, not copied
     keys = np.ascontiguousarray(matrix.keys, dtype="<i8")
     values = np.ascontiguousarray(matrix.values, dtype="<f8")
-    if _pair_error(keys, values, n) is None:
-        _PAIRS.write(path, size, digest, [len(keys)], [keys, values])
+    _PAIRS.write(path, _tsv_chunks(matrix), [len(keys)], [keys, values])
 
 
-def _decode_pairs(payload: bytes, n_pairs: int, n: int, sidecar) -> tuple[np.ndarray, np.ndarray]:
-    """Check a sidecar's payload as ``load_cooc`` checks pair lines, with
-    array operations, and return its keys and values."""
+def _decode_pairs(payload: bytes, n_pairs: int, terms: tuple[str, ...], provenance: str, sidecar) -> CoocMatrix:
+    """The matrix of a sidecar's payload over ``terms``: a payload that does
+    not hold ``n_pairs`` pairs, or pairs that ``CoocMatrix`` rejects, raise
+    ``ValueError`` naming ``sidecar``."""
     if len(payload) != 16 * n_pairs:
         raise ValueError(f"{sidecar}: payload size does not match the pair count")
     keys = np.frombuffer(payload, "<i8", n_pairs).astype(np.int64)
     values = np.frombuffer(payload, "<f8", n_pairs, 8 * n_pairs).astype(np.float64)
-    error = _pair_error(keys, values, n)
-    if error is not None:
-        raise ValueError(f"{sidecar}: {error}")
-    return keys, values
+    try:
+        return CoocMatrix(terms, keys, values, provenance)
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None
 
 
 def load_cooc(path) -> CoocMatrix:
@@ -388,7 +391,7 @@ def load_cooc(path) -> CoocMatrix:
         found = _PAIRS.read(path)
         if found is not None:
             (n_pairs,), payload = found
-            return CoocMatrix(terms, *_decode_pairs(payload, n_pairs, n, _PAIRS.path(path)), provenance)
+            return _decode_pairs(payload, n_pairs, terms, provenance, _PAIRS.path(path))
         keys, values, seen = [], [], set()
         for lineno, (a, b, text) in read_rows(stream, path, 3, 3):
             ra, rb = rank.get(a, -1), rank.get(b, -1)

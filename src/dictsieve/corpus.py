@@ -309,8 +309,10 @@ class _Coder:
     def add(self, doc_id: str, sentences: list, paragraphs: list | None, where: str) -> None:
         """Code one document without its empty sentences, its paragraph
         groups checked against ``sentences`` and renumbered onto the kept
-        ones.  An error is reported as ``where: ...`` and gives the corpus
-        up."""
+        ones.  ``sentences`` must be a list of lists.  An error is reported
+        as ``where: ...`` and gives the corpus up."""
+        if type(sentences) is not list or not {list}.issuperset(map(type, sentences)):
+            raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
         if paragraphs is not None:
             _check_paragraphs(paragraphs, len(sentences), where)
         # the list is copied only when it has an empty sentence
@@ -348,6 +350,8 @@ class _Coder:
 def _check_doc_id(doc_id: str, where: str) -> None:
     """``pseudorels.txt`` holds one doc id per line, and its reader skips
     blank lines and lines starting with '#' after leading whitespace."""
+    if not isinstance(doc_id, str):
+        raise ValueError(f"{where}: document id {doc_id!r} is not a string")
     if _FIELD_BREAK_RE.search(doc_id):
         raise ValueError(f"{where}: document id {doc_id!r} contains a tab, CR or LF")
     if _SURROGATE_RE.search(doc_id):
@@ -373,8 +377,6 @@ def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
     if not isinstance(doc_id, str) or not isinstance(sentences, list):
         raise ValueError(f"{where}: 'id' must be a string and 'sentences' a list")
     _check_doc_id(doc_id, where)
-    if not {list}.issuperset(map(type, sentences)):
-        raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
     coder.add(doc_id, sentences, record.get("paragraphs"), where)
     return doc_id
 
@@ -531,11 +533,8 @@ class SidecarFormat:
     ``name=value`` fields: ``version=1``, the text file's ``<text>_bytes``
     and ``<text>_sha256``, one count for each name in ``counts``, and the
     ``payload_sha256`` of the rest of the file, the payload, whose layout
-    the format's user decides.  ``write_text`` removes a sidecar of this
-    format (a file that starts with the tag) before the text is written, so
-    a text without a new sidecar keeps no stale one; a file at the sidecar's
-    path that does not start with the tag is left unless ``write`` replaces
-    it.
+    the format's user decides.  ``write`` writes the text and its sidecar in
+    one call.
     """
 
     kind: str
@@ -553,34 +552,29 @@ class SidecarFormat:
     def path(self, text_path) -> Path:
         return Path(f"{text_path}.{self.kind}")
 
-    def write_text(self, text_path, chunks) -> tuple[int, str]:
-        """Remove the old sidecar of ``text_path``, if it has one, then write
-        the byte strings ``chunks`` to ``text_path``; return their length and
-        sha256, hashed as they are written."""
+    def write(self, text_path, chunks, counts, payload) -> None:
+        """Write the byte strings ``chunks`` to ``text_path``, hashed as they
+        are written, then its sidecar: the header ``counts`` and the list of
+        ``payload`` parts (bytes or contiguous arrays, hashed and written in
+        place).  The old sidecar (a file that starts with the tag) is removed
+        first; the new one is written under a temporary name and renamed
+        into place, so a write that fails leaves no sidecar, stale or
+        partial, nor the temporary file."""
         sidecar = self.path(text_path)
         with suppress(FileNotFoundError), open(sidecar, "rb") as old:
             if old.read(len(self.magic)) == self.magic:
                 sidecar.unlink()
-        digest = hashlib.sha256()
+        text_digest = hashlib.sha256()
         with open(text_path, "wb") as out:
             for chunk in chunks:
                 out.write(chunk)
-                digest.update(chunk)
+                text_digest.update(chunk)
             size = out.tell()
-        return size, digest.hexdigest()
-
-    def write(self, text_path, text_size: int, text_sha256: str, counts, payload) -> None:
-        """Write the sidecar of the text ``write_text`` wrote, with the header
-        ``counts`` and the list of ``payload`` parts (bytes or contiguous
-        arrays, hashed and written in place).  The sidecar is written under a
-        temporary name in its directory and renamed into place, so a write
-        that fails leaves neither a partial sidecar nor the temporary file."""
         digest = hashlib.sha256()
         for part in payload:
             digest.update(part)
-        values = [1, text_size, text_sha256, *counts, digest.hexdigest()]
+        values = [1, size, text_digest.hexdigest(), *counts, digest.hexdigest()]
         header = "".join(f"\t{name}={value}" for name, value in zip(self.fields, values)) + "\n"
-        sidecar = self.path(text_path)
         temp = Path(f"{sidecar}.{os.getpid()}.tmp")
         try:
             with open(temp, "wb") as out:
@@ -784,11 +778,10 @@ def export_corpus(corpus: Corpus, path) -> None:
     vocabulary and the doc ids as LF-terminated UTF-8 lines, the paragraph
     groups as one JSON line, then the codes (``<i4``) and the sentence and
     document offsets (``<i8``) as raw arrays, so equal corpora write equal
-    bytes.  A sidecar written earlier is removed before the JSONL is
-    written, and the new one after it, from the bytes as they were written.
+    bytes.  The JSONL and its sidecar are written in one
+    ``SidecarFormat.write``.
     """
     coding = corpus.coding
-    size, digest = _CODING.write_text(path, _jsonl_lines(coding))
     text = "\n".join([*coding.vocab, *coding.ids, json.dumps(coding.paragraphs, separators=(",", ":")), ""])
     # the arrays are written and hashed in place, not copied
     payload = [
@@ -798,4 +791,4 @@ def export_corpus(corpus: Corpus, path) -> None:
         np.ascontiguousarray(coding.document_starts, dtype="<i8"),
     ]
     counts = [len(coding.vocab), len(coding.ids), len(coding.sentence_starts) - 1, len(coding.codes)]
-    _CODING.write(path, size, digest, counts, payload)
+    _CODING.write(path, _jsonl_lines(coding), counts, payload)

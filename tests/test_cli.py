@@ -555,6 +555,14 @@ class TestSubcommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("method, other", [("tm", "tfidf"), ("tfidf", "tm")])
+    def test_sweep_with_a_matrix_but_no_dictionary_fails_before_reading_a_file(self, tmp_path, capsys, method, other):
+        argv = ["sweep", "--target", str(tmp_path / "missing.jsonl"), f"--dict-{other}", str(tmp_path / "d.tsv")]
+        argv += [f"--cooc-{other}", str(tmp_path / "c.tsv"), f"--cooc-{method}", str(tmp_path / "c.tsv")]
+        assert main(argv + ["--alphas", "0", "--out-dir", str(tmp_path / "sweep")]) == EXIT_USAGE
+        assert f"[sweep] --cooc-{method} needs --dict-{method}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["context", "unigram"])
     def test_rank_names_a_matrix_and_a_dictionary_that_do_not_fit(
         self, pipeline_dir, corpora_dir, tmp_path, capsys, mode

@@ -413,26 +413,23 @@ class TestSidecar:
                 ingest_corpus(path)
 
     def test_export_removes_only_its_own_sidecars(self, tmp_path):
-        """The text writer removes a sidecar of its own format and leaves any
-        other file, which only a new sidecar replaces.  A corpus always gets
-        a sidecar, so a matrix that gets no ``.pairs`` sidecar, one that
-        ``load_cooc`` rejects, shows what is left."""
+        """A write replaces a foreign file at the sidecar's path, and its own
+        old sidecar, with the new sidecar (a write that fails is
+        ``test_a_sidecar_write_that_fails_leaves_no_sidecar``)."""
         path = tmp_path / "corpus.jsonl"
         sidecar = sidecar_of(path)
         sidecar.write_text("not a sidecar\n")
         export_corpus(Corpus(documents=SMALL, role="target"), path)
         assert sidecar.read_bytes().startswith(b"#dictsieve-coding\t")
+        for target in (path, tmp_path / "fresh.jsonl"):
+            export_corpus(Corpus(documents=SMALL[1:], role="target"), target)
+        assert sidecar.read_bytes() == sidecar_of(tmp_path / "fresh.jsonl").read_bytes()
 
         path = tmp_path / "cooc.tsv"
         sidecar = Path(f"{path}.pairs")
-        rejected = CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic")
         sidecar.write_text("not a sidecar\n")
-        save_cooc(rejected, path)
-        assert sidecar.read_text() == "not a sidecar\n"
         save_cooc(matrix_of(Corpus(documents=SMALL, role="target")), path)
         assert sidecar.read_bytes().startswith(b"#dictsieve-pairs\t")
-        save_cooc(rejected, path)
-        assert not sidecar.exists()
 
 
 class FailingPayload:

@@ -646,8 +646,8 @@ class TestWriterMatchesFrozenWriter:
     def test_seeded_random_matrices(self, tmp_path, seed):
         rng = random.Random(seed)
         terms = tuple(sorted({f"t{rng.randrange(200)}" for _ in range(rng.randint(2, 40))}))
-        # a small pool, so values repeat; the writer does not check the range
-        pool = [1.0, 5e-324, 0.1 + 0.2, 1 / 3, 0.0, -0.0, 2 / 3] + [rng.random() for _ in range(5)]
+        # a small pool, so values repeat
+        pool = [1.0, 5e-324, 0.1 + 0.2, 1 / 3, 2 / 3] + [rng.random() for _ in range(5)]
         values = {
             pair: rng.choice(pool) if rng.random() < 0.7 else rng.random()
             for pair in combinations(terms, 2)
@@ -995,6 +995,9 @@ def small_tsv(tmp_path) -> Path:
     return path
 
 
+BAD_MATRIX_IDS = ["value-above-1", "value-0", "repeated-key", "negative-key", "repeated-term", "term-with-tab-and-lf"]
+
+
 class TestPairsSidecar:
     @settings(deadline=None)
     @given(matrix=matrices())
@@ -1099,33 +1102,50 @@ class TestPairsSidecar:
             load_cooc(small_tsv)
 
     @pytest.mark.parametrize(
-        "matrix, message",
+        "build, message",
         [
-            (CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic"), ":3: value '1.5' is not a finite number"),
-            (CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 0.0}, "generic"), ":3: value '0.0' is not a finite number"),
-            (CoocMatrix(("a", "b"), np.array([1, 1]), np.array([0.5, 0.5]), "generic"), ":4: duplicate pair"),
-            (CoocMatrix(("a", "b"), np.array([-1]), np.array([0.5]), "generic"), ":3: pair ('b', 'b') is not in"),
-            (CoocMatrix(("a", "a"), np.empty(0, np.int64), np.empty(0), "generic"), ":2: duplicate term"),
-            # the term line reads as ("a", "b"), two terms as the header says
-            (CoocMatrix(("a\tb\nc", "d"), np.array([1]), np.array([0.5]), "generic"), ":3: expected 3"),
+            (lambda: CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic"), "value is not a finite number in (0, 1]"),
+            (lambda: CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 0.0}, "generic"), "value is not a finite number in (0, 1]"),
+            (lambda: CoocMatrix(("a", "b"), np.array([1, 1]), np.array([0.5, 0.5]), "generic"), "pair keys are not strictly"),
+            (lambda: CoocMatrix(("a", "b"), np.array([-1]), np.array([0.5]), "generic"), "pair key out of range for 2 terms"),
+            (lambda: CoocMatrix(("a", "a"), np.empty(0, np.int64), np.empty(0), "generic"), "duplicate term in the term list"),
+            (lambda: CoocMatrix(("a\tb\nc", "d"), np.array([1]), np.array([0.5]), "generic"), "term 'a\\tb\\nc' contains a tab"),
+            (lambda: CoocMatrix(tuple("abc"), np.array([1, 2]), np.array([0.5]), "generic"), "pair keys and values differ"),
         ],
-        ids=["value-above-1", "value-0", "repeated-key", "negative-key", "repeated-term", "term-with-tab-and-lf"],
+        ids=[*BAD_MATRIX_IDS, "more-keys-than-values"],
     )
-    def test_no_sidecar_for_a_matrix_that_load_rejects(self, tmp_path, matrix, message):
+    def test_a_matrix_that_load_would_reject_is_not_built(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=2\n#terms\ta\tb\na\tb\t1.5\n", ":3: value '1.5' is not a finite number"),
+            ("n=2\n#terms\ta\tb\na\tb\t0.0\n", ":3: value '0.0' is not a finite number"),
+            ("n=2\n#terms\ta\tb\na\tb\t0.5\na\tb\t0.5\n", ":4: duplicate pair"),
+            ("n=2\n#terms\ta\tb\nb\tb\t0.5\n", ":3: pair ('b', 'b') is not in"),
+            ("n=2\n#terms\ta\ta\n", ":2: duplicate term"),
+            # the term line reads as ("a", "b"), two terms as the header says
+            ("n=2\n#terms\ta\tb\nc\td\na\tb\nc\td\t0.5\n", ":3: expected 3"),
+        ],
+        ids=BAD_MATRIX_IDS,
+    )
+    def test_load_names_the_line_of_such_a_matrix(self, tmp_path, text, message):
+        """Each matrix above as the TSV writer would write it: ``load_cooc``
+        names the line that breaks its rule."""
         path = tmp_path / "bad.tsv"
-        save_cooc(matrix, path)
-        assert not pairs_of(path).exists()
+        path.write_bytes(f"#dictsieve-cooc\tprovenance=generic\t{text}".encode())
         with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
             load_cooc(path)
 
     def test_save_removes_only_its_own_sidecars(self, tmp_path):
         path = tmp_path / "cooc.tsv"
         sidecar = pairs_of(path)
-        rejected = CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 1.5}, "generic")
         sidecar.write_text("not a sidecar\n")
-        save_cooc(rejected, path)
-        assert sidecar.read_text() == "not a sidecar\n"
         save_cooc(SMALL_MATRIX, path)
         assert sidecar.read_bytes().startswith(b"#dictsieve-pairs\t")
-        save_cooc(rejected, path)
-        assert not sidecar.exists()
+        other = CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 0.5}, "generic")
+        save_cooc(other, path)
+        save_cooc(other, tmp_path / "fresh.tsv")
+        assert sidecar.read_bytes() == pairs_of(tmp_path / "fresh.tsv").read_bytes()

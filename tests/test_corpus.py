@@ -137,6 +137,9 @@ class TestCorpus:
             ("d1", [["a", ""]], "document 'd1': sentences must be lists of non-empty strings"),
             ("d1", [["a", 3]], "document 'd1': sentences must be lists of non-empty strings"),
             ("d1", [[["a"]]], "document 'd1': sentences must be lists of non-empty strings"),
+            ("d1", ["ab", ("c",)], "document 'd1': sentences must be lists of non-empty strings"),
+            ("d1", "abc", "document 'd1': sentences must be lists of non-empty strings"),
+            (5, [["a"]], "document 1: document id 5 is not a string"),
             ("a\tb", [["a"]], "document 1: document id 'a\\tb' contains a tab, CR or LF"),
             ("#x", [["a"]], "document 1: document id '#x' starts with '#'"),
             (" y", [["a"]], "document 1: document id ' y' is empty or has leading or trailing whitespace"),
