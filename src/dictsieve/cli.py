@@ -435,7 +435,7 @@ def fuse_stage(systems: SystemSet, top_m: int, fraction: float, out_dir: Path) -
     write_eval_report(report, out_dir / "eval_report.tsv")
     write_pseudorels(report.pseudorels, out_dir / "pseudorels.txt")
     write_nd_series(report.nd_series, out_dir / "nd_series.tsv")
-    write_wins_series(report.win_series, out_dir / "wins_series.tsv")
+    write_wins_series(report.pseudorels.condorcet_order, out_dir / "wins_series.tsv")
     return report
 
 

@@ -82,7 +82,8 @@ class CoocMatrix:
 
     Building a matrix that breaks the rule of ``load_cooc``'s pair lines (a
     repeated term, a term holding a tab, CR or LF, or keys and values that
-    ``_pair_error`` rejects) raises ``ValueError``.
+    ``_pair_error`` rejects) raises ``ValueError``; ``keys`` and ``values``
+    may be any sequences that convert to int64 and float64 without loss.
 
     The first lookup caches the pair-index table that later ones read (see
     ``lookup``); like ``norms``, the cache assumes that ``keys`` and
@@ -105,6 +106,11 @@ class CoocMatrix:
             raise ValueError("duplicate term in the term list")
         if broken := [term for term in self.terms if _FIELD_BREAK_RE.search(term)]:
             raise ValueError(f"term {broken[0]!r} contains a tab, CR or LF")
+        keys, values = np.asarray(self.keys), np.asarray(self.values)
+        # an empty list converts to float64, which holds no key to lose
+        if keys.size and not np.can_cast(keys.dtype, np.int64) or not np.can_cast(values.dtype, np.float64):
+            raise ValueError("pair keys must be integers and values numbers")
+        self.keys, self.values = keys.astype(np.int64, copy=False), values.astype(np.float64, copy=False)
         if (error := _pair_error(self.keys, self.values, len(self.terms))) is not None:
             raise ValueError(error)
         self.lexicon = tuple(sorted(self.terms))
@@ -234,8 +240,6 @@ def build_cooc(corpus: Corpus, dictionary: Dictionary) -> CoocMatrix:
     so the sorted pair keys of the count are the matrix's ``keys``.
     """
     n = len(dictionary)
-    if n == 0:
-        raise ValueError("dictionary is empty")
     check_key_range(n, len(corpus.coding.sentence_starts) - 1)
     # each sentence's distinct terms in ascending rank, so every pair (a, b)
     # of one sentence has a < b

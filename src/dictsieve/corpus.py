@@ -190,22 +190,17 @@ class Corpus:
 
     ``Corpus(documents, role)`` codes the given documents through a
     ``_Coder``, as ingest codes a file's records, so it drops empty
-    sentences and rejects what ingest rejects: no documents, a document id
-    that is repeated or that ``_check_doc_id`` rejects, and a bad token or
-    paragraph group (reported with its document's id).  ``documents`` are
-    views of the coding, built on first use.
+    sentences and rejects what ingest rejects: no documents, and a bad or
+    repeated document id, token or paragraph group, reported as ``document
+    i`` by the document's index in ``documents``.  ``documents`` are views
+    of the coding, built on first use.
     """
 
     def __init__(self, documents: list[Document], role: str):
         _check_role(role)
-        seen: set[str] = set()
         coder = _Coder()
         for index, doc in enumerate(documents):
-            _check_doc_id(doc.id, f"document {index}")
-            if doc.id in seen:
-                raise ValueError(f"duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-            coder.add(doc.id, doc.sentences, doc.paragraphs, f"document {doc.id!r}")
+            coder.add(doc.id, doc.sentences, doc.paragraphs, f"document {index}")
         self.coding = coder.coding(f"{role} corpus")
         self.role = role
 
@@ -303,14 +298,20 @@ class _Coder:
         self.ids: list[int] = []
         self.lengths: list[int] = []
         self.n_sentences: list[int] = []
-        self.doc_ids: list[str] = []
+        # each document id -> where its document was added
+        self.doc_ids: dict[str, str] = {}
         self.paragraphs: list = []
 
     def add(self, doc_id: str, sentences: list, paragraphs: list | None, where: str) -> None:
         """Code one document without its empty sentences, its paragraph
         groups checked against ``sentences`` and renumbered onto the kept
-        ones.  ``sentences`` must be a list of lists.  An error is reported
-        as ``where: ...`` and gives the corpus up."""
+        ones.  ``doc_id`` must pass ``_check_doc_id`` and be new, and
+        ``sentences`` must be a list of lists.  An error is reported as
+        ``where: ...`` (a repeated id also names its first ``where``) and
+        gives the corpus up."""
+        _check_doc_id(doc_id, where)
+        if doc_id in self.doc_ids:
+            raise ValueError(f"{where}: duplicate document id {doc_id!r} (first at {self.doc_ids[doc_id]})")
         if type(sentences) is not list or not {list}.issuperset(map(type, sentences)):
             raise ValueError(f"{where}: {_MALFORMED_SENTENCES}")
         if paragraphs is not None:
@@ -329,7 +330,7 @@ class _Coder:
             paragraphs = [[kept_at[i] for i in p if i in kept_at] for p in paragraphs]
         self.lengths.extend(map(len, kept))
         self.n_sentences.append(len(kept))
-        self.doc_ids.append(doc_id)
+        self.doc_ids[doc_id] = where
         self.paragraphs.append(paragraphs)
 
     def coding(self, where: str) -> Coding:
@@ -344,7 +345,7 @@ class _Coder:
         rank = np.empty(len(vocab), dtype=np.int32)
         rank[list(map(self.types.__getitem__, vocab))] = np.arange(len(vocab), dtype=np.int32)
         offsets = _offsets(self.lengths), _offsets(self.n_sentences)
-        return Coding(vocab, rank[numbers], *offsets, self.doc_ids, self.paragraphs)
+        return Coding(vocab, rank[numbers], *offsets, list(self.doc_ids), self.paragraphs)
 
 
 def _check_doc_id(doc_id: str, where: str) -> None:
@@ -362,42 +363,28 @@ def _check_doc_id(doc_id: str, where: str) -> None:
         raise ValueError(f"{where}: document id {doc_id!r} is empty or has leading or trailing whitespace")
 
 
-def _parse_jsonl_record(line: str, where: str, coder: _Coder) -> str:
-    """Code one JSONL line as a document and return its id; ``where`` is
-    its ``file:line``."""
-    try:
-        record = json.loads(line)
-    # RecursionError: arrays or objects nested deeper than the recursion limit
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"{where}: invalid JSON: {exc}") from None
-    if not isinstance(record, dict) or "id" not in record or "sentences" not in record:
-        raise ValueError(f"{where}: expected object with 'id' and 'sentences'")
-    doc_id = record["id"]
-    sentences = record["sentences"]
-    if not isinstance(doc_id, str) or not isinstance(sentences, list):
-        raise ValueError(f"{where}: 'id' must be a string and 'sentences' a list")
-    _check_doc_id(doc_id, where)
-    coder.add(doc_id, sentences, record.get("paragraphs"), where)
-    return doc_id
-
-
 def _ingest_jsonl(stream, role: str, name) -> Corpus:
-    """Errors name the record as ``name:line``, lines counted from 1."""
+    """Code each non-blank line as a document; errors name the record as
+    ``name:line``, lines counted from 1."""
     coder = _Coder()
-    first_line: dict[str, int] = {}
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        doc_id = _parse_jsonl_record(line, f"{name}:{lineno}", coder)
-        if first_line.setdefault(doc_id, lineno) != lineno:
-            raise ValueError(f"{name}:{lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
+        where = f"{name}:{lineno}"
+        try:
+            record = json.loads(line)
+        # RecursionError: arrays or objects nested deeper than the recursion limit
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict) or "id" not in record or "sentences" not in record:
+            raise ValueError(f"{where}: expected object with 'id' and 'sentences'")
+        coder.add(record["id"], record["sentences"], record.get("paragraphs"), where)
     return Corpus._coded(coder.coding(name), role)
 
 
 def _ingest_plaintext_dir(directory: Path, role: str) -> Corpus:
     coder = _Coder()
     for path in sorted(directory.glob("*.txt")):
-        _check_doc_id(path.stem, str(path))
         with open_text(path) as stream:
             coder.add(path.stem, list(map(tokenize, split_sentences(stream.read()))), None, str(path))
     return Corpus._coded(coder.coding(str(directory)), role)
@@ -718,7 +705,8 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     documents; a JSONL sentence that is not a list; a token that is not a
     string, is empty, or holds a tab, CR, LF or lone surrogate; a doc id
     that holds a tab, CR, LF or lone surrogate, is empty, starts with '#',
-    has leading or trailing whitespace, or repeats an earlier record's id.
+    has leading or trailing whitespace, or repeats an earlier record's id,
+    whose ``file:line`` the error also names.
     Each distinct token is checked once, in the same dict probe that
     numbers it; the corpus keeps one ``Coding`` of its tokens, so memory
     grows with the vocabulary plus 4 bytes a token.

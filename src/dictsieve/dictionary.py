@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, TermStats, open_text, read_header, read_rows, term_stats
+from .corpus import _FIELD_BREAK_RE, Corpus, TermStats, open_text, read_header, read_rows, term_stats
 from .topics import TopicModelResult
 
 METHOD_TOPIC_MODEL = "topic-model"
@@ -40,9 +40,30 @@ class DictionaryEntry:
     boost: float
 
 
+def _entry_error(entry: DictionaryEntry, rank: int, seen: set[str]) -> str | None:
+    """Why ``entry`` cannot be entry ``rank`` of a dictionary whose earlier
+    entries hold the terms ``seen``, or None, ``entry.term`` then added to
+    ``seen``: the rule of ``load_dictionary``'s entry lines."""
+    if entry.rank != rank:
+        return f"rank {entry.rank} is out of order, expected {rank}"
+    if not (math.isfinite(entry.weight) and math.isfinite(entry.boost)):
+        return "weight and boost must be finite"
+    if entry.boost != boost(rank):
+        return f"boost {entry.boost!r} is not 1/sqrt({rank}) = {boost(rank)!r}"
+    if not entry.term or _FIELD_BREAK_RE.search(entry.term):
+        return f"term {entry.term!r} is empty or contains a tab, CR or LF"
+    if entry.term in seen:
+        return f"duplicate term {entry.term!r}"
+    seen.add(entry.term)
+    return None
+
+
 @dataclass
 class Dictionary:
-    """Ordered dictionary of ranked terms with weights and boost factors."""
+    """Ordered dictionary of ranked terms with weights and boost factors.
+
+    Building one that ``load_dictionary`` would reject (an unknown method,
+    no entries, or an entry that ``_entry_error`` rejects) raises."""
 
     entries: list[DictionaryEntry]
     method: str
@@ -53,11 +74,15 @@ class Dictionary:
     def __post_init__(self) -> None:
         if self.method not in METHOD_LABELS:
             raise ValueError(f"unknown dictionary method {self.method!r}")
+        if not self.entries:
+            raise ValueError("dictionary has no entries")
+        seen: set[str] = set()
+        for rank, entry in enumerate(self.entries, start=1):
+            if (error := _entry_error(entry, rank, seen)) is not None:
+                raise ValueError(f"dictionary entry {rank}: {error}")
         self.terms = tuple(e.term for e in self.entries)
         self.boosts = np.array([e.boost for e in self.entries])
         self._index = dict(zip(self.terms, self.entries))
-        if len(self._index) != len(self.entries):
-            raise ValueError("dictionary terms must be unique")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -88,8 +113,6 @@ def _term_weights(model: TopicModelResult, columns, tf_values: list[int]) -> np.
 
 def term_weight(term: str, model: TopicModelResult, stats: TermStats) -> float:
     """ln(tf(w)) times the summed p(w|topic) over non-excluded topics."""
-    if not model.retained_topics():
-        raise ValueError("all topics excluded")
     if term not in stats.tf or term not in model.vocab_index:
         raise ValueError(f"unknown term {term!r}")
     return float(_term_weights(model, [model.vocab_index[term]], [stats.tf[term]])[0])
@@ -110,8 +133,6 @@ def extract_dictionary_tm(model: TopicModelResult, stats: TermStats, n: int) -> 
     one of them holds and the other lacks raises ``ValueError``."""
     if n < 1:
         raise ValueError("dictionary size must be >= 1")
-    if not model.retained_topics():
-        raise ValueError("all topics excluded")
     tf_values = list(map(stats.tf.get, model.vocab))
     if None in tf_values:
         raise ValueError(f"unknown term {model.vocab[tf_values.index(None)]!r}")
@@ -148,32 +169,26 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 def load_dictionary(path) -> Dictionary:
     """Read a dictionary written by ``save_dictionary``.
 
-    Every line must hold 4 fields: ranks run 1..n in file order, each boost
-    equals ``boost(rank)``, weights and boosts are finite, terms are
-    distinct, and the header's n counts the entries; a violation is
-    reported as ``path:line``.
+    Every line must hold 4 fields and keep the rule that ``Dictionary``
+    keeps (see ``_entry_error``), and the header's n must count the
+    entries; a violation is reported as ``path:line``, and an unknown
+    method or a file without entries as ``path:1``.
     """
     with open_text(path) as stream:
         method, n = read_header(stream, path, "#dictsieve-dictionary", "dictionary", "method")
-        if method not in METHOD_LABELS:
-            raise ValueError(f"{path}:1: unknown dictionary method {method!r}")
         entries = []
         seen = set()
         for lineno, (rank_text, term, weight_text, boost_text) in read_rows(stream, path, 4, 2):
             try:
-                rank, weight, boost_value = int(rank_text), float(weight_text), float(boost_text)
+                entry = DictionaryEntry(term, float(weight_text), int(rank_text), float(boost_text))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: rank, weight and boost must be numbers") from None
-            if rank != len(entries) + 1:
-                raise ValueError(f"{path}:{lineno}: rank {rank} is out of order, expected {len(entries) + 1}")
-            if not (math.isfinite(weight) and math.isfinite(boost_value)):
-                raise ValueError(f"{path}:{lineno}: weight and boost must be finite")
-            if boost_value != boost(rank):
-                raise ValueError(f"{path}:{lineno}: boost {boost_text} is not 1/sqrt({rank}) = {boost(rank)!r}")
-            if term in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
-            seen.add(term)
-            entries.append(DictionaryEntry(term=term, weight=weight, rank=rank, boost=boost_value))
+            if (error := _entry_error(entry, len(entries) + 1, seen)) is not None:
+                raise ValueError(f"{path}:{lineno}: {error}")
+            entries.append(entry)
     if len(entries) != n:
         raise ValueError(f"{path}:1: header says n={n} but the file has {len(entries)} entries")
-    return Dictionary(entries=entries, method=method)
+    try:
+        return Dictionary(entries=entries, method=method)
+    except ValueError as exc:  # the entries passed, so the method or their number is wrong
+        raise ValueError(f"{path}:1: {exc}") from None

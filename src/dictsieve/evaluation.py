@@ -116,7 +116,6 @@ class EvalReport:
     map_by_system: dict[str, float]
     pseudorels: PseudorelSet
     nd_series: list[tuple[str, float]]
-    win_series: list[tuple[str, int]]
 
 
 def sweep_configs(alphas: tuple[float, ...] | list[float], slope: float) -> list[ScoringConfig]:
@@ -329,7 +328,6 @@ def evaluate_sweep(
         map_by_system=maps,
         pseudorels=rels,
         nd_series=nd_series,
-        win_series=list(rels.condorcet_order),
     )
 
 

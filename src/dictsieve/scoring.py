@@ -127,14 +127,6 @@ def _term_contribution(tf_value: float, log_avgtf: float, boost: float, norm: fl
     return float(term_contributions(tf, boosts, np.array([0, 1]), log_avgtf, norm)[0])
 
 
-def _scored(q: Dictionary, d: Document, norms: CollectionNorms) -> bool:
-    """False for a zero-token document, which scores 0.0 whatever the
-    dictionary; an empty dictionary is an error."""
-    if len(q) == 0:
-        raise ValueError("dictionary is empty")
-    return d.id not in norms.empty_doc_ids
-
-
 def _entry_contributions(q: Dictionary, d: Document, norms: CollectionNorms, tf_values: list[float]) -> list[float]:
     """The term contributions of d's tf value for every dictionary entry, in
     dictionary order, from ``term_contributions`` over d alone."""
@@ -151,7 +143,7 @@ def _total(contributions) -> float:
 
 def score_dict(q: Dictionary, d: Document, stats: TermStats, norms: CollectionNorms) -> float:
     """Unigram dictionary score over the document's raw term frequencies."""
-    if not _scored(q, d, norms):
+    if d.id in norms.empty_doc_ids:
         return 0.0
     tf = stats.tf_doc[d.id]
     return _total(_entry_contributions(q, d, norms, [tf.get(entry.term, 0) for entry in q.entries]))
@@ -290,12 +282,12 @@ def score_context(
     are those floats in dictionary order, d's slice of the contribution
     pass that ``rank_collection`` makes over the whole target; they are
     computed here from ``d`` alone otherwise.  A non-empty slice is added
-    at once: it holds a run, a dictionary term present in d, so d has tokens
-    and the dictionary has terms.
+    at once: it holds a run, a dictionary term present in d, so d has
+    tokens.  A zero-token document scores 0.0.
     """
     if contributions:
         return reduce(add, contributions, 0.0)
-    if not _scored(q, d, norms):
+    if d.id in norms.empty_doc_ids:
         return 0.0
     if contributions is None:
         tf = _document_tfsim(d, cooc_filtered, config)

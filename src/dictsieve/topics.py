@@ -44,7 +44,8 @@ class TopicModelResult:
     ``phi`` is a K x V matrix of p(w | topic k); rows sum to 1.  ``vocab``
     fixes the column order.  ``topic_weight[k]`` is the fraction of corpus
     tokens assigned to topic k in the final sampler state.  Topic ids are
-    1-based everywhere in the public API.
+    1-based everywhere in the public API.  Building a model whose
+    ``excluded`` ids ``check_topic_ids`` rejects raises ``ValueError``.
     """
 
     n_topics: int
@@ -58,9 +59,7 @@ class TopicModelResult:
     iterations: int
 
     def __post_init__(self) -> None:
-        if not self.excluded <= set(range(1, self.n_topics + 1)):
-            bad = sorted(set(self.excluded) - set(range(1, self.n_topics + 1)))
-            raise ValueError(f"excluded topic ids out of range 1..{self.n_topics}: {bad}")
+        self.excluded = check_topic_ids(self.n_topics, self.excluded)
 
     @cached_property
     def vocab_index(self) -> dict[str, int]:
@@ -275,11 +274,11 @@ def fit_lda(
 def exclude_topics(model: TopicModelResult, ids) -> TopicModelResult:
     """Return the model with the given 1-based topic ids marked excluded.
 
-    Exclusions accumulate with any already recorded on the model.
-    Distributions are left untouched; exclusion takes effect at dictionary
-    extraction time.
+    Exclusions accumulate with any already recorded on the model, and the
+    result must keep ``TopicModelResult``'s rule.  Distributions are left
+    untouched; exclusion takes effect at dictionary extraction time.
     """
-    return dataclasses.replace(model, excluded=model.excluded | check_topic_ids(model.n_topics, ids))
+    return dataclasses.replace(model, excluded=model.excluded | frozenset(ids))
 
 
 def check_topic_ids(n_topics: int, ids) -> frozenset[int]:
@@ -330,10 +329,10 @@ def load_model(path) -> TopicModelResult:
     Lines come in the order ``save_model`` writes them.  ``n_topics`` and
     ``iterations`` are at least 1, ``alpha`` and ``beta`` finite and positive,
     ``vocab`` holds n_vocab distinct terms, ``topic_weight`` n_topics finite
-    values and ``excluded`` ids in 1..n_topics; then comes exactly one
-    ``phi`` row per topic 1..n_topics, in order, each with n_vocab finite,
-    non-negative values summing to 1 within 1e-9.  A violation is reported
-    as ``path:line``.
+    values and ``excluded`` ids in 1..n_topics that leave a topic (see
+    ``check_topic_ids``); then comes exactly one ``phi`` row per topic
+    1..n_topics, in order, each with n_vocab finite, non-negative values
+    summing to 1 within 1e-9.  A violation is reported as ``path:line``.
     """
     with open_text(path) as stream:
         if not stream.readline().startswith("#dictsieve-topic-model"):
@@ -384,8 +383,10 @@ def load_model(path) -> TopicModelResult:
             excluded = frozenset(int(k) for k in excluded_text.split(",") if k)
         except ValueError:
             fail(f"excluded topic ids {excluded_text!r} are not integers")
-        if not excluded <= set(range(1, n_topics + 1)):
-            fail(f"excluded topic ids {sorted(excluded)} are not all in 1..{n_topics}")
+        try:
+            check_topic_ids(n_topics, excluded)
+        except ValueError as exc:
+            fail(exc)
         vocab = tuple(read("vocab"))
         if len(vocab) != n_vocab or len(set(vocab)) != n_vocab:
             fail(f"vocab must hold {n_vocab} distinct terms")

@@ -344,7 +344,7 @@ class TestExitCodes:
             f"--{role}": str(bad),
         }
         assert main(["run", *(item for option in options.items() for item in option)]) == EXIT_DATA
-        assert f"[ingest] {bad}:2: duplicate document id 'd1' (first on line 1)" in capsys.readouterr().err
+        assert f"[ingest] {bad}:2: duplicate document id 'd1' (first at {bad}:1)" in capsys.readouterr().err
         assert list(tmp_path.rglob("corpus_*.jsonl")) == []
 
 
@@ -676,6 +676,27 @@ class TestSubcommands:
         assert code == EXIT_DATA
         assert f"{model}:11: phi row 1 sums to" in capsys.readouterr().err
         assert not (tmp_path / "d.tsv").exists()
+
+    def test_a_model_with_every_topic_excluded_is_rejected_at_its_excluded_line(self, pipeline_dir, tmp_path, capsys):
+        lines = (pipeline_dir / "model.tsv").read_text().splitlines()
+        assert (lines[1], lines[7]) == ("n_topics\t2", "excluded\t")
+        lines[7] = "excluded\t1,2"
+        model = tmp_path / "model.tsv"
+        model.write_text("\n".join(lines) + "\n")
+        assert main(["inspect-topics", "--model", str(model)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"[inspect-topics] {model}:8: all topics excluded" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, corpus", [("rank", "--target"), ("build-cooc", "--corpus")])
+    def test_a_dictionary_without_entries_is_rejected_at_its_header(self, corpora_dir, tmp_path, capsys, command, corpus):
+        dictionary = tmp_path / "dict.tsv"
+        dictionary.write_text("#dictsieve-dictionary\tmethod=tfidf\tn=0\n")
+        out = tmp_path / "out.tsv"
+        argv = [command, corpus, str(corpora_dir / "reference.jsonl"), "--dict", str(dictionary), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert f"[{command}] {dictionary}:1: dictionary has no entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_a_model_without_topics_is_rejected_with_its_location(
         self, pipeline_dir, corpora_dir, tmp_path, capsys

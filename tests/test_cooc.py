@@ -110,8 +110,10 @@ class TestBuildCooc:
         assert build_cooc(corpus_gen, d).provenance == "generic"
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError, match="dictionary is empty"):
-            build_cooc(one_doc_corpus([["a"]]), make_dictionary())
+        """A dictionary without terms is rejected where it is built, so
+        ``build_cooc`` never meets one."""
+        with pytest.raises(ValueError, match="^dictionary has no entries$"):
+            make_dictionary()
 
     def test_brute_force_recount_randomized(self):
         """Every stored value must equal a direct per-pair recount."""
@@ -1117,6 +1119,17 @@ class TestPairsSidecar:
     def test_a_matrix_that_load_would_reject_is_not_built(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             build()
+
+    def test_keys_and_values_given_as_lists_are_converted(self):
+        matrix = CoocMatrix(("a", "b"), [1], [0.5], "generic")
+        assert (matrix.keys.dtype, matrix.values.dtype) == (np.int64, np.float64)
+        assert matrix.get("b", "a") == 0.5
+        assert len(CoocMatrix(("a", "b"), [], [], "generic")) == 0
+
+    @pytest.mark.parametrize("keys, values", [([1.0], [0.5]), ([1], ["0.5"]), (["1"], [0.5])])
+    def test_keys_and_values_that_do_not_convert_without_loss_are_rejected(self, keys, values):
+        with pytest.raises(ValueError, match="^pair keys must be integers and values numbers$"):
+            CoocMatrix(("a", "b"), keys, values, "generic")
 
     @pytest.mark.parametrize(
         "text, message",

@@ -80,7 +80,8 @@ class TestCorpus:
 
     def test_duplicate_document_ids_rejected(self):
         docs = [Document(id="x", sentences=[["a"]]), Document(id="x", sentences=[["b"]])]
-        with pytest.raises(ValueError, match="duplicate document id"):
+        message = "document 1: duplicate document id 'x' (first at document 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(documents=docs, role="target")
 
     def test_unknown_role_rejected(self):
@@ -90,7 +91,7 @@ class TestCorpus:
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_paragraph_index_names_the_document(self, bad):
         docs = [Document("ok", [["a"]]), Document("d1", [["a"], [], ["b"]], paragraphs=[[0], [bad]])]
-        message = f"document 'd1': paragraph sentence index {bad} is out of range for 3 sentences"
+        message = f"document 1: paragraph sentence index {bad} is out of range for 3 sentences"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(documents=docs, role="reference")
 
@@ -104,7 +105,7 @@ class TestCorpus:
     )
     def test_repeated_paragraph_index_names_the_document(self, sentences, paragraphs, repeated):
         docs = [Document("ok", [["a"]]), Document("d1", sentences, paragraphs=paragraphs)]
-        message = f"document 'd1': paragraph sentence index {repeated} appears more than once"
+        message = f"document 1: paragraph sentence index {repeated} appears more than once"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(documents=docs, role="reference")
 
@@ -113,7 +114,7 @@ class TestCorpus:
         """Export would write ``true`` and ``0.0`` for the first two, which
         ingest rejects; groups must be lists, as in a JSONL record."""
         docs = [Document("ok", [["a"]]), Document("d1", [["a"], ["b"]], paragraphs=paragraphs)]
-        message = "document 'd1': 'paragraphs' must be lists of sentence indices"
+        message = "document 1: 'paragraphs' must be lists of sentence indices"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(documents=docs, role="reference")
 
@@ -131,14 +132,14 @@ class TestCorpus:
     @pytest.mark.parametrize(
         "doc_id, sentences, message",
         [
-            ("d1", [["a\tb", ""]], "document 'd1': token 'a\\tb' contains a tab, CR or LF"),
-            ("d1", [["a"], ["b\rc"]], "document 'd1': token 'b\\rc' contains a tab, CR or LF"),
-            ("d1", [["b\ud800"]], "document 'd1': token 'b\\ud800' contains a lone surrogate, which UTF-8 cannot encode"),
-            ("d1", [["a", ""]], "document 'd1': sentences must be lists of non-empty strings"),
-            ("d1", [["a", 3]], "document 'd1': sentences must be lists of non-empty strings"),
-            ("d1", [[["a"]]], "document 'd1': sentences must be lists of non-empty strings"),
-            ("d1", ["ab", ("c",)], "document 'd1': sentences must be lists of non-empty strings"),
-            ("d1", "abc", "document 'd1': sentences must be lists of non-empty strings"),
+            ("d1", [["a\tb", ""]], "document 1: token 'a\\tb' contains a tab, CR or LF"),
+            ("d1", [["a"], ["b\rc"]], "document 1: token 'b\\rc' contains a tab, CR or LF"),
+            ("d1", [["b\ud800"]], "document 1: token 'b\\ud800' contains a lone surrogate, which UTF-8 cannot encode"),
+            ("d1", [["a", ""]], "document 1: sentences must be lists of non-empty strings"),
+            ("d1", [["a", 3]], "document 1: sentences must be lists of non-empty strings"),
+            ("d1", [[["a"]]], "document 1: sentences must be lists of non-empty strings"),
+            ("d1", ["ab", ("c",)], "document 1: sentences must be lists of non-empty strings"),
+            ("d1", "abc", "document 1: sentences must be lists of non-empty strings"),
             (5, [["a"]], "document 1: document id 5 is not a string"),
             ("a\tb", [["a"]], "document 1: document id 'a\\tb' contains a tab, CR or LF"),
             ("#x", [["a"]], "document 1: document id '#x' starts with '#'"),
@@ -247,7 +248,7 @@ class TestIngest:
         lines[4] = lines[4].replace(b'"a"', b'"\xff"')
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: 'id' must be a string"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: sentences must be lists of non-empty strings$"):
             ingest_corpus(path)
         lines[2] = lines[1].replace(b"d1", b"d2")
         path.write_bytes(b"\n".join(lines) + b"\n")
@@ -365,10 +366,10 @@ class TestIngest:
             "".join(json.dumps({"id": i, "sentences": [["a"]]}) + "\n" for i in ("d1", "d2", "d3")) + "\n"
             + json.dumps({"id": "d2", "sentences": [["b"]]}) + "\n"
         )
-        with pytest.raises(ValueError, match=re.escape(f"{path}:5: duplicate document id 'd2' (first on line 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: duplicate document id 'd2' (first at {path}:2)")):
             ingest_corpus(path)
         payload = "".join(json.dumps({"id": "d1", "sentences": [[t]]}) + "\n" for t in ("a", "b"))
-        with pytest.raises(ValueError, match=re.escape("<stream>:2: duplicate document id 'd1' (first on line 1)")):
+        with pytest.raises(ValueError, match=re.escape("<stream>:2: duplicate document id 'd1' (first at <stream>:1)")):
             ingest_corpus(io.StringIO(payload))
 
     def test_plaintext_dir(self, tmp_path):
@@ -425,7 +426,7 @@ class TestIngest:
 
 
 def per_token_sentence_check(sentence) -> bool:
-    """The check ``_parse_jsonl_record`` ran on each sentence before it
+    """The check the JSONL reader ran on each sentence before it
     checked types per sentence, verbatim: True means malformed."""
     return not isinstance(sentence, list) or any(not isinstance(t, str) or not t for t in sentence)
 

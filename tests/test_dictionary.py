@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from dictsieve import (
     boost,
     extract_dictionary_tfidf,
     extract_dictionary_tm,
+    exclude_topics,
     load_dictionary,
     save_dictionary,
     term_weight,
@@ -89,9 +91,10 @@ class TestTermWeight:
         assert term_weight("w", full, stats) == pytest.approx(math.log(8), rel=1e-12)
 
     def test_all_topics_excluded_rejected(self):
-        model = make_model(["w", "x"], [[0.5, 0.5]], excluded={1})
+        """A model without a retained topic is rejected where it is built,
+        so no term weight meets one."""
         with pytest.raises(ValueError, match="all topics excluded"):
-            term_weight("w", model, make_stats({"w": 2, "x": 1}))
+            make_model(["w", "x"], [[0.5, 0.5]], excluded={1})
 
     def test_unknown_term_rejected(self):
         model = make_model(["w", "x"], [[0.5, 0.5]])
@@ -131,9 +134,9 @@ class TestExtractTopicModel:
             extract_dictionary_tm(model, make_stats({"a": 2}), 0)
 
     def test_all_topics_excluded(self):
-        model = make_model(["a"], [[1.0]], excluded={1})
+        model = make_model(["a", "b"], [[0.5, 0.5], [0.5, 0.5]], excluded={1})
         with pytest.raises(ValueError, match="all topics excluded"):
-            extract_dictionary_tm(model, make_stats({"a": 2}), 1)
+            extract_dictionary_tm(exclude_topics(model, {2}), make_stats({"a": 2, "b": 1}), 1)
 
 
 class TestTopicModelWeightsInOnePass:
@@ -225,9 +228,25 @@ class TestDictionaryContainer:
         assert "boosts" not in repr(d)
 
     def test_duplicate_terms_rejected(self):
-        entries = self.entries() + [DictionaryEntry(term="a", weight=0.5, rank=3, boost=0.5)]
-        with pytest.raises(ValueError, match="unique"):
+        entries = self.entries() + [DictionaryEntry(term="a", weight=0.5, rank=3, boost=boost(3))]
+        with pytest.raises(ValueError, match="^dictionary entry 3: duplicate term 'a'$"):
             Dictionary(entries=entries, method="topic-model")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (DictionaryEntry("c\td", 0.5, 3, boost(3)), r"term 'c\td' is empty or contains a tab, CR or LF"),
+            (DictionaryEntry("c\r", 0.5, 3, boost(3)), r"term 'c\r' is empty or contains a tab, CR or LF"),
+            (DictionaryEntry("", 0.5, 3, boost(3)), "term '' is empty or contains a tab, CR or LF"),
+            (DictionaryEntry("c", 0.5, 7, boost(7)), "rank 7 is out of order, expected 3"),
+            (DictionaryEntry("c", 0.5, 3, 0.5), "boost 0.5 is not 1/sqrt(3) = 0.5773502691896258"),
+            (DictionaryEntry("c", math.nan, 3, boost(3)), "weight and boost must be finite"),
+            (DictionaryEntry("c", 0.5, 3, math.inf), "weight and boost must be finite"),
+        ],
+    )
+    def test_entries_that_the_loader_rejects_are_rejected_when_built(self, entry, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'dictionary entry 3: {message}')}$"):
+            Dictionary(entries=self.entries() + [entry], method="tfidf")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown dictionary method"):
@@ -296,6 +315,12 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{path.name}:1: {message}"):
             load_dictionary(path)
 
+    def test_rejects_a_file_without_entries_at_its_header(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        path.write_text("#dictsieve-dictionary\tmethod=tfidf\tn=0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: dictionary has no entries$"):
+            load_dictionary(path)
+
     @settings(deadline=None)
     @given(
         terms=st.lists(
@@ -304,6 +329,7 @@ class TestPersistence:
                 min_size=1,
                 max_size=6,
             ),
+            min_size=1,
             max_size=8,
             unique=True,
         ),

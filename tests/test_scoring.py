@@ -206,12 +206,10 @@ class TestScoreDict:
         assert score_dict(make_dictionary("a"), docs[1], stats, norms) == 0.0
 
     def test_empty_dictionary_rejected(self):
-        doc = Document(id="d", sentences=[["a"]])
-        corpus = corpus_of(doc)
-        stats = term_stats(corpus)
-        norms = compute_norms(corpus, stats, ScoringConfig())
-        with pytest.raises(ValueError, match="dictionary is empty"):
-            score_dict(Dictionary(entries=[], method="tfidf"), doc, stats, norms)
+        """A dictionary without terms is rejected where it is built, so no
+        score meets one."""
+        with pytest.raises(ValueError, match="^dictionary has no entries$"):
+            Dictionary(entries=[], method="tfidf")
 
 
 class TestTfsim:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import random
 
@@ -461,6 +462,13 @@ class TestExclusion:
         with pytest.raises(ValueError, match="out of range"):
             exclude_topics(model, {3})
 
+    def test_a_model_with_every_topic_excluded_is_rejected_when_built(self):
+        model = fit_lda(tiny_corpus(), 2, iterations=5, seed=1)
+        with pytest.raises(ValueError, match="^all topics excluded$"):
+            dataclasses.replace(model, excluded=frozenset({1, 2}))
+        with pytest.raises(ValueError, match="^all topics excluded$"):
+            exclude_topics(exclude_topics(model, {2}), {1})
+
 
 class TestTopTerms:
     def manual_model(self) -> TopicModelResult:
@@ -540,8 +548,9 @@ class TestPersistence:
             pytest.param(4, 5, ["beta\t0.0"], 5, "beta must be finite and > 0, got 0.0", id="beta-zero"),
             pytest.param(4, 5, ["beta\t-0.01"], 5, "beta must be finite and > 0, got -0.01", id="beta-neg"),
             pytest.param(5, 6, ["iterations\t0"], 6, "iterations must be >= 1, got 0", id="iterations-0"),
-            pytest.param(7, 8, ["excluded\t3"], 8, r"excluded topic ids \[3\] are not all in 1..2", id="excluded-3"),
-            pytest.param(7, 8, ["excluded\t0"], 8, r"excluded topic ids \[0\] are not all in 1..2", id="excluded-0"),
+            pytest.param(7, 8, ["excluded\t3"], 8, r"topic ids out of range 1..2: \[3\]", id="excluded-3"),
+            pytest.param(7, 8, ["excluded\t0"], 8, r"topic ids out of range 1..2: \[0\]", id="excluded-0"),
+            pytest.param(7, 8, ["excluded\t2,1"], 8, "all topics excluded", id="excluded-all"),
             pytest.param(8, 9, ["vocab\tapple\tpear"], 9, "vocab must hold 3 distinct terms", id="vocab-short"),
             pytest.param(8, 9, ["vocab\tapple\tpear\tpear"], 9, "vocab must hold 3 distinct", id="vocab-repeat"),
             pytest.param(9, 10, ["topic_weight\t1.0"], 10, "topic_weight has 1 values, expected 2", id="weight-short"),
