@@ -34,6 +34,7 @@ from .corpus import (
     open_text,
     read_rows,
     term_stats,
+    write_rows,
 )
 from .dictionary import (
     Dictionary,
@@ -300,9 +301,7 @@ def write_manifest(config: PipelineConfig, path) -> None:
         "config": asdict(config),
         "inputs": inputs,
     }
-    with open(path, "w", encoding="utf-8") as out:
-        json.dump(manifest, out, indent=2, sort_keys=True)
-        out.write("\n")
+    Path(path).write_bytes((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +420,11 @@ def sweep_stage(
     (out_dir / "systems").mkdir(parents=True, exist_ok=True)
     for ranked, fname in zip(systems.systems, fnames):
         save_ranked_list(ranked, out_dir / "systems" / fname)
-    biased_ids = set(systems.biased_subset)
-    with open(out_dir / "systems.tsv", "w", encoding="utf-8") as index:
-        index.write("system_id\tfile\tbiased\n")
-        for ranked, fname in zip(systems.systems, fnames):
-            index.write(f"{ranked.system_id}\tsystems/{fname}\t{int(ranked.system_id in biased_ids)}\n")
+    rows = (
+        (ranked.system_id, f"systems/{fname}", int(ranked.system_id in systems.biased_subset))
+        for ranked, fname in zip(systems.systems, fnames)
+    )
+    write_rows(out_dir / "systems.tsv", rows, "system_id\tfile\tbiased\n")
     return systems
 
 
@@ -471,7 +470,7 @@ def cmd_extract_dict(args) -> None:
     model = load_model(args.model) if args.method == "tm" else None
     excluded = parse_topic_ids(args.exclude)
     if model is not None:
-        check_topic_ids(model.n_topics, excluded)
+        model = exclude_topics(model, excluded)
     try:
         dictionary = extract_dict_stage(args.method, corpus, model, excluded, args.n, args.out)
     except ValueError as err:  # the model does not fit the corpus

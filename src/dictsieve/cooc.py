@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import _FIELD_BREAK_RE, Corpus, SidecarFormat, open_text, read_header, read_rows
+from .corpus import Corpus, SidecarFormat, fields_error, open_text, read_header, read_rows
 from .dictionary import Dictionary
 
 PROVENANCES = ("reference", "generic", "filtered")
@@ -80,8 +80,8 @@ class CoocMatrix:
     as ``a * n + b`` over the ranks a < b of its terms, and ``values``
     (float64) holds their Dice values.  The diagonal is 0 and never stored.
 
-    Building a matrix that breaks the rule of ``load_cooc``'s pair lines (a
-    repeated term, a term holding a tab, CR or LF, or keys and values that
+    Building a matrix that breaks the rule of ``load_cooc``'s lines (a
+    repeated term or one ``field_error`` rejects, or keys and values that
     ``_pair_error`` rejects) raises ``ValueError``; ``keys`` and ``values``
     may be any sequences that convert to int64 and float64 without loss.
 
@@ -104,8 +104,8 @@ class CoocMatrix:
         self._term_pos = {t: i for i, t in enumerate(self.terms)}
         if len(self._term_pos) != len(self.terms):
             raise ValueError("duplicate term in the term list")
-        if broken := [term for term in self.terms if _FIELD_BREAK_RE.search(term)]:
-            raise ValueError(f"term {broken[0]!r} contains a tab, CR or LF")
+        if (error := fields_error("term", self.terms)) is not None:
+            raise ValueError(error)
         keys, values = np.asarray(self.keys), np.asarray(self.values)
         # an empty list converts to float64, which holds no key to lose
         if keys.size and not np.can_cast(keys.dtype, np.int64) or not np.can_cast(values.dtype, np.float64):
@@ -387,6 +387,8 @@ def load_cooc(path) -> CoocMatrix:
         if terms_line[0] != "#terms":
             raise ValueError(f"missing term list in {path}")
         terms = tuple(terms_line[1:])
+        if (error := fields_error("term", terms)) is not None:
+            raise ValueError(f"{path}:2: {error}")
         rank = {t: r for r, t in enumerate(sorted(terms))}
         if len(rank) != len(terms):
             raise ValueError(f"{path}:2: duplicate term in the term list")

@@ -28,7 +28,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -43,12 +43,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Sentence ends at . ! ? followed by whitespace or end of text.
 _SENTENCE_RE = re.compile(r"[.!?](?:\s+|$)")
 
-# Doc ids and tokens are fields of the line-based artifacts, where a tab,
-# CR or LF would split the field or the line.
+# what a field of an artifact line may not hold (see ``field_error``), and
+# what ``_Utf8Lines`` finds in a line that is not UTF-8
 _FIELD_BREAK_RE = re.compile(r"[\t\r\n]")
-
-# JSON can escape a lone surrogate ("\ud800"), which UTF-8 cannot encode, so
-# every artifact write would fail on it.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 _MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
@@ -271,20 +268,14 @@ def term_stats(corpus: Corpus) -> TermStats:
 class _TokenIds(dict):
     """token -> its number, in order of first occurrence.
 
-    A token is checked the first time it is looked up, so each distinct
-    token is checked once: it must be a non-empty ``str`` without a tab, CR,
-    LF or lone surrogate.  An unhashable token (a JSON list or object) fails
-    in the lookup itself; ``_Coder.add`` reports that as the same malformed
-    sentence.
+    Each distinct token is checked once, when first looked up: it must be
+    a field (see ``field_error``).  One that is not a non-empty ``str``, or
+    is unhashable (which ``_Coder.add`` catches), is a malformed sentence.
     """
 
     def __missing__(self, token: str) -> int:
-        if type(token) is not str or not token:
-            raise ValueError(_MALFORMED_SENTENCES)
-        if _FIELD_BREAK_RE.search(token):
-            raise ValueError(f"token {token!r} contains a tab, CR or LF")
-        if _SURROGATE_RE.search(token):
-            raise ValueError(f"token {token!r} contains a lone surrogate, which UTF-8 cannot encode")
+        if (error := field_error("token", token)) is not None:
+            raise ValueError(error if type(token) is str and token else _MALFORMED_SENTENCES)
         number = self[token] = len(self)
         return number
 
@@ -305,11 +296,11 @@ class _Coder:
     def add(self, doc_id: str, sentences: list, paragraphs: list | None, where: str) -> None:
         """Code one document without its empty sentences, its paragraph
         groups checked against ``sentences`` and renumbered onto the kept
-        ones.  ``doc_id`` must pass ``_check_doc_id`` and be new, and
+        ones.  ``doc_id`` must pass ``check_doc_id`` and be new, and
         ``sentences`` must be a list of lists.  An error is reported as
         ``where: ...`` (a repeated id also names its first ``where``) and
         gives the corpus up."""
-        _check_doc_id(doc_id, where)
+        check_doc_id(doc_id, where)
         if doc_id in self.doc_ids:
             raise ValueError(f"{where}: duplicate document id {doc_id!r} (first at {self.doc_ids[doc_id]})")
         if type(sentences) is not list or not {list}.issuperset(map(type, sentences)):
@@ -348,19 +339,39 @@ class _Coder:
         return Coding(vocab, rank[numbers], *offsets, list(self.doc_ids), self.paragraphs)
 
 
-def _check_doc_id(doc_id: str, where: str) -> None:
-    """``pseudorels.txt`` holds one doc id per line, and its reader skips
-    blank lines and lines starting with '#' after leading whitespace."""
-    if not isinstance(doc_id, str):
-        raise ValueError(f"{where}: document id {doc_id!r} is not a string")
-    if _FIELD_BREAK_RE.search(doc_id):
-        raise ValueError(f"{where}: document id {doc_id!r} contains a tab, CR or LF")
-    if _SURROGATE_RE.search(doc_id):
-        raise ValueError(f"{where}: document id {doc_id!r} contains a lone surrogate, which UTF-8 cannot encode")
+def field_error(kind: str, text) -> str | None:
+    """Why ``text``, called ``kind``, cannot be a field of an artifact line,
+    or None: a field is a non-empty ``str`` with no tab, CR or LF, which
+    split fields and lines, and no lone surrogate, which UTF-8 cannot encode."""
+    if type(text) is not str:
+        return f"{kind} {text!r} is not a string"
+    if not text:
+        return f"{kind} {text!r} is empty"
+    if _FIELD_BREAK_RE.search(text):
+        return f"{kind} {text!r} contains a tab, CR or LF"
+    if _SURROGATE_RE.search(text):
+        return f"{kind} {text!r} contains a lone surrogate, which UTF-8 cannot encode"
+    return None
+
+
+def fields_error(kind: str, texts: tuple) -> str | None:
+    """``field_error`` of the first of ``texts`` that is not a field, or
+    None; they are checked as one joined string before one by one."""
+    if {str}.issuperset(map(type, texts)) and all(texts) and field_error(kind, "".join(texts)) is None:
+        return None
+    return next(filter(None, map(field_error, repeat(kind), texts)), None)
+
+
+def check_doc_id(doc_id: str, where: str) -> None:
+    """A document id is a field (see ``field_error``) that neither starts
+    with '#' nor has leading or trailing whitespace, since ``read_pseudorels``
+    skips blank lines and lines starting with '#' after leading whitespace."""
+    if (error := field_error("document id", doc_id)) is not None:
+        raise ValueError(f"{where}: {error}")
     if doc_id.startswith("#"):
         raise ValueError(f"{where}: document id {doc_id!r} starts with '#'")
-    if not doc_id or doc_id != doc_id.strip():
-        raise ValueError(f"{where}: document id {doc_id!r} is empty or has leading or trailing whitespace")
+    if doc_id != doc_id.strip():
+        raise ValueError(f"{where}: document id {doc_id!r} has leading or trailing whitespace")
 
 
 def _ingest_jsonl(stream, role: str, name) -> Corpus:
@@ -500,6 +511,15 @@ def read_rows(stream, path, width: int, start: int):
         if len(fields) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}")
         yield lineno, fields
+
+
+def write_rows(path, rows, header: str = "") -> None:
+    """Write ``header``, then each row as a line of tab-separated fields
+    ended by LF, each as ``str(field)`` (an int's or float's ``repr``), all
+    encoded before ``path`` is opened: a field that UTF-8 cannot encode
+    raises and leaves the file at ``path`` as it was."""
+    text = "".join(chain([header], ("\t".join(map(str, row)) + "\n" for row in rows)))
+    Path(path).write_bytes(text.encode())
 
 
 def file_sha256(path) -> str:
@@ -651,22 +671,18 @@ def _decode_coding(payload: bytes, n_vocab: int, n_docs: int, n_sentences: int, 
         raise ValueError(f"{sidecar}: vocabulary is not strictly increasing")
     # strict UTF-8 decoding leaves no lone surrogate, and LF splits the
     # lines, so a bad token is empty (and first) or holds a tab or CR
-    if vocab and not vocab[0]:
-        raise ValueError(f"{sidecar}: empty token")
-    if "\t" in text or "\r" in text:
-        for token in vocab:
-            if _FIELD_BREAK_RE.search(token):
-                raise ValueError(f"{sidecar}: token {token!r} contains a tab, CR or LF")
+    if (vocab and not vocab[0] or "\t" in text or "\r" in text) and (error := fields_error("token", vocab)):
+        raise ValueError(f"{sidecar}: {error}")
     if not ids:
         raise ValueError(f"{sidecar}: zero documents")
     # str.split() splits at str.isspace, which str.strip strips, so it
     # returns the ids unchanged only if none is empty or holds whitespace
-    # (a tab and a CR included); those pass _check_doc_id unless they start
+    # (a tab and a CR included); those pass check_doc_id unless they start
     # with '#', and any other ids are checked one by one
     joined = "\n".join(ids)
     if joined.split() != ids or "\n#" in "\n" + joined:
         for doc_id in ids:
-            _check_doc_id(doc_id, str(sidecar))
+            check_doc_id(doc_id, str(sidecar))
     if len(set(ids)) != n_docs:
         raise ValueError(f"{sidecar}: duplicate document id")
 
@@ -702,11 +718,10 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
     a stream without a ``name``.  ``format`` is ``jsonl`` or ``plaintext-dir``.
 
     Empty sentences are dropped.  These are errors: a corpus with zero
-    documents; a JSONL sentence that is not a list; a token that is not a
-    string, is empty, or holds a tab, CR, LF or lone surrogate; a doc id
-    that holds a tab, CR, LF or lone surrogate, is empty, starts with '#',
-    has leading or trailing whitespace, or repeats an earlier record's id,
-    whose ``file:line`` the error also names.
+    documents; a JSONL sentence that is not a list; a token or doc id that
+    is not a field (see ``field_error``); a doc id that ``check_doc_id``
+    rejects or that repeats an earlier record's id, whose ``file:line`` the
+    error also names.
     Each distinct token is checked once, in the same dict probe that
     numbers it; the corpus keeps one ``Coding`` of its tokens, so memory
     grows with the vocabulary plus 4 bytes a token.

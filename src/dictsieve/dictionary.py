@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import _FIELD_BREAK_RE, Corpus, TermStats, open_text, read_header, read_rows, term_stats
+from .corpus import Corpus, TermStats, field_error, open_text, read_header, read_rows, term_stats, write_rows
 from .topics import TopicModelResult
 
 METHOD_TOPIC_MODEL = "topic-model"
@@ -50,8 +50,8 @@ def _entry_error(entry: DictionaryEntry, rank: int, seen: set[str]) -> str | Non
         return "weight and boost must be finite"
     if entry.boost != boost(rank):
         return f"boost {entry.boost!r} is not 1/sqrt({rank}) = {boost(rank)!r}"
-    if not entry.term or _FIELD_BREAK_RE.search(entry.term):
-        return f"term {entry.term!r} is empty or contains a tab, CR or LF"
+    if (error := field_error("term", entry.term)) is not None:
+        return error
     if entry.term in seen:
         return f"duplicate term {entry.term!r}"
     seen.add(entry.term)
@@ -160,10 +160,8 @@ def extract_dictionary_tfidf(reference: Corpus, n: int) -> Dictionary:
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
     """TSV `rank<TAB>term<TAB>weight<TAB>boost`, full decimal precision."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"#dictsieve-dictionary\tmethod={dictionary.method}\tn={len(dictionary)}\n")
-        for e in dictionary.entries:
-            out.write(f"{e.rank}\t{e.term}\t{e.weight!r}\t{e.boost!r}\n")
+    header = f"#dictsieve-dictionary\tmethod={dictionary.method}\tn={len(dictionary)}\n"
+    write_rows(path, ((e.rank, e.term, e.weight, e.boost) for e in dictionary.entries), header)
 
 
 def load_dictionary(path) -> Dictionary:

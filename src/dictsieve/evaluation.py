@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, _check_doc_id, open_text, term_stats
+from .corpus import Corpus, check_doc_id, open_text, term_stats, write_rows
 from .dictionary import Dictionary
 from .retrieval import RankedList, check_matrix, format_alpha, rank_collection
 from .scoring import ScoringConfig, compute_norms, sentence_features
@@ -332,19 +332,13 @@ def evaluate_sweep(
 
 
 def write_eval_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("system_id\tmap\n")
-        ordered = sorted(report.map_by_system.items(), key=lambda item: (-item[1], item[0]))
-        for system_id, value in ordered:
-            out.write(f"{system_id}\t{value!r}\n")
+    ordered = sorted(report.map_by_system.items(), key=lambda item: (-item[1], item[0]))
+    write_rows(path, ordered, "system_id\tmap\n")
 
 
 def write_pseudorels(rels: PseudorelSet, path) -> None:
     """One doc id per line, best Condorcet rank first."""
-    with open(path, "w", encoding="utf-8") as out:
-        for doc_id, _ in rels.condorcet_order:
-            if doc_id in rels.doc_ids:
-                out.write(doc_id + "\n")
+    write_rows(path, ((doc_id,) for doc_id, _ in rels.condorcet_order if doc_id in rels.doc_ids))
 
 
 def read_pseudorels(path) -> frozenset[str]:
@@ -356,7 +350,7 @@ def read_pseudorels(path) -> frozenset[str]:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             doc_id = line.rstrip("\n")
-            _check_doc_id(doc_id, f"{path}:{lineno}")
+            check_doc_id(doc_id, f"{path}:{lineno}")
             if doc_id in ids:
                 raise ValueError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
             ids.add(doc_id)
@@ -366,24 +360,15 @@ def read_pseudorels(path) -> frozenset[str]:
 
 
 def write_nd_series(nd_series: list[tuple[str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("doc_id\tn_d\n")
-        for doc_id, weight in nd_series:
-            out.write(f"{doc_id}\t{weight!r}\n")
+    write_rows(path, nd_series, "doc_id\tn_d\n")
 
 
 def write_wins_series(win_series: list[tuple[str, int]], path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("doc_id\twins\n")
-        for doc_id, wins in win_series:
-            out.write(f"{doc_id}\t{wins}\n")
+    write_rows(path, win_series, "doc_id\twins\n")
 
 
 def write_p_at_k(table: dict[tuple[int, int], float], path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("from\tto\tprecision\n")
-        for (low, high), precision in sorted(table.items()):
-            out.write(f"{low}\t{high}\t{precision!r}\n")
+    write_rows(path, ((*span, precision) for span, precision in sorted(table.items())), "from\tto\tprecision\n")
 
 
 def read_judgments(path) -> dict[str, bool]:
@@ -399,7 +384,7 @@ def read_judgments(path) -> dict[str, bool]:
             if len(parts) != 2 or parts[1] not in ("0", "1"):
                 raise ValueError(f"{path}:{lineno}: expected 'doc_id<TAB>0|1'")
             doc_id, flag = parts
-            _check_doc_id(doc_id, f"{path}:{lineno}")
+            check_doc_id(doc_id, f"{path}:{lineno}")
             if doc_id in judgments:
                 raise ValueError(f"{path}:{lineno}: duplicate judgment for {doc_id}")
             judgments[doc_id] = flag == "1"

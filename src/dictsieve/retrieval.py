@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cooc import CoocMatrix
-from .corpus import Corpus, _check_doc_id, open_text, read_rows, term_stats
+from .corpus import Corpus, check_doc_id, open_text, read_rows, term_stats, write_rows
 from .dictionary import Dictionary
 from .scoring import (
     CollectionNorms,
@@ -143,9 +143,8 @@ def rank_collection(
 
 def save_ranked_list(ranked: RankedList, path) -> None:
     """TSV `rank<TAB>doc_id<TAB>score` with the system id in a header comment."""
-    lines = [f"{rank}\t{doc_id}\t{score!r}\n" for doc_id, score, rank in ranked.entries]
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("".join([f"# system_id={ranked.system_id}\n", *lines]))
+    rows = ((rank, doc_id, score) for doc_id, score, rank in ranked.entries)
+    write_rows(path, rows, f"# system_id={ranked.system_id}\n")
 
 
 def load_ranked_list(path) -> RankedList:
@@ -176,7 +175,7 @@ def load_ranked_list(path) -> RankedList:
                 raise ValueError(f"{path}:{lineno}: score {score_text!r} is not positive")
             if entries and score > entries[-1].score:
                 raise ValueError(f"{path}:{lineno}: score {score_text} is above the score of rank {rank - 1}")
-            _check_doc_id(doc_id, f"{path}:{lineno}")
+            check_doc_id(doc_id, f"{path}:{lineno}")
             if doc_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
             seen.add(doc_id)

@@ -29,12 +29,15 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import Corpus, FloatText, TextFloat, open_text
+from .corpus import Corpus, FloatText, TextFloat, fields_error, open_text, write_rows
+
+# the settings of a model, on lines 2-7 of its file
+_SETTINGS = ("n_topics", "n_vocab", "alpha", "beta", "iterations", "seed")
 
 
 @dataclass
@@ -45,7 +48,8 @@ class TopicModelResult:
     fixes the column order.  ``topic_weight[k]`` is the fraction of corpus
     tokens assigned to topic k in the final sampler state.  Topic ids are
     1-based everywhere in the public API.  Building a model whose
-    ``excluded`` ids ``check_topic_ids`` rejects raises ``ValueError``.
+    ``excluded`` ids ``check_topic_ids`` rejects, or whose ``vocab`` holds
+    a term that is not a field (see ``field_error``), raises ``ValueError``.
     """
 
     n_topics: int
@@ -60,6 +64,8 @@ class TopicModelResult:
 
     def __post_init__(self) -> None:
         self.excluded = check_topic_ids(self.n_topics, self.excluded)
+        if (error := fields_error("vocab term", self.vocab)) is not None:
+            raise ValueError(error)
 
     @cached_property
     def vocab_index(self) -> dict[str, int]:
@@ -201,19 +207,19 @@ def _gibbs_states(word_ids, unit_ids, n_topics, n_vocab, alpha, beta, iterations
 
 
 def check_fit_settings(n_topics: int, alpha: float | None, beta: float, iterations: int, seed: int) -> float:
-    """Reject settings ``fit_lda`` cannot sample with; return ``alpha``,
-    which defaults to 50/K."""
+    """Reject settings ``fit_lda`` cannot sample with, in the order of a model
+    file's lines, each message led by its name; return ``alpha`` (50/K if None)."""
     if n_topics < 1:
-        raise ValueError("n_topics must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"n_topics must be >= 1, got {n_topics}")
     if alpha is None:
         alpha = 50.0 / n_topics
     for name, prior in (("alpha", alpha), ("beta", beta)):
         if not (math.isfinite(prior) and prior > 0):
             raise ValueError(f"{name} must be finite and > 0, got {prior!r}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return alpha
 
 
@@ -304,32 +310,31 @@ def top_terms(model: TopicModelResult, topic_id: int, n: int) -> list[tuple[str,
 
 def save_model(model: TopicModelResult, path) -> None:
     """Persist a model as a tab-separated text file with full float precision."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("#dictsieve-topic-model\tv1\n")
-        out.write(f"n_topics\t{model.n_topics}\n")
-        out.write(f"n_vocab\t{len(model.vocab)}\n")
-        out.write(f"alpha\t{model.alpha!r}\n")
-        out.write(f"beta\t{model.beta!r}\n")
-        out.write(f"iterations\t{model.iterations}\n")
-        out.write(f"seed\t{model.seed}\n")
-        out.write("excluded\t" + ",".join(str(k) for k in sorted(model.excluded)) + "\n")
-        out.write("vocab\t" + "\t".join(model.vocab) + "\n")
-        # each distinct value formatted once; tolist() gives Python floats,
-        # since on numpy 2 the repr of an np.float64 is "np.float64(...)"
-        text = FloatText().__getitem__
-        out.write("topic_weight\t" + "\t".join(map(text, np.asarray(model.topic_weight, float).tolist())) + "\n")
-        phi = np.asarray(model.phi, float)
-        for k in range(model.n_topics):
-            out.write(f"phi\t{k + 1}\t" + "\t".join(map(text, phi[k].tolist())) + "\n")
+    # each distinct value formatted once; tolist() gives Python floats,
+    # since on numpy 2 the repr of an np.float64 is "np.float64(...)".  The
+    # vocab and each list of values are passed joined, as one field.
+    text = FloatText().__getitem__
+    phi = np.asarray(model.phi, float)
+    settings = (model.n_topics, len(model.vocab), model.alpha, model.beta, model.iterations, model.seed)
+    rows = chain(
+        zip(_SETTINGS, settings),
+        [
+            ("excluded", ",".join(map(str, sorted(model.excluded)))),
+            ("vocab", "\t".join(model.vocab)),
+            ("topic_weight", "\t".join(map(text, np.asarray(model.topic_weight, float).tolist()))),
+        ],
+        (("phi", k + 1, "\t".join(map(text, phi[k].tolist()))) for k in range(model.n_topics)),
+    )
+    write_rows(path, rows, "#dictsieve-topic-model\tv1\n")
 
 
 def load_model(path) -> TopicModelResult:
     """Read a model written by ``save_model``.
 
-    Lines come in the order ``save_model`` writes them.  ``n_topics`` and
-    ``iterations`` are at least 1, ``alpha`` and ``beta`` finite and positive,
-    ``vocab`` holds n_vocab distinct terms, ``topic_weight`` n_topics finite
-    values and ``excluded`` ids in 1..n_topics that leave a topic (see
+    Lines come in the order ``save_model`` writes them.  The settings keep
+    ``check_fit_settings``'s rule, ``vocab`` holds n_vocab distinct fields
+    (see ``field_error``), ``topic_weight`` n_topics finite values and
+    ``excluded`` ids in 1..n_topics that leave a topic (see
     ``check_topic_ids``); then comes exactly one ``phi`` row per topic
     1..n_topics, in order, each with n_vocab finite, non-negative values
     summing to 1 within 1e-9.  A violation is reported as ``path:line``.
@@ -364,20 +369,14 @@ def load_model(path) -> TopicModelResult:
             except ValueError:
                 fail(f"{name} holds a value that is not {'int' if convert is int else 'float'}")
 
-        n_topics, = read("n_topics", convert=int, count=1)
-        if n_topics < 1:
-            fail(f"n_topics must be >= 1, got {n_topics}")
-        n_vocab, = read("n_vocab", convert=int, count=1)
-        alpha, = read("alpha", convert=number, count=1)
-        if not (math.isfinite(alpha) and alpha > 0):
-            fail(f"alpha must be finite and > 0, got {alpha!r}")
-        beta, = read("beta", convert=number, count=1)
-        if not (math.isfinite(beta) and beta > 0):
-            fail(f"beta must be finite and > 0, got {beta!r}")
-        iterations, = read("iterations", convert=int, count=1)
-        if iterations < 1:
-            fail(f"iterations must be >= 1, got {iterations}")
-        seed, = read("seed", convert=int, count=1)
+        n_topics, n_vocab, alpha, beta, iterations, seed = (
+            read(name, convert=number if name in ("alpha", "beta") else int, count=1)[0] for name in _SETTINGS
+        )
+        try:
+            check_fit_settings(n_topics, alpha, beta, iterations, seed)
+        except ValueError as exc:  # its message starts with the setting's name
+            lineno = 2 + _SETTINGS.index(str(exc).split()[0])
+            fail(exc)
         excluded_text, = read("excluded", count=1)
         try:
             excluded = frozenset(int(k) for k in excluded_text.split(",") if k)
@@ -390,6 +389,8 @@ def load_model(path) -> TopicModelResult:
         vocab = tuple(read("vocab"))
         if len(vocab) != n_vocab or len(set(vocab)) != n_vocab:
             fail(f"vocab must hold {n_vocab} distinct terms")
+        if (error := fields_error("vocab term", vocab)) is not None:
+            fail(error)
         topic_weight = np.array(read("topic_weight", convert=number, count=n_topics))
         if not np.isfinite(topic_weight).all():
             fail("topic_weight values must be finite")

@@ -688,6 +688,19 @@ class TestSubcommands:
         assert f"[inspect-topics] {model}:8: all topics excluded" in captured.err
         assert captured.out == ""
 
+    def test_extract_blames_no_corpus_when_the_model_and_exclude_leave_no_topic(
+        self, pipeline_dir, corpora_dir, tmp_path, capsys
+    ):
+        lines = (pipeline_dir / "model.tsv").read_text().splitlines()
+        lines[7] = "excluded\t1"
+        model = tmp_path / "m2.tsv"
+        model.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "d.tsv"
+        argv = ["extract-dict", "--method", "tm", "--corpus", str(corpora_dir / "reference.jsonl")]
+        assert main(argv + ["--model", str(model), "--exclude", "2", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "[extract-dict] all topics excluded\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, corpus", [("rank", "--target"), ("build-cooc", "--corpus")])
     def test_a_dictionary_without_entries_is_rejected_at_its_header(self, corpora_dir, tmp_path, capsys, command, corpus):
         dictionary = tmp_path / "dict.tsv"

@@ -30,7 +30,7 @@ from dictsieve import (
     term_stats,
 )
 from dictsieve.cooc import CoocMatrix
-from dictsieve.corpus import _check_doc_id
+from dictsieve.corpus import check_doc_id
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.scoring import sentence_features
 
@@ -331,7 +331,7 @@ class TestSidecar:
         [
             ({"vocab": ("b", "a", "c"), "codes": [0, 1, 1, 2, 2]}, "vocabulary is not strictly increasing"),
             ({"vocab": ("a", "a", "c")}, "vocabulary is not strictly increasing"),
-            ({"vocab": ("", "b", "c")}, "empty token"),
+            ({"vocab": ("", "b", "c")}, "token '' is empty"),
             ({"vocab": ("a", "b\tx", "c")}, "token 'b\\tx' contains a tab, CR or LF"),
             ({"vocab": ("a", "b\rx", "c")}, "token 'b\\rx' contains a tab, CR or LF"),
             ({"text": b"a\nb\xff\nc\nd1\nd2\n[[[1],[0,2]],null]\n"}, "not UTF-8 text"),
@@ -340,8 +340,8 @@ class TestSidecar:
                 "zero documents",
             ),
             ({"ids": ["d1", "#d2"]}, "document id '#d2' starts with '#'"),
-            ({"ids": ["d1", " d2"]}, "document id ' d2' is empty or has leading or trailing whitespace"),
-            ({"ids": ["d1 ", "d2"]}, "is empty or has leading or trailing whitespace"),
+            ({"ids": ["d1", " d2"]}, "document id ' d2' has leading or trailing whitespace"),
+            ({"ids": ["d1 ", "d2"]}, "has leading or trailing whitespace"),
             ({"ids": ["", "d2"]}, "document id '' is empty"),
             ({"ids": ["d1", "d\t2"]}, "document id 'd\\t2' contains a tab, CR or LF"),
             ({"ids": ["d1", "d1"]}, "duplicate document id"),
@@ -401,7 +401,7 @@ class TestSidecar:
         write_sidecar(path, **{**PARTS, "ids": ids})
         try:
             for doc_id in ids:
-                _check_doc_id(doc_id, "x")
+                check_doc_id(doc_id, "x")
         except ValueError:
             accepted = False
         else:

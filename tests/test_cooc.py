@@ -997,7 +997,9 @@ def small_tsv(tmp_path) -> Path:
     return path
 
 
-BAD_MATRIX_IDS = ["value-above-1", "value-0", "repeated-key", "negative-key", "repeated-term", "term-with-tab-and-lf"]
+BAD_MATRIX_IDS = [
+    "value-above-1", "value-0", "repeated-key", "negative-key", "repeated-term", "term-with-tab-and-lf", "empty-term"
+]
 
 
 class TestPairsSidecar:
@@ -1112,9 +1114,12 @@ class TestPairsSidecar:
             (lambda: CoocMatrix(("a", "b"), np.array([-1]), np.array([0.5]), "generic"), "pair key out of range for 2 terms"),
             (lambda: CoocMatrix(("a", "a"), np.empty(0, np.int64), np.empty(0), "generic"), "duplicate term in the term list"),
             (lambda: CoocMatrix(("a\tb\nc", "d"), np.array([1]), np.array([0.5]), "generic"), "term 'a\\tb\\nc' contains a tab"),
+            (lambda: CoocMatrix(("", "b"), [1], [0.5], "reference"), "term '' is empty"),
             (lambda: CoocMatrix(tuple("abc"), np.array([1, 2]), np.array([0.5]), "generic"), "pair keys and values differ"),
+            # ``save_cooc`` would leave an empty TSV file
+            (lambda: CoocMatrix(("a\ud800", "b"), [1], [0.5], "reference"), "term 'a\\ud800' contains a lone surrogate"),
         ],
-        ids=[*BAD_MATRIX_IDS, "more-keys-than-values"],
+        ids=[*BAD_MATRIX_IDS, "more-keys-than-values", "term-with-surrogate"],
     )
     def test_a_matrix_that_load_would_reject_is_not_built(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -1141,6 +1146,7 @@ class TestPairsSidecar:
             ("n=2\n#terms\ta\ta\n", ":2: duplicate term"),
             # the term line reads as ("a", "b"), two terms as the header says
             ("n=2\n#terms\ta\tb\nc\td\na\tb\nc\td\t0.5\n", ":3: expected 3"),
+            ("n=2\n#terms\t\tb\n", ":2: term '' is empty"),
         ],
         ids=BAD_MATRIX_IDS,
     )

@@ -9,17 +9,32 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsieve import (
     Corpus,
+    Dictionary,
+    DictionaryEntry,
     Document,
+    EvalReport,
+    PseudorelSet,
+    RankedEntry,
+    RankedList,
+    boost,
     export_corpus,
+    fit_lda,
     ingest_corpus,
+    save_dictionary,
+    save_model,
+    save_ranked_list,
     split_sentences,
     term_stats,
     tokenize,
 )
-from dictsieve.corpus import FloatText, TextFloat, open_text, read_rows
+from dictsieve.corpus import FloatText, TextFloat, open_text, read_rows, write_rows
+from dictsieve.evaluation import write_eval_report, write_nd_series, write_pseudorels, write_wins_series
+from test_topics import EDGE_VALUES
 
 
 class TestTokenize:
@@ -143,8 +158,8 @@ class TestCorpus:
             (5, [["a"]], "document 1: document id 5 is not a string"),
             ("a\tb", [["a"]], "document 1: document id 'a\\tb' contains a tab, CR or LF"),
             ("#x", [["a"]], "document 1: document id '#x' starts with '#'"),
-            (" y", [["a"]], "document 1: document id ' y' is empty or has leading or trailing whitespace"),
-            ("", [["a"]], "document 1: document id '' is empty or has leading or trailing whitespace"),
+            (" y", [["a"]], "document 1: document id ' y' has leading or trailing whitespace"),
+            ("", [["a"]], "document 1: document id '' is empty"),
         ],
     )
     def test_what_ingest_rejects_is_rejected_when_built(self, doc_id, sentences, message):
@@ -308,9 +323,9 @@ class TestIngest:
             ("d\r1", "contains a tab, CR or LF"),
             ("d1\n", "contains a tab, CR or LF"),
             ("#d1", "starts with '#'"),
-            (" d1", "is empty or has leading or trailing whitespace"),
-            ("d1\u00a0", "is empty or has leading or trailing whitespace"),
-            ("", "is empty or has leading or trailing whitespace"),
+            (" d1", "has leading or trailing whitespace"),
+            ("d1\u00a0", "has leading or trailing whitespace"),
+            ("", "is empty"),
         ],
     )
     def test_doc_ids_that_artifact_lines_cannot_hold_are_rejected(self, tmp_path, doc_id, problem):
@@ -676,3 +691,72 @@ class TestReadRows:
                 for lineno, _ in read_rows(stream, path, 3, 2):
                     rows.append(lineno)
         assert rows == list(range(2, int(message.split(":")[0])))
+
+
+def f_string_rows(path, rows, header: str) -> None:
+    """The artifact writers before ``write_rows``: an f-string per line, an
+    int or a str field formatted as ``{field}`` and a float as ``{field!r}``,
+    written through a UTF-8 text stream."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header)
+        for row in rows:
+            out.write("\t".join(f"{field!r}" if isinstance(field, float) else f"{field}" for field in row) + "\n")
+
+
+# a field's text as the records keep it: no tab, CR, LF or lone surrogate
+FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"))
+
+
+def dictionary_changed_after_it_was_built() -> Dictionary:
+    dictionary = Dictionary([DictionaryEntry("a", 1.0, 1, boost(1))], "tfidf")
+    dictionary.entries.append(DictionaryEntry("b\ud800", 0.5, 2, boost(2)))
+    return dictionary
+
+
+def model_changed_after_it_was_built():
+    model = fit_lda(Corpus([Document("d1", [["a", "b"]])], "reference"), 1, iterations=2)
+    model.vocab = ("a", "b\ud800")
+    return model
+
+
+RANKED = RankedList("s", [RankedEntry("d1", 2.0, 1), RankedEntry("a\ud800", 1.0, 2)])
+PSEUDORELS = PseudorelSet(frozenset({"a\ud800"}), (("a\ud800", 1),), frozenset({"a\ud800"}))
+
+
+class TestWriteRows:
+    @settings(deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from(EDGE_VALUES) | st.floats() | st.integers() | FIELD_TEXT, max_size=5), max_size=8
+        ),
+        header=st.sampled_from(["", "#dictsieve-dictionary\tmethod=tfidf\tn=3\n", "# system_id=tm:context:alpha=2\n"]),
+    )
+    def test_the_bytes_of_the_f_string_writers(self, tmp_path_factory, rows, header):
+        directory = tmp_path_factory.mktemp("rows")
+        write_rows(directory / "rows.tsv", rows, header)
+        f_string_rows(directory / "f_string.tsv", rows, header)
+        assert (directory / "rows.tsv").read_bytes() == (directory / "f_string.tsv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_rows(path, [("a", 1), ("b\ud800", 2)], "header\n"),
+            lambda path: save_ranked_list(RANKED, path),
+            lambda path: save_dictionary(dictionary_changed_after_it_was_built(), path),
+            lambda path: save_model(model_changed_after_it_was_built(), path),
+            lambda path: write_eval_report(EvalReport({"s\ud800": 0.5}, PSEUDORELS, []), path),
+            lambda path: write_pseudorels(PSEUDORELS, path),
+            lambda path: write_nd_series([("d1", 2.0), ("a\ud800", 1.0)], path),
+            lambda path: write_wins_series([("d1", 2), ("a\ud800", 1)], path),
+        ],
+        ids=["write_rows", "ranked-list", "dictionary", "model", "eval-report", "pseudorels", "nd-series", "wins-series"],
+    )
+    def test_a_field_utf8_cannot_encode_leaves_the_file_as_it_was(self, tmp_path, write):
+        path = tmp_path / "artifact.tsv"
+        with pytest.raises(UnicodeEncodeError):
+            write(path)
+        assert not path.exists()
+        path.write_bytes(b"an earlier artifact\n")
+        with pytest.raises(UnicodeEncodeError):
+            write(path)
+        assert path.read_bytes() == b"an earlier artifact\n"

@@ -235,9 +235,14 @@ class TestDictionaryContainer:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            (DictionaryEntry("c\td", 0.5, 3, boost(3)), r"term 'c\td' is empty or contains a tab, CR or LF"),
-            (DictionaryEntry("c\r", 0.5, 3, boost(3)), r"term 'c\r' is empty or contains a tab, CR or LF"),
-            (DictionaryEntry("", 0.5, 3, boost(3)), "term '' is empty or contains a tab, CR or LF"),
+            (DictionaryEntry("c\td", 0.5, 3, boost(3)), r"term 'c\td' contains a tab, CR or LF"),
+            (DictionaryEntry("c\r", 0.5, 3, boost(3)), r"term 'c\r' contains a tab, CR or LF"),
+            (DictionaryEntry("", 0.5, 3, boost(3)), "term '' is empty"),
+            # ``save_dictionary`` would stop after the header line
+            (
+                DictionaryEntry("c\ud800", 0.5, 3, boost(3)),
+                r"term 'c\ud800' contains a lone surrogate, which UTF-8 cannot encode",
+            ),
             (DictionaryEntry("c", 0.5, 7, boost(7)), "rank 7 is out of order, expected 3"),
             (DictionaryEntry("c", 0.5, 3, 0.5), "boost 0.5 is not 1/sqrt(3) = 0.5773502691896258"),
             (DictionaryEntry("c", math.nan, 3, boost(3)), "weight and boost must be finite"),

@@ -568,8 +568,8 @@ class TestFileFormats:
         "line, message",
         [
             ("d3\tjunk", "document id 'd3\\tjunk' contains a tab, CR or LF"),
-            (" d3", "document id ' d3' is empty or has leading or trailing whitespace"),
-            ("d3 ", "document id 'd3 ' is empty or has leading or trailing whitespace"),
+            (" d3", "document id ' d3' has leading or trailing whitespace"),
+            ("d3 ", "document id 'd3 ' has leading or trailing whitespace"),
             ("d1", "duplicate doc id 'd1'"),
         ],
     )
@@ -610,7 +610,7 @@ class TestFileFormats:
             read_judgments(empty)
         for line, message in [
             ("\t1", "document id '' is empty"),
-            (" d2\t0", "document id ' d2' is empty or has leading or trailing whitespace"),
+            (" d2\t0", "document id ' d2' has leading or trailing whitespace"),
         ]:
             bad_id = tmp_path / "bad_id.tsv"
             bad_id.write_text(f"d1\t1\n{line}\n")

@@ -50,3 +50,18 @@ def test_modules_use_every_name_they_import(module):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "dictsieve").glob("*.py")))
+def test_modules_import_no_private_name_of_another_module(module):
+    """A name that starts with an underscore (a dunder aside) is private to
+    its module: what two modules share has a public name."""
+    tree = ast.parse((ROOT / "src" / "dictsieve" / module).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "dictsieve")
+        for alias in node.names
+        if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+    assert private == []

@@ -303,9 +303,9 @@ class TestPersistence:
             # doc ids that ingest rejects, which ``read_pseudorels`` would
             # skip as a comment or strip
             ("2\t#x\t0.5", "document id '#x' starts with '#'"),
-            ("2\t d1\t0.5", "document id ' d1' is empty or has leading or trailing whitespace"),
-            ("2\td1 \t0.5", "document id 'd1 ' is empty or has leading or trailing whitespace"),
-            ("2\t\t0.5", "document id '' is empty or has leading or trailing whitespace"),
+            ("2\t d1\t0.5", "document id ' d1' has leading or trailing whitespace"),
+            ("2\td1 \t0.5", "document id 'd1 ' has leading or trailing whitespace"),
+            ("2\t\t0.5", "document id '' is empty"),
         ],
     )
     def test_rejects_bad_lines_with_their_location(self, tmp_path, line, message):

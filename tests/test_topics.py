@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -470,6 +471,24 @@ class TestExclusion:
             exclude_topics(exclude_topics(model, {2}), {1})
 
 
+class TestVocabulary:
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ("b\tc", "vocab term 'b\\tc' contains a tab, CR or LF"),
+            ("b\ud800", "vocab term 'b\\ud800' contains a lone surrogate, which UTF-8 cannot encode"),
+            ("", "vocab term '' is empty"),
+            (3, "vocab term 3 is not a string"),
+        ],
+    )
+    def test_a_model_whose_file_could_not_hold_a_term_is_rejected_when_built(self, term, message):
+        """``save_model`` would write such a term into a file that
+        ``load_model`` rejects, or stop writing at its vocab line."""
+        model = fit_lda(tiny_corpus(), 2, iterations=5, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(model, vocab=(*model.vocab[:-1], term))
+
+
 class TestTopTerms:
     def manual_model(self) -> TopicModelResult:
         phi = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
@@ -548,11 +567,14 @@ class TestPersistence:
             pytest.param(4, 5, ["beta\t0.0"], 5, "beta must be finite and > 0, got 0.0", id="beta-zero"),
             pytest.param(4, 5, ["beta\t-0.01"], 5, "beta must be finite and > 0, got -0.01", id="beta-neg"),
             pytest.param(5, 6, ["iterations\t0"], 6, "iterations must be >= 1, got 0", id="iterations-0"),
+            pytest.param(6, 7, ["seed\t-1"], 7, "seed must be >= 0, got -1", id="seed-negative"),
+            pytest.param(3, 6, ["alpha\t0.0", "beta\t0.5", "iterations\t0"], 4, "alpha must be", id="first-bad-setting"),
             pytest.param(7, 8, ["excluded\t3"], 8, r"topic ids out of range 1..2: \[3\]", id="excluded-3"),
             pytest.param(7, 8, ["excluded\t0"], 8, r"topic ids out of range 1..2: \[0\]", id="excluded-0"),
             pytest.param(7, 8, ["excluded\t2,1"], 8, "all topics excluded", id="excluded-all"),
             pytest.param(8, 9, ["vocab\tapple\tpear"], 9, "vocab must hold 3 distinct terms", id="vocab-short"),
             pytest.param(8, 9, ["vocab\tapple\tpear\tpear"], 9, "vocab must hold 3 distinct", id="vocab-repeat"),
+            pytest.param(8, 9, ["vocab\tapple\t\tpear"], 9, "vocab term '' is empty", id="vocab-empty-term"),
             pytest.param(9, 10, ["topic_weight\t1.0"], 10, "topic_weight has 1 values, expected 2", id="weight-short"),
             pytest.param(9, 10, ["topic_weight\t0.5\tnan"], 10, "topic_weight values must be finite", id="weight-nan"),
             pytest.param(10, 11, ["phi\t1\t0.5\t0.5"], 11, "phi 1 has 2 values, expected 3", id="phi-short"),
