@@ -32,6 +32,7 @@ from .corpus import (
     file_sha256,
     ingest_corpus,
     open_text,
+    publish,
     read_rows,
     term_stats,
     write_rows,
@@ -301,7 +302,7 @@ def write_manifest(config: PipelineConfig, path) -> None:
         "config": asdict(config),
         "inputs": inputs,
     }
-    Path(path).write_bytes((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    publish(path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------

@@ -337,9 +337,9 @@ def save_cooc(matrix: CoocMatrix, path) -> None:
     ``<path>.pairs``, which ``load_cooc`` reads in place of the pair lines:
     a ``SidecarFormat`` header (``#dictsieve-pairs``, ``version=1``,
     ``tsv_bytes``, ``tsv_sha256``, the ``pairs`` count and
-    ``payload_sha256``), then the two arrays, 16 bytes a pair.  The TSV and
-    its sidecar are written in one ``SidecarFormat.write``; every matrix
-    keeps the rule of the pair lines, so every one gets its sidecar.
+    ``payload_sha256``), then the two arrays, 16 bytes a pair.
+    ``SidecarFormat.write`` publishes the TSV, then its sidecar; every
+    matrix keeps the rule of the pair lines, so every one gets its sidecar.
     """
     # the arrays are hashed and written in place, not copied
     keys = np.ascontiguousarray(matrix.keys, dtype="<i8")

@@ -25,7 +25,7 @@ import json
 import os
 import re
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -513,13 +513,32 @@ def read_rows(stream, path, width: int, start: int):
         yield lineno, fields
 
 
+def publish(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``<path>.<pid>.tmp``, unsynced,
+    and rename it onto ``path``.  A write that raises leaves the earlier
+    file and no temporary one; a killed one leaves both files."""
+    temp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_rows(path, rows, header: str = "") -> None:
-    """Write ``header``, then each row as a line of tab-separated fields
-    ended by LF, each as ``str(field)`` (an int's or float's ``repr``), all
-    encoded before ``path`` is opened: a field that UTF-8 cannot encode
-    raises and leaves the file at ``path`` as it was."""
-    text = "".join(chain([header], ("\t".join(map(str, row)) + "\n" for row in rows)))
-    Path(path).write_bytes(text.encode())
+    """Publish ``header``, then each row as tab-separated fields ended by
+    LF, each as ``str(field)`` (an int's or float's ``repr``), through one
+    ``%s`` format per row width.  A field that UTF-8 cannot encode raises
+    before ``publish``, and leaves the file at ``path`` as it was."""
+    data = bytearray(header.encode())
+    formats = {}
+    for row in map(tuple, rows):
+        line = formats.get(len(row)) or formats.setdefault(len(row), "\t".join(["%s"] * len(row)) + "\n")
+        data += (line % row).encode()
+    publish(path, [data])
 
 
 def file_sha256(path) -> str:
@@ -540,8 +559,8 @@ class SidecarFormat:
     ``name=value`` fields: ``version=1``, the text file's ``<text>_bytes``
     and ``<text>_sha256``, one count for each name in ``counts``, and the
     ``payload_sha256`` of the rest of the file, the payload, whose layout
-    the format's user decides.  ``write`` writes the text and its sidecar in
-    one call.
+    the format's user decides.  ``write`` publishes the text, then its
+    sidecar (see ``publish``).
     """
 
     kind: str
@@ -560,38 +579,18 @@ class SidecarFormat:
         return Path(f"{text_path}.{self.kind}")
 
     def write(self, text_path, chunks, counts, payload) -> None:
-        """Write the byte strings ``chunks`` to ``text_path``, hashed as they
-        are written, then its sidecar: the header ``counts`` and the list of
+        """Publish the byte strings ``chunks`` at ``text_path``, then its
+        sidecar: ``counts``, the published text's size and sha256, and the
         ``payload`` parts (bytes or contiguous arrays, hashed and written in
-        place).  The old sidecar (a file that starts with the tag) is removed
-        first; the new one is written under a temporary name and renamed
-        into place, so a write that fails leaves no sidecar, stale or
-        partial, nor the temporary file."""
-        sidecar = self.path(text_path)
-        with suppress(FileNotFoundError), open(sidecar, "rb") as old:
-            if old.read(len(self.magic)) == self.magic:
-                sidecar.unlink()
-        text_digest = hashlib.sha256()
-        with open(text_path, "wb") as out:
-            for chunk in chunks:
-                out.write(chunk)
-                text_digest.update(chunk)
-            size = out.tell()
+        place).  A failed sidecar write leaves the new text and any earlier
+        sidecar, which ``read`` ignores: it was written for other bytes."""
+        publish(text_path, chunks)
         digest = hashlib.sha256()
         for part in payload:
             digest.update(part)
-        values = [1, size, text_digest.hexdigest(), *counts, digest.hexdigest()]
+        values = [1, os.stat(text_path).st_size, file_sha256(text_path), *counts, digest.hexdigest()]
         header = "".join(f"\t{name}={value}" for name, value in zip(self.fields, values)) + "\n"
-        temp = Path(f"{sidecar}.{os.getpid()}.tmp")
-        try:
-            with open(temp, "wb") as out:
-                out.write(self.magic + header.encode())
-                for part in payload:
-                    out.write(part)
-            os.replace(temp, sidecar)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
+        publish(self.path(text_path), [self.magic + header.encode(), *payload])
 
     def read(self, text_path) -> tuple[list[int], bytes] | None:
         """The header counts and the payload of the sidecar of
@@ -781,8 +780,8 @@ def export_corpus(corpus: Corpus, path) -> None:
     vocabulary and the doc ids as LF-terminated UTF-8 lines, the paragraph
     groups as one JSON line, then the codes (``<i4``) and the sentence and
     document offsets (``<i8``) as raw arrays, so equal corpora write equal
-    bytes.  The JSONL and its sidecar are written in one
-    ``SidecarFormat.write``.
+    bytes.  ``SidecarFormat.write`` publishes the JSONL, then its
+    sidecar.
     """
     coding = corpus.coding
     text = "\n".join([*coding.vocab, *coding.ids, json.dumps(coding.paragraphs, separators=(",", ":")), ""])

@@ -8,6 +8,7 @@ import errno
 import hashlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -415,7 +416,7 @@ class TestSidecar:
     def test_export_removes_only_its_own_sidecars(self, tmp_path):
         """A write replaces a foreign file at the sidecar's path, and its own
         old sidecar, with the new sidecar (a write that fails is
-        ``test_a_sidecar_write_that_fails_leaves_no_sidecar``)."""
+        ``test_a_write_that_fails_leaves_a_consistent_pair``)."""
         path = tmp_path / "corpus.jsonl"
         sidecar = sidecar_of(path)
         sidecar.write_text("not a sidecar\n")
@@ -433,8 +434,8 @@ class TestSidecar:
 
 
 class FailingPayload:
-    """A sidecar file whose first payload write stops halfway, as on a full
-    disk; the header is the first write."""
+    """A file whose second write stops halfway, as on a full disk: a text's
+    second chunk, or a sidecar's first payload part after its header."""
 
     def __init__(self, stream):
         self.stream = stream
@@ -464,31 +465,44 @@ def matrix_view(matrix: CoocMatrix) -> tuple:
     return matrix.terms, matrix.provenance, matrix.keys.tolist(), matrix.values.tolist()
 
 
+@pytest.mark.parametrize("failing", ["text", "sidecar"])
 @pytest.mark.parametrize(
-    "name, make, write, read, view",
+    "name, kind, make, write, read, view",
     [
-        ("small.jsonl", lambda corpus: corpus, export_corpus, ingest_corpus, coding_of),
-        ("cooc.tsv", matrix_of, save_cooc, load_cooc, matrix_view),
+        ("small.jsonl", "coding", lambda corpus: corpus, export_corpus, ingest_corpus, coding_of),
+        ("cooc.tsv", "pairs", matrix_of, save_cooc, load_cooc, matrix_view),
     ],
     ids=["coding", "pairs"],
 )
-def test_a_sidecar_write_that_fails_leaves_no_sidecar(monkeypatch, tmp_path, name, make, write, read, view):
-    """A sidecar is written under a temporary name and renamed into place:
-    a write that fails partway through the payload leaves neither the
-    sidecar nor the temporary file, and the next read parses the text,
-    which was written whole before the sidecar."""
+def test_a_write_that_fails_leaves_a_consistent_pair(monkeypatch, tmp_path, name, kind, make, write, read, view, failing):
+    """The text and its sidecar are each written under a temporary name and
+    renamed into place, the text first.  A write that fails partway leaves
+    no temporary file: at the text it leaves the earlier text and sidecar as
+    they were, and the read returns the earlier object; at the sidecar it
+    leaves the new text beside the earlier sidecar, which the read ignores,
+    parsing the new text."""
     path = tmp_path / name
-    write(make(Corpus(documents=SMALL, role="target")), path)
-    assert len(list(tmp_path.iterdir())) == 2
+    earlier = make(Corpus(documents=SMALL, role="target"))
+    write(earlier, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(before) == 2
     written = make(Corpus(documents=[*SMALL, Document("d3", [["d"]])], role="target"))
+    target = path if failing == "text" else Path(f"{path}.{kind}")
 
     def failing_open(file, mode="r", *args, **kwargs):
         stream = open(file, mode, *args, **kwargs)
-        return FailingPayload(stream) if str(file).endswith(".tmp") else stream
+        return FailingPayload(stream) if str(file) == f"{target}.{os.getpid()}.tmp" else stream
 
     monkeypatch.setattr(corpus_module, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="No space left on device"):
         write(written, path)
     monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == [name]
-    assert view(read(path)) == view(written)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)
+    if failing == "text":
+        assert after == before
+        assert view(read(path)) == view(earlier)
+    else:
+        assert after[f"{name}.{kind}"] == before[f"{name}.{kind}"]
+        assert after[name] != before[name]
+        assert view(read(path)) == view(written)

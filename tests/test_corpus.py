@@ -5,8 +5,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +30,7 @@ from dictsieve import (
     export_corpus,
     fit_lda,
     ingest_corpus,
+    save_cooc,
     save_dictionary,
     save_model,
     save_ranked_list,
@@ -32,7 +38,9 @@ from dictsieve import (
     term_stats,
     tokenize,
 )
-from dictsieve.corpus import FloatText, TextFloat, open_text, read_rows, write_rows
+from dictsieve.cli import PipelineConfig, write_manifest
+from dictsieve.cooc import CoocMatrix
+from dictsieve.corpus import FloatText, TextFloat, open_text, publish, read_rows, write_rows
 from dictsieve.evaluation import write_eval_report, write_nd_series, write_pseudorels, write_wins_series
 from test_topics import EDGE_VALUES
 
@@ -760,3 +768,105 @@ class TestWriteRows:
         with pytest.raises(UnicodeEncodeError):
             write(path)
         assert path.read_bytes() == b"an earlier artifact\n"
+
+
+# A child process that runs one writer over ``path`` (its argument) with
+# ``corpus.open`` patched: the second write to a temporary file, or the close
+# of one that got a single write, flushes it and kills the process.
+KILLING_CHILD = """
+import os, signal, sys
+from dictsieve import corpus
+
+class Killing:
+    def __init__(self, stream):
+        self.stream, self.writes = stream, 0
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        self.kill()
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.kill()
+        return self.stream.write(data)
+    def kill(self):
+        self.stream.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+def killing_open(file, mode="r", *args, **kwargs):
+    stream = open(file, mode, *args, **kwargs)
+    return Killing(stream) if str(file).endswith(".tmp") else stream
+
+corpus.open = killing_open
+path = sys.argv[1]
+print(os.getpid(), flush=True)
+"""
+
+# name -> (file name, the earlier write, the killed write as child code)
+KILLED_WRITES = {
+    "export_corpus": (
+        "corpus.jsonl",
+        lambda path: export_corpus(Corpus([Document("d1", [["a"]]), Document("d2", [["b"]])], "target"), path),
+        "from dictsieve import Corpus, Document, export_corpus\n"
+        "export_corpus(Corpus([Document(f'd{i}', [['a', 'b']]) for i in range(3)], 'target'), path)",
+    ),
+    "save_cooc": (
+        "cooc.tsv",
+        lambda path: save_cooc(CoocMatrix.from_pairs(("a", "b"), {("a", "b"): 0.5}, "filtered"), path),
+        # 140 terms, every pair: more pair lines than one ``_PAIRS_PER_WRITE`` chunk
+        "import numpy as np\n"
+        "from dictsieve.cooc import _PAIRS_PER_WRITE, CoocMatrix, save_cooc\n"
+        "a, b = np.triu_indices(140, 1)\n"
+        "assert len(a) > _PAIRS_PER_WRITE\n"
+        "terms = tuple(f't{i:03d}' for i in range(140))\n"
+        "save_cooc(CoocMatrix(terms, a * 140 + b, np.full(len(a), 0.5), 'filtered'), path)",
+    ),
+    "save_ranked_list": (
+        "s.tsv",
+        lambda path: save_ranked_list(RankedList("s", [RankedEntry("d1", 2.0, 1)]), path),
+        "from dictsieve import RankedEntry, RankedList, save_ranked_list\n"
+        "save_ranked_list(RankedList('t', [RankedEntry(f'd{i}', 1.0, i) for i in range(1, 351)]), path)",
+    ),
+    "write_manifest": (
+        "manifest.json",
+        lambda path: write_manifest(PipelineConfig(n_topics=2), path),
+        "from dictsieve.cli import PipelineConfig, write_manifest\n"
+        "write_manifest(PipelineConfig(n_topics=3), path)",
+    ),
+}
+
+
+class TestPublish:
+    @pytest.mark.parametrize("writer", sorted(KILLED_WRITES))
+    def test_a_killed_write_keeps_the_earlier_artifact(self, tmp_path, writer):
+        """A writer killed partway (SIGKILL, which no ``except`` sees)
+        leaves the earlier file and its sidecar byte for byte, beside at
+        most the child's temporary file."""
+        name, write_earlier, code = KILLED_WRITES[writer]
+        path = tmp_path / name
+        write_earlier(path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", KILLING_CHILD + code, str(path)], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(after) - set(before) <= {f"{name}.{child.stdout.strip()}.tmp"}
+        assert {key: after[key] for key in before} == before
+
+    def test_a_chunk_that_raises_keeps_the_earlier_file(self, tmp_path):
+        def chunks():
+            yield b"new "
+            raise OSError("no more")
+
+        path = tmp_path / "artifact.tsv"
+        path.write_bytes(b"an earlier artifact\n")
+        with pytest.raises(OSError, match="no more"):
+            publish(path, chunks())
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+        assert path.read_bytes() == b"an earlier artifact\n"
+        publish(path, [b"new ", bytearray(b"file\n")])
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+        assert path.read_bytes() == b"new file\n"

@@ -1,6 +1,6 @@
 """numpy stays the only runtime dependency: in the package metadata and in
 every import of the package's modules, each of which uses every name it
-imports."""
+imports.  And one function, ``corpus.publish``, writes every file."""
 
 from __future__ import annotations
 
@@ -65,3 +65,42 @@ def test_modules_import_no_private_name_of_another_module(module):
         if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
     ]
     assert private == []
+
+
+def _writes(tree: ast.AST) -> list[ast.Call]:
+    """The calls under ``tree`` that write or rename a file: ``open`` with a
+    mode holding ``w``, ``a``, ``x`` or ``+`` (or a mode that is not a
+    literal), ``.write_bytes``, ``.write_text``, ``os.replace`` and
+    ``os.rename``."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value)):
+                calls.append(node)
+        elif isinstance(func, ast.Attribute) and (
+            func.attr in ("write_bytes", "write_text")
+            or (func.attr in ("replace", "rename") and isinstance(func.value, ast.Name) and func.value.id == "os")
+        ):
+            calls.append(node)
+    return calls
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "dictsieve").glob("*.py")))
+def test_every_file_is_written_by_publish(module):
+    """One writer: only ``corpus.publish`` opens a file for writing or
+    renames one, so every artifact is written under a temporary name and
+    renamed into place."""
+    tree = ast.parse((ROOT / "src" / "dictsieve" / module).read_text(encoding="utf-8"))
+    publish = [
+        node
+        for node in tree.body
+        if module == "corpus.py" and isinstance(node, ast.FunctionDef) and node.name == "publish"
+    ]
+    allowed = {id(call) for node in publish for call in _writes(node)}
+    assert [f"{module}:{call.lineno}" for call in _writes(tree) if id(call) not in allowed] == []
+    # the walk finds publish's own ``open(temp, "wb")`` and ``os.replace``
+    assert len(allowed) == (2 if module == "corpus.py" else 0)
