@@ -24,8 +24,9 @@ import hashlib
 import json
 import os
 import re
+import stat
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -237,32 +238,67 @@ def _check_role(role: str) -> None:
 class TermStats:
     """Frequency statistics over a corpus.
 
-    Exposes corpus-wide term frequency tf(w), per-document tf(w,d), whose
-    keys are the unique-term set U_d of each document, and document
-    frequency df(w).
+    ``tf`` and ``df`` are Counters of each term's corpus-wide frequency
+    tf(w) and document frequency df(w), their terms in order of first
+    occurrence.  ``doc_ids``, ``doc_tokens`` and ``doc_unique`` give each
+    document's id, token count |d| and unique-term count |U_d|, in corpus
+    order, the counts as int64 arrays.  ``tf_doc`` maps each document id to
+    its Counter tf(w,d), whose keys are U_d.
+
+    ``term_stats`` counts all but ``tf_doc`` in array passes over the
+    corpus's coding; ``tf_doc`` is built from the coding on first read, and
+    kept.  ``TermStats(tf, df, tf_doc)`` holds the Counters it is given and
+    takes the per-document counts from ``tf_doc``, in its order.
     """
 
     def __init__(self, tf: Counter, df: Counter, tf_doc: dict[str, Counter]):
         self.tf = tf
         self.df = df
         self.tf_doc = tf_doc
+        self.doc_ids = tuple(tf_doc)
+        self.doc_tokens = np.array([sum(counts.values()) for counts in tf_doc.values()], dtype=np.int64)
+        self.doc_unique = np.array(list(map(len, tf_doc.values())), dtype=np.int64)
+
+    @classmethod
+    def _counted(
+        cls, coding: Coding, tf: Counter, df: Counter, doc_tokens: np.ndarray, doc_unique: np.ndarray
+    ) -> TermStats:
+        stats = cls.__new__(cls)
+        stats.tf, stats.df, stats._coding = tf, df, coding
+        stats.doc_ids, stats.doc_tokens, stats.doc_unique = tuple(coding.ids), doc_tokens, doc_unique
+        return stats
+
+    @cached_property
+    def tf_doc(self) -> dict[str, Counter]:
+        coding = self._coding
+        word = coding.vocab.__getitem__
+        bounds = coding.sentence_starts[coding.document_starts].tolist()
+        return {
+            doc_id: Counter(map(word, coding.codes[start:stop].tolist()))
+            for doc_id, start, stop in zip(coding.ids, bounds, bounds[1:])
+        }
 
 
 def term_stats(corpus: Corpus) -> TermStats:
-    """Count tf(w), tf(w,d) and df(w) for every term of the corpus, from its
-    codes; each Counter lists its terms in order of first occurrence."""
+    """Count tf(w), df(w), |d| and |U_d| for the corpus from its codes, in
+    array passes: |d| from the offsets, tf(w) by a bincount of the codes,
+    and df(w) and |U_d| from the distinct (document, term) pairs, which one
+    sort of a key ``document * V + code`` per token finds.  ``tf`` and
+    ``df`` list their terms in order of first occurrence, as a loop over
+    the tokens would."""
     coding = corpus.coding
-    word = coding.vocab.__getitem__
-    bounds = coding.sentence_starts[coding.document_starts].tolist()
-    tf: Counter = Counter()
-    df: Counter = Counter()
-    tf_doc: dict[str, Counter] = {}
-    for doc_id, start, stop in zip(coding.ids, bounds, bounds[1:]):
-        counts = Counter(map(word, coding.codes[start:stop].tolist()))
-        tf_doc[doc_id] = counts
-        tf.update(counts)
-        df.update(counts.keys())
-    return TermStats(tf, df, tf_doc)
+    codes, n_terms, n_docs, n_tokens = coding.codes, len(coding.vocab), len(coding.ids), len(coding.codes)
+    doc_tokens = np.diff(coding.sentence_starts[coding.document_starts])
+    keys = np.repeat(np.arange(n_docs, dtype=np.int64) * n_terms, doc_tokens) + codes
+    keys.sort()
+    pair_doc, pair_term = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_terms)
+    first = np.full(n_terms, n_tokens)
+    np.minimum.at(first, codes, np.arange(n_tokens))
+    order = np.argsort(first)[: np.count_nonzero(first < n_tokens)]
+    terms = list(map(coding.vocab.__getitem__, order.tolist()))
+    tf = Counter(dict(zip(terms, np.bincount(codes, minlength=n_terms)[order].tolist())))
+    df = Counter(dict(zip(terms, np.bincount(pair_term, minlength=n_terms)[order].tolist())))
+    return TermStats._counted(coding, tf, df, doc_tokens, np.bincount(pair_doc, minlength=n_docs))
 
 
 class _TokenIds(dict):
@@ -514,14 +550,20 @@ def read_rows(stream, path, width: int, start: int):
 
 
 def publish(path, chunks) -> None:
-    """Write the byte strings ``chunks`` to ``<path>.<pid>.tmp``, unsynced,
-    and rename it onto ``path``.  A write that raises leaves the earlier
-    file and no temporary one; a killed one leaves both files."""
+    """Write the byte strings ``chunks`` to ``<file>.<pid>.tmp``, unsynced,
+    and rename it onto ``<file>``, the file ``path`` names once its symlinks
+    are resolved, so a link at ``path`` is written through.  The new file
+    takes an existing file's permission bits, and a file that did not exist
+    gets the umask's.  A write that raises leaves the earlier file and no
+    temporary one; a killed one leaves both files."""
+    path = os.path.realpath(path)
     temp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as out:
             for chunk in chunks:
                 out.write(chunk)
+        with suppress(FileNotFoundError):
+            os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -77,23 +77,31 @@ class CollectionNorms:
 
 
 def compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> CollectionNorms:
-    """pivot = mean |U_d|; norm(d) = 1/sqrt((1-slope)*pivot + slope*|U_d|)."""
-    unique_counts = {doc.id: len(stats.tf_doc[doc.id]) for doc in target.documents}
-    pivot = sum(unique_counts.values()) / len(target.documents)
-    norm: dict[str, float] = {}
-    avgtf: dict[str, float] = {}
-    empty = set()
-    for doc in target.documents:
-        n_unique = unique_counts[doc.id]
-        if n_unique == 0:
-            empty.add(doc.id)
-            continue
-        norm[doc.id] = 1.0 / math.sqrt((1.0 - config.slope) * pivot + config.slope * n_unique)
-        avgtf[doc.id] = sum(stats.tf_doc[doc.id].values()) / n_unique
-    ids = tuple(doc.id for doc in target.documents)
-    doc_log_avgtf = np.array([math.log(avgtf[i]) if i in avgtf else 0.0 for i in ids])
-    doc_norm = np.array([norm.get(i, 0.0) for i in ids])
-    return CollectionNorms(config.slope, pivot, norm, avgtf, frozenset(empty), ids, doc_log_avgtf, doc_norm)
+    """pivot = mean |U_d|; norm(d) = 1/sqrt((1-slope)*pivot + slope*|U_d|);
+    avgtf(d) = |d| / |U_d|.
+
+    |d| and |U_d| are read from ``stats``, which must be counted over the
+    target's documents, in its order.  The norms and avgtfs are array
+    operations on the exact counts, in the formula's order, and the logs
+    are ``math.log``'s, so each value has the bits of the scalar formula.
+    """
+    ids = tuple(target.coding.ids)
+    if stats.doc_ids != ids:
+        raise ValueError("term stats were counted over another collection")
+    unique = stats.doc_unique
+    pivot = int(unique.sum()) / len(ids)
+    kept = np.flatnonzero(unique)
+    kept_ids = list(map(ids.__getitem__, kept.tolist()))
+    kept_norm = 1.0 / np.sqrt((1.0 - config.slope) * pivot + config.slope * unique[kept])
+    kept_avgtf = (stats.doc_tokens[kept] / unique[kept]).tolist()
+    doc_norm = np.zeros(len(ids))
+    doc_norm[kept] = kept_norm
+    doc_log_avgtf = np.zeros(len(ids))
+    doc_log_avgtf[kept] = list(map(math.log, kept_avgtf))
+    norm = dict(zip(kept_ids, kept_norm.tolist()))
+    avgtf = dict(zip(kept_ids, kept_avgtf))
+    empty = frozenset(ids).difference(kept_ids)
+    return CollectionNorms(config.slope, pivot, norm, avgtf, empty, ids, doc_log_avgtf, doc_norm)
 
 
 def term_contributions(

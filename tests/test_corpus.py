@@ -9,8 +9,10 @@ import os
 import random
 import re
 import signal
+import stat
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -564,6 +566,20 @@ class TestExport:
         assert ingest_corpus(path).documents == original.documents
 
 
+def frozen_term_stats(corpus: Corpus) -> tuple[Counter, Counter, dict[str, Counter]]:
+    """Reference: tf(w), df(w) and tf(w,d) from one Counter per document,
+    updated document by document."""
+    tf: Counter = Counter()
+    df: Counter = Counter()
+    tf_doc: dict[str, Counter] = {}
+    for doc in corpus.documents:
+        counts = Counter(doc.tokens())
+        tf_doc[doc.id] = counts
+        tf.update(counts)
+        df.update(counts.keys())
+    return tf, df, tf_doc
+
+
 class TestTermStats:
     def test_hand_counts(self):
         corpus = Corpus(
@@ -603,6 +619,35 @@ class TestTermStats:
         corpus = Corpus(documents=[Document(id="d", sentences=[[]])], role="target")
         stats = term_stats(corpus)
         assert stats.tf == stats.df == stats.tf_doc["d"] == {}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_equal_the_frozen_counter_loop_in_order(self, seed):
+        """tf and df hold the loop's terms in its order, first occurrence
+        first, so a message that names the first term of ``tf`` the model
+        lacks names the same one; tf_doc and the per-document counts agree
+        with the loop's Counters."""
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(40)]
+        docs = [
+            Document(
+                id=f"d{i}",
+                sentences=[rng.choices(vocab, k=rng.randint(0, 9)) for _ in range(rng.randint(0, 4))],
+            )
+            for i in range(50)
+        ]
+        corpus = Corpus(documents=docs, role="target")
+        tf, df, tf_doc = frozen_term_stats(corpus)
+        stats = term_stats(corpus)
+        assert list(stats.tf.items()) == list(tf.items())
+        assert list(stats.df.items()) == list(df.items())
+        assert type(stats.tf) is type(stats.df) is Counter
+        assert stats.doc_ids == tuple(tf_doc)
+        assert stats.doc_tokens.tolist() == [sum(counts.values()) for counts in tf_doc.values()]
+        assert stats.doc_unique.tolist() == list(map(len, tf_doc.values()))
+        assert [list(counts.items()) for counts in stats.tf_doc.values()] == [
+            list(counts.items()) for counts in tf_doc.values()
+        ]
+        assert stats.tf_doc is stats.tf_doc
 
 
 class TestTextFloat:
@@ -870,3 +915,51 @@ class TestPublish:
         publish(path, [b"new ", bytearray(b"file\n")])
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
         assert path.read_bytes() == b"new file\n"
+
+    @staticmethod
+    def _linked(tmp_path) -> tuple[Path, Path]:
+        """A 0640 file holding ``old`` and a symlink to it in another
+        directory."""
+        (tmp_path / "real").mkdir()
+        (tmp_path / "out").mkdir()
+        target = tmp_path / "real" / "artifact.tsv"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        link = tmp_path / "out" / "artifact.tsv"
+        link.symlink_to(target)
+        return link, target
+
+    def test_a_symlinked_path_is_written_through(self, tmp_path):
+        link, target = self._linked(tmp_path)
+        write_rows(link, [("a", 1)])
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == b"a\t1\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["artifact.tsv", "artifact.tsv", "out", "real"]
+
+    def test_an_overwritten_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "artifact.tsv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o640)
+        publish(path, [b"new\n"])
+        assert path.read_bytes() == b"new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_a_new_file_gets_the_umask_default(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            publish(tmp_path / "artifact.tsv", [b"new\n"])
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "artifact.tsv").stat().st_mode) == 0o640
+
+    def test_a_chunk_that_raises_through_a_symlink_keeps_the_earlier_file(self, tmp_path):
+        def chunks():
+            yield b"new "
+            raise OSError("no more")
+
+        link, target = self._linked(tmp_path)
+        with pytest.raises(OSError, match="no more"):
+            publish(link, chunks())
+        assert link.is_symlink() and target.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["artifact.tsv", "artifact.tsv", "out", "real"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -13,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planted
 from dictsieve import (
     Corpus,
     Document,
     build_cooc,
     compute_norms,
+    extract_dictionary_tfidf,
+    extract_dictionary_tm,
     filter_cooc,
     generate_sweep,
     rank_collection,
@@ -27,10 +31,11 @@ from dictsieve import (
     tfsim,
 )
 from dictsieve.cooc import CoocMatrix
+from dictsieve.corpus import TermStats
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.evaluation import DEFAULT_ALPHAS, sweep_configs
 from dictsieve.retrieval import make_system_id
-from dictsieve.scoring import ScoringConfig, _term_contribution, sentence_features, term_contributions
+from dictsieve.scoring import CollectionNorms, ScoringConfig, _term_contribution, sentence_features, term_contributions
 
 
 def make_dictionary(*terms: str) -> Dictionary:
@@ -108,6 +113,119 @@ class TestComputeNorms:
         assert norms.empty_doc_ids == frozenset({"void"})
         assert norms.pivot == 2.0
         assert "void" not in norms.norm
+
+
+def frozen_compute_norms(target: Corpus, stats: TermStats, config: ScoringConfig) -> CollectionNorms:
+    """Reference: the norms from each document's Counter in ``stats.tf_doc``,
+    one document at a time, as the scalar formula reads."""
+    unique_counts = {doc.id: len(stats.tf_doc[doc.id]) for doc in target.documents}
+    pivot = sum(unique_counts.values()) / len(target.documents)
+    norm: dict[str, float] = {}
+    avgtf: dict[str, float] = {}
+    empty = set()
+    for doc in target.documents:
+        n_unique = unique_counts[doc.id]
+        if n_unique == 0:
+            empty.add(doc.id)
+            continue
+        norm[doc.id] = 1.0 / math.sqrt((1.0 - config.slope) * pivot + config.slope * n_unique)
+        avgtf[doc.id] = sum(stats.tf_doc[doc.id].values()) / n_unique
+    ids = tuple(doc.id for doc in target.documents)
+    doc_log_avgtf = np.array([math.log(avgtf[i]) if i in avgtf else 0.0 for i in ids])
+    doc_norm = np.array([norm.get(i, 0.0) for i in ids])
+    return CollectionNorms(config.slope, pivot, norm, avgtf, frozenset(empty), ids, doc_log_avgtf, doc_norm)
+
+
+def _norm_fields(norms: CollectionNorms) -> dict:
+    """Every field of ``norms``, dicts as their items in order and arrays
+    as their dtype and bytes."""
+    values = {}
+    for field in dataclasses.fields(norms):
+        value = getattr(norms, field.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.shape, value.tobytes())
+        elif isinstance(value, dict):
+            value = list(value.items())
+        values[field.name] = value
+    return values
+
+
+# name -> a corpus builder; the builders run when a test calls them
+NORM_CORPORA = {
+    "planted target": planted.build_target,
+    "planted reference": planted.build_reference,
+    "planted generic": planted.build_generic,
+    "random": lambda: corpus_of(*_random_docs(random.Random(11), [f"t{i:02d}" for i in range(40)], 120, "d")),
+    "no sentence kept": lambda: corpus_of(
+        Document(id="void", sentences=[[]]),
+        Document(id="full", sentences=[["a", "b", "a"], ["c"]]),
+        Document(id="none", sentences=[]),
+    ),
+    "only empty documents": lambda: corpus_of(Document(id="void", sentences=[[]])),
+}
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("name", sorted(NORM_CORPORA))
+def test_norms_equal_the_frozen_counter_loop_bit_for_bit(name, slope):
+    corpus = NORM_CORPORA[name]()
+    config = ScoringConfig(slope=slope)
+    expected = frozen_compute_norms(corpus, term_stats(corpus), config)
+    assert _norm_fields(compute_norms(corpus, term_stats(corpus), config)) == _norm_fields(expected)
+
+
+def test_hand_built_term_stats_score_and_normalize_as_counted_ones():
+    corpus = NORM_CORPORA["no sentence kept"]()
+    tf_doc = {doc.id: Counter(doc.tokens()) for doc in corpus.documents}
+    hand = TermStats(tf=sum(tf_doc.values(), Counter()), df=Counter({"a": 1, "b": 1, "c": 1}), tf_doc=tf_doc)
+    counted = term_stats(corpus)
+    config = ScoringConfig()
+    norms = compute_norms(corpus, counted, config)
+    assert _norm_fields(compute_norms(corpus, hand, config)) == _norm_fields(norms)
+    q = make_dictionary("a", "c", "x")
+    for doc in corpus.documents:
+        assert score_dict(q, doc, hand, norms) == score_dict(q, doc, counted, norms)
+    assert score_dict(q, corpus.documents[1], hand, norms) > 0.0
+
+
+def test_norms_need_the_stats_of_the_target():
+    corpus = NORM_CORPORA["no sentence kept"]()
+    other = corpus_of(*reversed(corpus.documents))
+    with pytest.raises(ValueError, match="term stats were counted over another collection"):
+        compute_norms(corpus, term_stats(other), ScoringConfig())
+
+
+def test_no_pipeline_path_builds_a_per_document_counter(
+    planted_reference, planted_generic, planted_target, planted_model, planted_dictionaries, planted_filtered,
+    monkeypatch,
+):
+    """The sweep, a ranking that computes its own norms and both dictionary
+    extractions give what they gave before with ``TermStats.tf_doc``, the
+    per-document Counters, made to raise."""
+    d_tm, d_tfidf = planted_dictionaries
+    cf_tm, cf_tfidf = planted_filtered
+    config = ScoringConfig(alpha=2.0, mode="context")
+
+    def outputs():
+        sweep = generate_sweep(planted_target, d_tm, d_tfidf, cf_tm, cf_tfidf, k=50)
+        ranked = rank_collection(planted_target, d_tm, cf_tm, config, 50, norms=None)
+        return (
+            [(system.system_id, [tuple(entry) for entry in system]) for system in sweep.systems],
+            sweep.biased_subset,
+            [tuple(entry) for entry in ranked],
+            extract_dictionary_tm(planted_model, term_stats(planted_reference), 16),
+            extract_dictionary_tfidf(planted_reference, 16),
+        )
+
+    expected = outputs()
+
+    def no_counters(stats):
+        raise AssertionError("a per-document Counter was built")
+
+    monkeypatch.setattr(TermStats, "tf_doc", property(no_counters))
+    with pytest.raises(AssertionError, match="per-document Counter"):
+        term_stats(planted_generic).tf_doc
+    assert outputs() == expected
 
 
 def scalar_contribution(tf: float, log_avgtf: float, boost_value: float, norm: float) -> float:
