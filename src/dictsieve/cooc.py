@@ -292,19 +292,18 @@ def _tsv_chunks(matrix: CoocMatrix):
         f"#dictsieve-cooc\tprovenance={matrix.provenance}\tn={n}\n"
         + "#terms" + "".join("\t" + term for term in matrix.terms) + "\n"
     ).encode()
-    # each term with the tab after it and each distinct value's line end: a
-    # pair line is three strings, joined with every other line of a chunk in
-    # one ``join``
-    head = [term + "\t" for term in matrix.lexicon].__getitem__
+    # one table of each term with the tab after it and each distinct value's
+    # line end: a pair line is three of its pieces, and a chunk one ``join``
     distinct, value_index = np.unique(matrix.values, return_inverse=True)
-    tail = [repr(value) + "\n" for value in distinct.tolist()].__getitem__
+    table = np.array(
+        [*(term + "\t" for term in matrix.lexicon), *(repr(value) + "\n" for value in distinct.tolist())], dtype=object
+    )
     for start in range(0, len(matrix), _PAIRS_PER_WRITE):
-        a, b = (ranks.tolist() for ranks in np.divmod(matrix.keys[start : start + _PAIRS_PER_WRITE], n))
-        parts = [""] * (3 * len(a))
-        parts[0::3] = map(head, a)
-        parts[1::3] = map(head, b)
-        parts[2::3] = map(tail, value_index[start : start + _PAIRS_PER_WRITE].tolist())
-        yield "".join(parts).encode()
+        keys = matrix.keys[start : start + _PAIRS_PER_WRITE]
+        pieces = np.empty((len(keys), 3), dtype=np.int64)
+        np.divmod(keys, n, out=(pieces[:, 0], pieces[:, 1]))
+        pieces[:, 2] = n + value_index[start : start + _PAIRS_PER_WRITE]
+        yield "".join(table[pieces.ravel()].tolist()).encode()
 
 
 def _pair_error(keys: np.ndarray, values: np.ndarray, n: int) -> str | None:

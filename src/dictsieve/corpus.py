@@ -55,6 +55,10 @@ _MALFORMED_SENTENCES = "sentences must be lists of non-empty strings"
 _HEADER_LIMIT = 1024
 # ``file_sha256`` reads this many bytes at a time
 _HASH_CHUNK = 1 << 20
+# ``export_corpus`` formats and writes blocks of whole documents of about
+# this many tokens, so the text it holds stays bounded; 4x larger blocks
+# wrote no faster and held 2.5x the memory
+_JSONL_BLOCK_TOKENS = 1 << 14
 _SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 
@@ -791,27 +795,57 @@ def ingest_corpus(source, format: str = "jsonl", role: str = "target") -> Corpus
 
 
 def _jsonl_lines(coding: Coding):
-    """Yield each document's JSONL line as bytes, in corpus order."""
-    literal = list(map(encode_basestring, coding.vocab)).__getitem__
-    token_at = coding.sentence_starts.tolist()
-    first = coding.document_starts.tolist()
+    """Yield the corpus's JSONL text as bytes, a block of whole documents of
+    about ``_JSONL_BLOCK_TOKENS`` tokens at a time.
+
+    A block is one ``join`` over pieces of one table: each type's JSON
+    string, the separators after a token (``, ``, ``], [`` at a sentence's
+    end, ``]]`` at a document's), and each document's head, which carries
+    the line end of the document before it; one last head ends the text.
+    """
+    n_vocab, n_docs = len(coding.vocab), len(coding.ids)
+    # each document's first token and, last, the number of tokens
+    doc_tokens = coding.sentence_starts[coding.document_starts]
+    empty = (doc_tokens[1:] == doc_tokens[:-1]).tolist()
     encode = json.JSONEncoder(ensure_ascii=False).encode
-    for doc_id, paragraphs, a, b in zip(coding.ids, coding.paragraphs, first, first[1:]):
-        start = token_at[a]
-        words = list(map(literal, coding.codes[start : token_at[b]].tolist()))
-        sentences = ", ".join(
-            ["[" + ", ".join(words[s - start : e - start]) + "]" for s, e in zip(token_at[a:b], token_at[a + 1 : b + 1])]
-        )
-        tail = "}\n" if paragraphs is None else ', "paragraphs": ' + encode(paragraphs) + "}\n"
-        yield ('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail).encode()
+    tails = ["}\n" if p is None else ', "paragraphs": ' + encode(p) + "}\n" for p in coding.paragraphs]
+    heads = [
+        tail + '{"id": ' + encode_basestring(doc_id) + (', "sentences": []' if blank else ', "sentences": [[')
+        for tail, doc_id, blank in zip(["", *tails], coding.ids, empty)
+    ]
+    table = np.array([*map(encode_basestring, coding.vocab), ", ", "], [", "]]", *heads, tails[-1]], dtype=object)
+    comma, first_head = n_vocab, n_vocab + 3
+    a = 0
+    while a < n_docs:
+        b = int(np.searchsorted(doc_tokens, doc_tokens[a] + _JSONL_BLOCK_TOKENS, "right")) - 1
+        b = max(b, a + 1)
+        offset, stop = int(doc_tokens[a]), int(doc_tokens[b])
+        starts = doc_tokens[a : b + 1] - offset
+        separators = np.full(stop - offset, comma)
+        sentence_ends = coding.sentence_starts[coding.document_starts[a] + 1 : coding.document_starts[b] + 1]
+        separators[sentence_ends - offset - 1] = comma + 1
+        separators[starts[1:][starts[1:] != starts[:-1]] - 1] = comma + 2
+        # token t of the block's document j sits after the j + 1 heads up to
+        # it, the t tokens before it and their separators
+        at = 2 * np.arange(stop - offset) + np.repeat(np.arange(1, b - a + 1), np.diff(starts))
+        pieces = np.empty(2 * (stop - offset) + b - a + (b == n_docs), dtype=np.int64)
+        pieces[at] = coding.codes[offset:stop]
+        pieces[at + 1] = separators
+        pieces[2 * starts[:-1] + np.arange(b - a)] = np.arange(first_head + a, first_head + b)
+        if b == n_docs:
+            pieces[-1] = first_head + n_docs
+        yield "".join(table[pieces].tolist()).encode()
+        a = b
 
 
 def export_corpus(corpus: Corpus, path) -> None:
     """Write a corpus as canonical JSONL; round-trips through ingest_corpus.
 
     The lines are the bytes of ``json.JSONEncoder(ensure_ascii=False)`` on
-    each document's record: each type's JSON string is formatted once, by
-    the encoder's own string function, and joined per sentence.
+    each document's record.  Each type's JSON string is formatted once, by
+    the encoder's own string function, and the text is gathered from one
+    table of those strings, the separators and each document's head, a block
+    of whole documents of about ``_JSONL_BLOCK_TOKENS`` tokens per write.
 
     The coding goes to the sidecar ``<path>.coding``, which ``ingest_corpus``
     reads in place of the JSONL.  Its header line is ``#dictsieve-coding``

@@ -27,6 +27,9 @@ MODES = ("unigram", "context", "context-only")
 # floor for tfsim before the log; only binds in context-only mode, where
 # cosine-only values may fall below 1
 _TFSIM_FLOOR = 1e-9
+# 1 + ln 0.36 = -0.0217: a tf at or below this has a non-positive dampened
+# factor, so it contributes 0.0 without taking its log
+_LOG_FREE = 0.36
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,20 @@ def term_contributions(
     (``np.log`` differs in the last bit on some doubles) and the operations
     run in the formula's order, so every value has the bits of the scalar
     formula, and equal tf values give equal contributions in every mode.
-    Each run's log is its own ``math.log`` call: taking each distinct whole
-    tf's log once pays at alpha = 0 but costs more at every other alpha.
+    ``math.log`` is called once per distinct whole tf, found with
+    ``np.unique`` (every tf at alpha = 0, and every run without context at
+    any alpha), and once per other tf above ``_LOG_FREE``; a tf at or below
+    it contributes 0.0 without a log.
     """
     lengths = np.diff(offsets)
     floored = np.where(tf > _TFSIM_FLOOR, tf, _TFSIM_FLOOR)
-    dampened = 1.0 + np.fromiter(map(math.log, floored.tolist()), np.float64, len(floored))
+    # a factor that stays -1.0 contributes 0.0, as its log would give it
+    dampened = np.full(len(floored), -1.0)
+    whole = floored == np.floor(floored)
+    distinct, index = np.unique(floored[whole], return_inverse=True)
+    dampened[whole] = 1.0 + np.fromiter(map(math.log, distinct.tolist()), np.float64, len(distinct))[index]
+    rest = np.flatnonzero(~whole & (floored > _LOG_FREE))
+    dampened[rest] = 1.0 + np.fromiter(map(math.log, floored[rest].tolist()), np.float64, len(rest))
     values = dampened / np.repeat(1.0 + log_avgtf, lengths) * boosts * np.repeat(norm, lengths)
     values[dampened <= 0.0] = 0.0
     return values

@@ -10,11 +10,12 @@ import io
 import json
 import os
 import re
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dictsieve import (
@@ -31,7 +32,7 @@ from dictsieve import (
     term_stats,
 )
 from dictsieve.cooc import CoocMatrix
-from dictsieve.corpus import check_doc_id
+from dictsieve.corpus import _jsonl_lines, check_doc_id
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.scoring import sentence_features
 
@@ -99,6 +100,49 @@ def old_export(docs: list[Document]) -> bytes:
             record["paragraphs"] = doc.paragraphs
         lines.append(encode(record) + "\n")
     return "".join(lines).encode()
+
+
+def frozen_jsonl_lines(coding):
+    """Yield each document's JSONL line as bytes, in corpus order."""
+    literal = list(map(encode_basestring, coding.vocab)).__getitem__
+    token_at = coding.sentence_starts.tolist()
+    first = coding.document_starts.tolist()
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    for doc_id, paragraphs, a, b in zip(coding.ids, coding.paragraphs, first, first[1:]):
+        start = token_at[a]
+        words = list(map(literal, coding.codes[start : token_at[b]].tolist()))
+        sentences = ", ".join(
+            ["[" + ", ".join(words[s - start : e - start]) + "]" for s, e in zip(token_at[a:b], token_at[a + 1 : b + 1])]
+        )
+        tail = "}\n" if paragraphs is None else ', "paragraphs": ' + encode(paragraphs) + "}\n"
+        yield ('{"id": ' + encode_basestring(doc_id) + ', "sentences": [' + sentences + "]" + tail).encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    docs=documents(),
+    suffixes=st.lists(TOKEN, min_size=6, max_size=6),
+    emptied=st.booleans(),
+    block=st.integers(1, 12),
+)
+def test_export_writes_the_bytes_of_the_per_document_writer(docs, suffixes, emptied, block):
+    """The JSONL text, gathered a block of documents at a time from one piece
+    table, is the text of the per-document writer it replaced: with
+    documents and whole corpora without sentences, dropped empty sentences,
+    paragraph groups, ids and tokens that JSON escapes, and blocks from one
+    token up."""
+    assume(docs)
+    docs = [
+        # the suffix makes JSON escape the id; ids stay distinct and end in '.'
+        Document(f"d{i}{suffix}.", [] if emptied else doc.sentences, None if emptied else doc.paragraphs)
+        for i, (doc, suffix) in enumerate(zip(docs, suffixes))
+    ]
+    coding = Corpus(documents=docs, role="target").coding
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_JSONL_BLOCK_TOKENS", block)
+        chunks = list(_jsonl_lines(coding))
+    assert b"".join(chunks) == b"".join(frozen_jsonl_lines(coding))
+    assert len(chunks) <= len(docs)
 
 
 def sidecar_of(path) -> Path:
@@ -481,6 +525,9 @@ def test_a_write_that_fails_leaves_a_consistent_pair(monkeypatch, tmp_path, name
     they were, and the read returns the earlier object; at the sidecar it
     leaves the new text beside the earlier sidecar, which the read ignores,
     parsing the new text."""
+    # a block of one document at a time, so the corpus text takes more than
+    # one write and its second one can fail
+    monkeypatch.setattr(corpus_module, "_JSONL_BLOCK_TOKENS", 1)
     path = tmp_path / name
     earlier = make(Corpus(documents=SMALL, role="target"))
     write(earlier, path)

@@ -238,9 +238,21 @@ def scalar_contribution(tf: float, log_avgtf: float, boost_value: float, norm: f
 # run tf values: counts, whole numbers up to 1e15, other values above 1 and
 # in (0, 1), zeros and negatives; the first three whole numbers are doubles
 # on which some numpy builds' ``np.log`` differs from ``math.log`` in the
-# last bit, and the difference survives 1 + ln tf
+# last bit, and the difference survives 1 + ln tf; then the edges of the
+# values that take no log (<= 0.36) and of a positive factor (> 1/e), and
+# 2**53, above which not every whole number is a double
 TF_VALUES = st.one_of(
     st.sampled_from([9170.0, 19143.0, 94869.0]),
+    st.sampled_from(
+        [
+            0.36,
+            math.nextafter(0.36, 1.0),
+            1 / math.e,
+            math.nextafter(1 / math.e, 0.0),
+            math.nextafter(1 / math.e, 1.0),
+            2.0**53,
+        ]
+    ),
     st.integers(1, 60).map(float),
     st.integers(0, 10**15).map(float),
     st.floats(min_value=1.0, max_value=1e6),
@@ -275,6 +287,32 @@ class TestTermContribution:
         expected = np.array([scalar_contribution(*run) for run in runs], dtype=np.float64)
         assert (values == expected).all()
         assert values.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(tf=st.lists(TF_VALUES, max_size=40))
+    def test_logs_only_distinct_whole_tf_and_other_tf_above_the_cut(self, tf):
+        """One ``math.log`` per distinct whole tf, and one per other tf
+        above 0.36; a tf at or below 0.36 (floored at 1e-9) takes none."""
+        floored = [max(value, 1e-9) for value in tf]
+        expected = [
+            *{value for value in floored if value.is_integer()},
+            *(value for value in floored if not value.is_integer() and value > 0.36),
+        ]
+        taken = []
+        log = math.log
+
+        def counted_log(value):
+            taken.append(value)
+            return log(value)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math, "log", counted_log)
+            values = term_contributions(
+                np.array(tf, dtype=np.float64), np.ones(len(tf)), np.array([0, len(tf)]), np.zeros(1), np.ones(1)
+            )
+        assert len(taken) == len(expected)
+        assert sorted(taken) == sorted(expected)
+        assert values.tobytes() == np.array([scalar_contribution(value, 0.0, 1.0, 1.0) for value in tf]).tobytes()
 
     def test_rank_one_single_occurrence_is_the_norm(self):
         assert _term_contribution(1.0, 0.0, boost(1), 0.25) == 0.25
