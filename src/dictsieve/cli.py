@@ -29,6 +29,7 @@ from .corpus import (
     ROLES,
     Corpus,
     export_corpus,
+    field_error,
     file_sha256,
     ingest_corpus,
     open_text,
@@ -313,8 +314,9 @@ def system_filename(system_id: str) -> str:
 
 
 def _read_system_index(path) -> list[tuple[str, str, bool]]:
-    """Rows of ``system_id<TAB>file<TAB>0|1`` with distinct system ids and
-    non-empty file fields; a malformed line is reported as ``path:line``."""
+    """Rows of ``system_id<TAB>file<TAB>0|1`` with distinct system ids that
+    are fields (see ``field_error``) and non-empty file fields; a malformed
+    line is reported as ``path:line``."""
     rows = []
     seen = set()
     with open_text(path) as stream:
@@ -322,6 +324,8 @@ def _read_system_index(path) -> list[tuple[str, str, bool]]:
         if header != "system_id\tfile\tbiased":
             raise ValueError(f"not a system index: {path}")
         for lineno, (system_id, fname, biased) in read_rows(stream, path, 3, 2):
+            if (error := field_error("system id", system_id)) is not None:
+                raise ValueError(f"{path}:{lineno}: {error}")
             # an empty file field would name the systems directory itself
             if not fname:
                 raise ValueError(f"{path}:{lineno}: file field is empty")

@@ -73,12 +73,13 @@ class SystemSet:
 
     @cached_property
     def _norm_weights(self) -> dict[str, float]:
-        """``norm_weights``, summed on first use: a fuse reads it twice."""
+        """``norm_weights``, summed on first use over each list's ids: a fuse
+        reads it twice."""
         weights: dict[str, float] = {}
         for ranked in self.systems:
             m = ranked.m
-            for entry in ranked.entries:
-                weights[entry.doc_id] = weights.get(entry.doc_id, 0.0) + m / entry.rank
+            for rank, doc_id in enumerate(ranked.ids, start=1):
+                weights[doc_id] = weights.get(doc_id, 0.0) + m / rank
         return weights
 
 
@@ -197,14 +198,15 @@ def check_fusion_settings(top_m: int, fraction: float = DEFAULT_FRACTION) -> Non
 
 
 def select_candidates(systems: SystemSet, top_m: int = DEFAULT_TOP_M) -> set[str]:
-    """Union of each biased system's top_m doc ids (all of them if m_s < top_m)."""
+    """Union of each biased system's top_m doc ids (all of them if m_s < top_m),
+    sliced from its ``ids`` column."""
     check_fusion_settings(top_m)
     biased = systems.biased()
     if not biased:
         raise ValueError("biased subset is empty, nothing to pool")
     pool: set[str] = set()
     for ranked in biased:
-        pool.update(entry.doc_id for entry in ranked.entries[:top_m])
+        pool.update(ranked.ids[:top_m])
     return pool
 
 
@@ -218,7 +220,8 @@ def condorcet_rank(pool: set[str], systems: SystemSet) -> list[tuple[str, int]]:
     the denominator).  Ties in win count break by accumulated norm weight
     descending, then doc id.
 
-    The votes come from one S x P array of ranks, ``inf`` for a document a
+    The votes come from one S x P array of ranks, read with ``rank_of``
+    (only the biased lists build its dict), ``inf`` for a document a
     system did not retrieve: a system's ranks are distinct, so it votes a
     over b exactly when r(a) < r(b), and two unretrieved documents tie.
     """
@@ -272,16 +275,17 @@ def map_score(ranked: RankedList, rels: PseudorelSet | set[str] | frozenset[str]
 
     Averages precision at each relevant document's rank over all R
     relevant documents; relevant documents never retrieved contribute 0.
+    A rank is a position in the list's ``ids`` column, plus 1.
     """
     rel_ids = rels.doc_ids if isinstance(rels, PseudorelSet) else frozenset(rels)
     if not rel_ids:
         raise ValueError("relevant set is empty")
     hits = 0
     total = 0.0
-    for entry in ranked.entries:
-        if entry.doc_id in rel_ids:
+    for rank, doc_id in enumerate(ranked.ids, start=1):
+        if doc_id in rel_ids:
             hits += 1
-            total += hits / entry.rank
+            total += hits / rank
     return total / len(rel_ids)
 
 
@@ -292,25 +296,26 @@ def precision_at_ranges(
 ) -> dict[tuple[int, int], float]:
     """Fraction judged relevant inside each 1-based inclusive rank window.
 
-    Windows past the end of the list are dropped; a window the list only
-    partially covers is scored over the entries it has.  All missing
-    judgments are collected before failing so one error message tells the
-    annotator the complete work list.
+    A window is a slice of the list's ``ids`` column.  Windows past the end
+    of the list are dropped; a window the list only partially covers is
+    scored over the entries it has.  All missing judgments are collected
+    before failing so one error message tells the annotator the complete
+    work list.
     """
-    windows: dict[tuple[int, int], list] = {}
+    windows: dict[tuple[int, int], list[str]] = {}
     missing: set[str] = set()
     for low, high in ranges:
         if low < 1 or high < low:
             raise ValueError(f"bad rank range {low}-{high}")
-        window = ranked.entries[low - 1 : high]
+        window = ranked.ids[low - 1 : high]
         if not window:
             continue
         windows[(low, high)] = window
-        missing.update(e.doc_id for e in window if e.doc_id not in judgments)
+        missing.update(doc_id for doc_id in window if doc_id not in judgments)
     if missing:
         raise ValueError("missing judgments for: " + ", ".join(sorted(missing)))
     return {
-        span: sum(1 for e in window if judgments[e.doc_id]) / len(window)
+        span: sum(1 for doc_id in window if judgments[doc_id]) / len(window)
         for span, window in windows.items()
     }
 

@@ -212,7 +212,9 @@ def sentence_features(corpus: Corpus, cooc_filtered: CoocMatrix) -> SentenceFeat
     n = len(cooc_filtered.terms)
     n_documents = len(corpus)
     document_starts = corpus.coding.document_starts
-    check_key_range(n, int(document_starts[-1]))
+    # keys sentence * n + term and document * n + term; a document may
+    # hold no sentence, so there can be more documents than sentences
+    check_key_range(n, max(int(document_starts[-1]), n_documents))
     lexicon = cooc_filtered.lexicon
     # entries (sentence, term rank, count): in sentence order, then in
     # first-occurrence order
@@ -236,10 +238,11 @@ def sentence_features(corpus: Corpus, cooc_filtered: CoocMatrix) -> SentenceFeat
     del n_present, width, start, dot, col_norm, defined
 
     # rows by (document, term position, sentence), the ranks mapped back to
-    # positions; lexsort is stable and the entries are in sentence order
+    # positions: one stable sort of the key document * n + term position,
+    # the entries being in sentence order
     entry_term = np.fromiter(map(cooc_filtered.position, lexicon), dtype=np.int64, count=n)[entry_rank]
     entry_document = np.searchsorted(document_starts[1:], entry_sentence, side="right")
-    order = np.lexsort((entry_term, entry_document))
+    order = np.argsort(entry_document * n + entry_term, kind="stable")
     row_term = entry_term[order]
     row_document = entry_document[order]
     run_head = np.flatnonzero((np.diff(row_term, prepend=-1) != 0) | (np.diff(row_document, prepend=-1) != 0))

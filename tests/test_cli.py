@@ -771,6 +771,30 @@ class TestSubcommands:
         assert code == EXIT_DATA
         assert f"{index}:{lineno}: {message}" in capsys.readouterr().err
 
+    def test_fuse_rejects_an_empty_index_system_id(self, tmp_path, capsys):
+        """A tab splits the id's field and a CR or LF its line, so an empty
+        id is the one that ``read_rows`` passes on."""
+        index = tmp_path / "systems.tsv"
+        index.write_text("system_id\tfile\tbiased\nb\tsystems/b.tsv\t1\n\tsystems/a.tsv\t1\n")
+        assert main(["fuse", "--systems-dir", str(tmp_path)]) == EXIT_DATA
+        assert f"{index}:3: system id '' is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system_id, message",
+        [("a\tb", "system id 'a\\tb' contains a tab, CR or LF"), ("", "system id '' is empty")],
+    )
+    def test_map_rejects_a_list_whose_system_id_is_not_a_field(self, tmp_path, capsys, system_id, message):
+        """The id would otherwise be printed as the first field of a
+        ``system_id<TAB>map`` line."""
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text(f"# system_id={system_id}\n1\td1\t1.0\n")
+        rels = tmp_path / "rels.txt"
+        rels.write_text("d1\n")
+        assert main(["map", "--ranked", str(ranked), "--rels", str(rels)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"{ranked}:1: {message}" in captured.err
+        assert captured.out == ""
+
     def test_fuse_rejects_a_ranked_doc_id_that_pseudorels_cannot_hold(self, tmp_path, capsys):
         """``#x`` would be written to ``pseudorels.txt``, which ``map``
         reads back skipping it as a comment."""

@@ -90,7 +90,7 @@ def without_empty_sentences(doc: Document) -> Document:
     return Document(doc.id, [s for s in doc.sentences if s], paragraphs)
 
 
-def old_export(docs: list[Document]) -> bytes:
+def frozen_old_export(docs: list[Document]) -> bytes:
     """The lines ``export_corpus`` wrote through ``json.JSONEncoder``."""
     encode = json.JSONEncoder(ensure_ascii=False).encode
     lines = []
@@ -195,7 +195,7 @@ class TestCodingProperties:
         path = tmp_path_factory.mktemp("coding") / "corpus.jsonl"
         export_corpus(Corpus(documents=[Document("old", [["x"]])], role="reference"), path)
         export_corpus(corpus, path)
-        assert path.read_bytes() == old_export(expected)
+        assert path.read_bytes() == frozen_old_export(expected)
         assert sidecar_of(path).is_file()
         ingested = ingest_both_ways(path)
         assert coding_of(ingested) == coding_of(corpus)
@@ -259,7 +259,7 @@ def test_stages_never_read_document_strings(monkeypatch, tmp_path):
     assert features.offsets.tolist()[-1] == len(features.terms)
     assert model.vocab == ("a", "b", "c", "d")
     assert stats.tf == {"a": 3, "b": 3, "c": 3, "d": 3}
-    assert (tmp_path / "reference.jsonl").read_bytes() == old_export(list(map(without_empty_sentences, docs)))
+    assert (tmp_path / "reference.jsonl").read_bytes() == frozen_old_export(list(map(without_empty_sentences, docs)))
 
 
 @pytest.mark.parametrize("role", ["reference", "generic", "target"])

@@ -183,6 +183,29 @@ def test_the_sweep_scores_each_document_once_per_system(
     }
 
 
+def test_the_sweep_and_its_fusion_build_no_ranked_entry(
+    planted_target, planted_dictionaries, planted_filtered, monkeypatch
+):
+    """The sweep's lists and the report fused from them are what they were
+    with ``retrieval.RankedEntry`` made to raise: the lists are built and
+    read as columns."""
+
+    def outputs():
+        systems = generate_sweep(planted_target, *planted_dictionaries, *planted_filtered, k=50)
+        lists = [(ranked.system_id, ranked.ids, list(map(float.hex, ranked.scores))) for ranked in systems.systems]
+        return lists, systems.biased_subset, evaluate_sweep(systems)
+
+    expected = outputs()
+
+    def no_entries(*args, **kwargs):
+        raise AssertionError("a RankedEntry was built")
+
+    monkeypatch.setattr(retrieval, "RankedEntry", no_entries)
+    with pytest.raises(AssertionError, match="RankedEntry was built"):
+        ranked("s", "a").entries
+    assert outputs() == expected
+
+
 def _random_docs(rng, vocab, n_docs, prefix):
     weights = [1.0 / (i + 1) for i in range(len(vocab))]
     return [

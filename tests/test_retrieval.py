@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -13,12 +14,14 @@ from dictsieve import (
     Corpus,
     Document,
     compute_norms,
+    generate_sweep,
     load_ranked_list,
     rank_collection,
     save_ranked_list,
     score_dict,
     term_stats,
 )
+from dictsieve import retrieval
 from dictsieve.cooc import CoocMatrix
 from dictsieve.dictionary import Dictionary, DictionaryEntry, boost
 from dictsieve.retrieval import RankedEntry, RankedList, format_alpha, make_system_id
@@ -78,6 +81,17 @@ def entry_rows(entries) -> list[str]:
     return [repr((doc_id, score, rank, type(score), type(rank))) for doc_id, score, rank in entries]
 
 
+def hex_rows(entries) -> list[tuple[str, str, int]]:
+    """Each (doc id, score, rank), the score as ``float.hex``, which holds
+    every bit of it."""
+    return [(doc_id, float.hex(score), rank) for doc_id, score, rank in entries]
+
+
+def column_rows(ranked: RankedList) -> list[tuple[str, str, int]]:
+    """``hex_rows`` read from the list's columns, a rank being a position + 1."""
+    return hex_rows(zip(ranked.ids, ranked.scores, range(1, len(ranked.ids) + 1)))
+
+
 class TestSystemIds:
     def test_integral_alpha_formats_as_integer(self):
         assert format_alpha(14.0) == "14"
@@ -124,6 +138,54 @@ class TestRankedList:
         with pytest.raises(ValueError, match=r"ranks must run 1\.\.m in list order"):
             RankedList(system_id="s", entries=entries)
 
+    @pytest.mark.parametrize(
+        "system_id, message",
+        [
+            ("", "system id '' is empty"),
+            ("a\tb", "system id 'a\\tb' contains a tab, CR or LF"),
+            ("a\rb", "system id 'a\\rb' contains a tab, CR or LF"),
+            ("a\ud800", "system id 'a\\ud800' contains a lone surrogate"),
+            (None, "system id None is not a string"),
+        ],
+    )
+    def test_a_system_id_that_is_not_a_field_is_rejected(self, system_id, message):
+        """``save_ranked_list`` writes the id into its header line, and
+        ``systems.tsv`` into a tab-separated field."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RankedList(system_id=system_id, entries=self.entries())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RankedList._columns(system_id, ["x", "y"], [2.0, 1.0])
+
+    def test_columns_reject_a_repeated_doc_id(self):
+        with pytest.raises(ValueError, match="duplicate doc ids"):
+            RankedList._columns("s", ["x", "y", "x"], [2.0, 1.0, 0.5])
+
+    def test_the_columns_hold_the_entries_fields(self):
+        ranked = RankedList(system_id="s", entries=self.entries())
+        assert (ranked.ids, ranked.scores) == (["x", "y"], [2.0, 1.0])
+        assert ranked == RankedList._columns("s", ["x", "y"], [2.0, 1.0])
+        assert ranked != RankedList._columns("s", ["x", "y"], [2.0, 0.5])
+        assert ranked != RankedList._columns("t", ["x", "y"], [2.0, 1.0])
+        assert repr(ranked) == (
+            "RankedList(system_id='s', entries=[RankedEntry(doc_id='x', score=2.0, rank=1), "
+            "RankedEntry(doc_id='y', score=1.0, rank=2)])"
+        )
+
+    def test_entries_are_ranked_entry_tuples_built_when_read(self):
+        ranked = RankedList._columns("s", ["x", "y"], [2.0, 1.0])
+        assert [type(entry) for entry in ranked.entries] == [RankedEntry, RankedEntry]
+        assert ranked.entries == self.entries()
+        assert list(ranked) == self.entries()
+        assert ranked.entries is not ranked.entries
+        assert RankedList._columns("s", [], []).entries == []
+
+    def test_rank_of_builds_its_dict_on_first_call(self):
+        for ranked in (RankedList("s", self.entries()), RankedList._columns("s", ["x", "y"], [2.0, 1.0])):
+            assert set(vars(ranked)) == {"system_id", "ids", "scores"}
+            assert ranked.rank_of("y") == 2
+            assert ranked.rank_of("zzz") is None
+            assert set(vars(ranked)) == {"system_id", "ids", "scores", "_rank_by_id"}
+
 
 class TestRankedEntry:
     def test_keyword_and_positional_construction(self):
@@ -159,6 +221,9 @@ class TestRankingOrder:
         with mock.patch("dictsieve.retrieval.score_context", lambda q, d, *args: by_id[d.id]):
             ranked = rank_collection(target, make_dictionary("w0"), None, ScoringConfig(), k)
         assert entry_rows(ranked.entries) == entry_rows(frozen_ranking(target.documents, scores, k))
+        assert column_rows(ranked) == hex_rows(frozen_ranking(target.documents, scores, k))
+        # the ids are the target's own strings
+        assert all(doc_id is target.coding.ids[ids.index(doc_id)] for doc_id in ranked.ids)
 
     @settings(deadline=None, max_examples=60)
     @given(collection=ranked_collections(range(len(SHAPES))))
@@ -172,6 +237,30 @@ class TestRankingOrder:
         ranked = rank_collection(target, q, None, ScoringConfig(), k, norms=norms)
         scores = [score_dict(q, doc, stats, norms) for doc in target.documents]
         assert entry_rows(ranked.entries) == entry_rows(frozen_ranking(target.documents, scores, k))
+
+    @pytest.mark.parametrize("k", [7, 2000])
+    def test_every_system_of_the_planted_sweep_is_the_frozen_sort(
+        self, planted_target, planted_dictionaries, planted_filtered, monkeypatch, k
+    ):
+        """Each system of the default sweep ranks the scores its documents
+        got as the frozen sort does.  The planted scores tie in groups of
+        10; k = 7 cuts every list, and k = 2000 keeps every document that
+        scores above 0, which leaves out most of the target."""
+        scored: list[float] = []
+        score_context = retrieval.score_context
+
+        def recorded(*args, **kwargs):
+            scored.append(score_context(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(retrieval, "score_context", recorded)
+        systems = generate_sweep(planted_target, *planted_dictionaries, *planted_filtered, k=k).systems
+        n = len(planted_target)
+        assert len(systems) == 34 and len(scored) == 34 * n
+        for i, ranked in enumerate(systems):
+            expected = hex_rows(frozen_ranking(planted_target.documents, scored[i * n : (i + 1) * n], k))
+            assert column_rows(ranked) == hex_rows(ranked.entries) == expected
+        assert {ranked.m for ranked in systems} == ({7} if k == 7 else {10, 20})
 
 
 class TestRankCollection:
@@ -279,6 +368,30 @@ class TestPersistence:
         loaded = load_ranked_list(path)
         assert loaded.system_id == ranked.system_id
         assert loaded.entries == ranked.entries
+
+    @pytest.mark.parametrize("m", [0, 1, 25])
+    def test_a_saved_list_loads_as_an_equal_list(self, tmp_path, m):
+        ranked = rank_collection(random_corpus(40, seed=8), make_dictionary("w0", "w1"), None, ScoringConfig(), k=25)
+        assert ranked.m == 25
+        ranked = RankedList._columns(ranked.system_id, ranked.ids[:m], ranked.scores[:m])
+        path = tmp_path / "ranked.tsv"
+        save_ranked_list(ranked, path)
+        loaded = load_ranked_list(path)
+        assert loaded == ranked
+        assert column_rows(loaded) == column_rows(ranked)
+
+    @pytest.mark.parametrize(
+        "system_id, message",
+        [
+            ("", "system id '' is empty"),
+            ("a\tb", "system id 'a\\tb' contains a tab, CR or LF"),
+        ],
+    )
+    def test_rejects_a_system_id_that_is_not_a_field(self, tmp_path, system_id, message):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(f"# system_id={system_id}\n1\td0\t1.0\n".encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: {message}")):
+            load_ranked_list(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "stray.tsv"

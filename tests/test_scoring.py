@@ -228,7 +228,7 @@ def test_no_pipeline_path_builds_a_per_document_counter(
     assert outputs() == expected
 
 
-def scalar_contribution(tf: float, log_avgtf: float, boost_value: float, norm: float) -> float:
+def frozen_scalar_contribution(tf: float, log_avgtf: float, boost_value: float, norm: float) -> float:
     """Reference: one run's contribution by the scalar formula, in its
     operation order, with ``math.log`` and tf floored at 1e-9."""
     dampened = 1.0 + math.log(max(tf, 1e-9))
@@ -284,7 +284,7 @@ class TestTermContribution:
             np.array([math.log(avgtf) for _, avgtf, _ in documents]),
             np.array([norm for _, _, norm in documents]),
         )
-        expected = np.array([scalar_contribution(*run) for run in runs], dtype=np.float64)
+        expected = np.array([frozen_scalar_contribution(*run) for run in runs], dtype=np.float64)
         assert (values == expected).all()
         assert values.tobytes() == expected.tobytes()
 
@@ -312,7 +312,7 @@ class TestTermContribution:
             )
         assert len(taken) == len(expected)
         assert sorted(taken) == sorted(expected)
-        assert values.tobytes() == np.array([scalar_contribution(value, 0.0, 1.0, 1.0) for value in tf]).tobytes()
+        assert values.tobytes() == np.array([frozen_scalar_contribution(value, 0.0, 1.0, 1.0) for value in tf]).tobytes()
 
     def test_rank_one_single_occurrence_is_the_norm(self):
         assert _term_contribution(1.0, 0.0, boost(1), 0.25) == 0.25
